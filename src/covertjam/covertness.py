@@ -2,8 +2,10 @@
 
 Single-band total variation in closed form, the sum-of-eta upper bound for
 products, Monte-Carlo TV cross-checks, the KL divergence of the adversary's
-multi-sample energy test, its small-signal quadratic coefficient zeta, and
-the Pinsker multi-block budget.
+multi-sample energy test, its small-signal quadratic coefficient zeta, the
+Pinsker multi-block budget, and the KL divergence and Bhattacharyya
+affinity of the limiting band densities behind the Pinsker and Hellinger
+bounds.
 
 Normalization convention: band quantities p = p_hat/sigma2_A and
 q = q_hat/sigma2_A are dimensionless; chi = p/q = p_hat/q_hat is the
@@ -19,9 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta, digamma
 
 from .quadrature import (
     QuadratureRule,
+    default_rule,
     gamma_rule,
     h0_energy_rule,
     log_phi,
@@ -47,6 +51,9 @@ __all__ = [
     "zeta",
     "tv_exact_n",
     "pinsker_budget",
+    "limit_kl",
+    "band_affinity",
+    "hellinger_bound",
     "solve_chi_star",
 ]
 
@@ -286,25 +293,18 @@ def zeta(q: float, n: float, rule: QuadratureRule | None = None) -> float:
         raise ValueError("q must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rule is None:
-        # Pilot-grid sweeps hit the same (q, n) pairs across scenarios.
-        return _zeta_default(float(q), float(n))
-    return _zeta_impl(q, n, rule)
+    # Pilot-grid sweeps hit the same (q, n) pairs across scenarios.
+    return _zeta_cached(float(q), float(n), (rule or default_rule()).n_quad)
 
 
 @lru_cache(maxsize=4096)
-def _zeta_default(q: float, n: float) -> float:
-    return _zeta_impl(q, n, None)
-
-
-def _zeta_impl(q: float, n: float, rule: QuadratureRule | None) -> float:
+def _zeta_cached(q: float, n: float, order: int) -> float:
     if q <= _ZETA_DIRECT_SWITCH:
-        r = h0_energy_rule(q, n, rule)
+        r = h0_energy_rule(q, n, QuadratureRule.gauss_laguerre(order))
         resid = -np.expm1(-r.z - r.log_phi_q)
         val = r.expectation(resid * resid)
     else:
-        order = rule.n_quad if rule is not None else 128
-        s, w = gamma_rule(float(n), order)
+        s, w = gamma_rule(n, order)
         val = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
     if not np.isfinite(val) or val < 0.0:
         raise ArithmeticError(f"zeta({q}, {n}) evaluation failed: {val!r}")
@@ -336,6 +336,42 @@ def pinsker_budget(kls, L: int) -> float:
     if L < 1:
         raise ValueError("L must be >= 1")
     return math.sqrt(0.5 * L * float(kls.sum()))
+
+
+def limit_kl(chi: float) -> float:
+    """KL(jamming-only || with-transmission) of the limiting band densities.
+
+    In the scale-free variable t the reference density is e^{-t} and the
+    transmission one is (e^{-t} - e^{-t/chi})/(1 - chi). Expanding
+    ln(1 - e^{-t/x}), x = chi/(1 - chi), termwise gives the closed form
+    D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0.
+    """
+    if not 0.0 <= chi < 1.0:
+        raise ValueError("chi must lie in [0, 1)")
+    if chi == 0.0:
+        return 0.0
+    return math.log1p(-chi) + float(digamma(1.0 / (1.0 - chi))) \
+        + np.euler_gamma
+
+
+def band_affinity(chi: float) -> float:
+    """Bhattacharyya affinity of the limiting band densities, in (0, 1].
+
+    int_0^inf e^{-t} sqrt((1 - e^{-t/x})/(1 - chi)) dt with
+    x = chi/(1 - chi); substituting u = e^{-t/x} gives
+    x B(x, 3/2) / sqrt(1 - chi), with rho(0) = 1.
+    """
+    if not 0.0 <= chi < 1.0:
+        raise ValueError("chi must lie in [0, 1)")
+    if chi == 0.0:
+        return 1.0
+    x = chi / (1.0 - chi)
+    return x * float(beta(x, 1.5)) / math.sqrt(1.0 - chi)
+
+
+def hellinger_bound(affinity: float) -> float:
+    """TV bound sqrt(1 - rho^2) from a product law's Bhattacharyya affinity."""
+    return math.sqrt(max(0.0, 1.0 - affinity * affinity))
 
 
 def solve_chi_star(epsilon: float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +158,10 @@ def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
 def _energy_threshold_errors(t0: np.ndarray, t1: np.ndarray):
     """Minimum empirical sum error of the detector T > tau over all tau.
 
-    Sort-based sweep: every pooled sample value is a candidate threshold,
-    plus the always-quiet decision (FA = 1, MD = 0 is never optimal, but
-    tau = -inf giving FA = 1, MD = 0 ... the sweep covers declaring H1
-    always/never at the extremes).
+    Sort-based sweep: every pooled sample value is a candidate threshold.
+    The extremes are included: tau = -inf declares H1 always (FA = 1,
+    MD = 0) and tau at the largest sample declares it never (FA = 0,
+    MD = 1).
     """
     n0, n1 = len(t0), len(t1)
     pooled = np.concatenate([t0, t1])
@@ -182,16 +181,15 @@ def _energy_threshold_errors(t0: np.ndarray, t1: np.ndarray):
 
 def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
                        trials: int = 10**5, seed: int = 0,
-                       detector_kind: str = "lrt",
-                       jobs: int = 1) -> DetectionEstimate:
+                       detector_kind: str = "lrt") -> DetectionEstimate:
     """Empirical min-sum-error of the adversary's detector at the given chis.
 
     Per trial and hypothesis, each of the L blocks draws fresh fading and
     jamming scales per band and the normalized N_d-sample energy from the
     conditional Gamma law. The LRT is thresholded at 0 in log form; the
     energy detector pools sum-energies and picks the empirically best
-    threshold. Deterministic in (seed, trials); trials shard into
-    fixed-size RNG streams so results do not depend on `jobs`.
+    threshold. Deterministic in (seed, trials): trials shard into
+    fixed-size RNG streams.
     """
     if detector_kind not in ("lrt", "energy"):
         raise ValueError("detector_kind must be 'lrt' or 'energy'")
@@ -210,14 +208,8 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
         evaluators = [(k, _BandLogPsi(b, N_d))
                       for k, b in enumerate(bands) if b.p_norm > 0.0]
 
-    sizes = _shard_sizes(trials)
-    args = [(i, m, seed, p, q, N_d, L, evaluators, detector_kind)
-            for i, m in enumerate(sizes)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda a: _run_shard(*a), args))
-    else:
-        results = [_run_shard(*a) for a in args]
+    results = [_run_shard(i, m, seed, p, q, N_d, L, evaluators, detector_kind)
+               for i, m in enumerate(_shard_sizes(trials))]
 
     if detector_kind == "lrt":
         fa_count = sum(r[0] for r in results)
@@ -242,7 +234,7 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
 
 def covertness_audit(instance: ScenarioInstance, chis, N_d: int, L: int,
                      epsilon: float, trials: int = 10**5,
-                     seed: int = 0, jobs: int = 1) -> CovertnessAudit:
+                     seed: int = 0) -> CovertnessAudit:
     """Check empirically that the adversary's sum error stays >= 1 - epsilon.
 
     Runs the optimal detector; the audit passes when the empirical sum
@@ -251,7 +243,7 @@ def covertness_audit(instance: ScenarioInstance, chis, N_d: int, L: int,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     est = simulate_detection(instance, chis, N_d, L, trials=trials,
-                             seed=seed, detector_kind="lrt", jobs=jobs)
+                             seed=seed, detector_kind="lrt")
     bound = 1.0 - epsilon
     slack = est.sum_error + 3.0 * est.ci_half_width - bound
     return CovertnessAudit(estimate=est, epsilon=epsilon, bound=bound,

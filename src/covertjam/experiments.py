@@ -1,7 +1,16 @@
 """Figure-sweep experiment runner: CSV emission, audits, default tables.
 
-Each supported figure sweeps one parameter and writes a self-contained run
-directory ``<output_dir>/<figure_id>/``:
+A figure is one row of ``FIGURES``: the parameter it sweeps and its stock
+sweep, scenario and problem defaults, the methods it runs, whether it
+records convergence traces, and its axis labels. Three point runners serve
+all eight figures: the limiting-density bounds (fig2), the quasi-static
+solvers (fig3-5) and the fast-varying solvers (fig6-9). A swept value that
+names a ``ScenarioConfig`` field overrides the scenario, one that names a
+problem default (epsilon) overrides the problem, and ``instance`` only
+labels the point. A trace figure solves scenario 0 of each point and
+writes ``traces.csv``.
+
+Each run writes a self-contained directory ``<output_dir>/<figure_id>/``:
 
   * ``points.csv``   one row per (sweep point, scenario, method). Solver
                      rows carry the scenario seed and every config field
@@ -16,7 +25,9 @@ directory ``<output_dir>/<figure_id>/``:
 Runs are deterministic byte for byte: scenario seeds derive from
 (spec.seed, point index, scenario index) through SeedSequence spawn keys,
 workers only compute (all writes happen serially in point order), and
-floats are written with round-trip precision.
+floats are written with round-trip precision. ``jobs`` threads across the
+sweep points of a run and across the rows of an audit; it is the only
+parallel level in the package.
 
 For the quasi-static figures the audit columns record the finite-sample
 proxy adversary (N_d = 500 energies, L = 1 block); the fast figures record
@@ -28,16 +39,15 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .covertness import BandDistribution, pinsker_budget, tv_numeric_product, \
-    tv_upper_bound
+from .covertness import BandDistribution, band_affinity, hellinger_bound, \
+    limit_kl, pinsker_budget, tv_numeric_product, tv_upper_bound
 from .detection import covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
 from .quadrature import QuadratureRule
@@ -58,39 +68,6 @@ __all__ = [
     "list_defaults",
 ]
 
-FIGURE_IDS = (
-    "fig2_tv_bounds",
-    "fig3_sca_convergence",
-    "fig4_rate_vs_Q",
-    "fig5_rate_vs_M",
-    "fig6_ao_convergence",
-    "fig7_rate_vs_PR",
-    "fig8_rate_vs_Q_fast",
-    "fig9_rate_vs_eps",
-)
-
-_SWEEP_PARAM = {
-    "fig2_tv_bounds": "chi",
-    "fig3_sca_convergence": "instance",
-    "fig4_rate_vs_Q": "Q_dBm",
-    "fig5_rate_vs_M": "M",
-    "fig6_ao_convergence": "instance",
-    "fig7_rate_vs_PR": "P_R_dBm",
-    "fig8_rate_vs_Q_fast": "Q_dBm",
-    "fig9_rate_vs_eps": "epsilon",
-}
-
-_DEFAULT_SWEEPS = {
-    "fig2_tv_bounds": (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    "fig3_sca_convergence": (0, 1, 2, 3),
-    "fig4_rate_vs_Q": (15.0, 20.0, 25.0, 30.0, 35.0),
-    "fig5_rate_vs_M": (5, 10, 20, 40),
-    "fig6_ao_convergence": (0, 1, 2, 3),
-    "fig7_rate_vs_PR": (0.0, 5.0, 10.0),
-    "fig8_rate_vs_Q_fast": (15.0, 25.0, 45.0),
-    "fig9_rate_vs_eps": (0.01, 0.02, 0.05, 0.1, 0.2),
-}
-
 # Baseline covertness levels and block geometry per figure family. The
 # slow-fading figures audit against a 500-sample single-block adversary;
 # the fast-fading ones default to 100-symbol blocks over 100 coherence
@@ -98,27 +75,6 @@ _DEFAULT_SWEEPS = {
 _QS_EPSILON = 0.005
 _QS_AUDIT_N_D = 500
 _FAST_DEFAULTS = {"N": 100, "L": 100, "epsilon": 0.05}
-
-_FIGURE_SCENARIO = {
-    "fig2_tv_bounds": {},
-    "fig3_sca_convergence": {"K": 3},
-    "fig4_rate_vs_Q": {"K": 2},
-    "fig5_rate_vs_M": {"K": 4},
-    "fig6_ao_convergence": {"K": 4},
-    "fig7_rate_vs_PR": {"K": 4},
-    "fig8_rate_vs_Q_fast": {"K": 4},
-    "fig9_rate_vs_eps": {"K": 4},
-}
-
-_FIGURE_PROBLEM = {
-    "fig3_sca_convergence": {"epsilon": _QS_EPSILON},
-    "fig4_rate_vs_Q": {"epsilon": _QS_EPSILON},
-    "fig5_rate_vs_M": {"epsilon": _QS_EPSILON},
-    "fig6_ao_convergence": dict(_FAST_DEFAULTS),
-    "fig7_rate_vs_PR": dict(_FAST_DEFAULTS),
-    "fig8_rate_vs_Q_fast": dict(_FAST_DEFAULTS),
-    "fig9_rate_vs_eps": {"N": 100, "L": 15, "epsilon": None},
-}
 
 POINT_COLUMNS = (
     "figure", "point_index", "sweep_param", "sweep_value", "scenario_index",
@@ -144,6 +100,7 @@ AUDIT_COLUMNS = (
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _CONFIG_INT_FIELDS = {"K", "M", "seed"}
+_STOCK_CONFIG = ScenarioConfig()
 _QS_METHODS = ("sca", "poa", "closed_form")
 _FAST_METHODS = ("es", "ao")
 
@@ -180,7 +137,7 @@ class ExperimentSpec:
 
     @property
     def sweep_param(self) -> str:
-        return _SWEEP_PARAM[self.figure_id]
+        return FIGURES[self.figure_id].sweep_param
 
     def quad_rule(self):
         if self.quad_order:
@@ -191,7 +148,7 @@ class ExperimentSpec:
 def default_sweep(figure_id: str) -> tuple:
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure_id {figure_id!r}")
-    return _DEFAULT_SWEEPS[figure_id]
+    return FIGURES[figure_id].sweep
 
 
 def default_spec(figure_id: str, **kwargs) -> ExperimentSpec:
@@ -319,18 +276,31 @@ def _split_overrides(overrides: dict):
 
 
 def _build_config(spec: ExperimentSpec, sweep_override: dict) -> ScenarioConfig:
-    merged = dict(_FIGURE_SCENARIO[spec.figure_id])
+    merged = dict(FIGURES[spec.figure_id].scenario)
     user_config, _ = _split_overrides(spec.scenario)
     merged.update(user_config)
     merged.update(sweep_override)
     return ScenarioConfig(**merged)
 
 
-def _problem_value(spec: ExperimentSpec, key: str):
+def _point_inputs(spec: ExperimentSpec, value):
+    """(config override, problem) of one sweep value.
+
+    The problem is the figure's defaults under the spec's overrides. The
+    swept value then wins: a ScenarioConfig field is cast to the type of
+    its stock value and overrides the config, a problem key (epsilon)
+    overrides the problem, and anything else (instance) overrides nothing.
+    """
+    fig = FIGURES[spec.figure_id]
     _, user_problem = _split_overrides(spec.scenario)
-    if key in user_problem:
-        return user_problem[key]
-    return _FIGURE_PROBLEM[spec.figure_id][key]
+    problem = {**fig.problem, **user_problem}
+    override = {}
+    name = fig.sweep_param
+    if name in _CONFIG_FIELDS:
+        override[name] = type(getattr(_STOCK_CONFIG, name))(value)
+    elif name in fig.problem:
+        problem[name] = value
+    return override, problem
 
 
 def _base_row(spec: ExperimentSpec, point_index: int, value,
@@ -350,220 +320,177 @@ def _base_row(spec: ExperimentSpec, point_index: int, value,
 
 
 # ---------------------------------------------------------------------------
-# per-band limiting-density integrals for the bound-comparison figure
+# point runners; each returns (point_rows, trace_rows) for one sweep index.
+# Solvers are looked up as module globals at call time, never stored, so
+# patching e.g. `experiments.sca_solve` reaches every figure.
 
 
-def _limit_kl(chi: float) -> float:
-    """KL(jamming-only || with-transmission) of the limiting band densities.
-
-    In the scale-free variable t the reference density is e^{-t} and the
-    transmission one is (e^{-t} - e^{-t/chi})/(1 - chi).
-    """
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must lie in [0, 1)")
-    if chi == 0.0:
-        return 0.0
-
-    def integrand(t):
-        log_fu = -t + math.log(-math.expm1(-t * (1.0 / chi - 1.0))) \
-            - math.log1p(-chi)
-        return math.exp(-t) * (-t - log_fu)
-
-    val, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return float(val)
+def _bound_value(method: str, chis, trials: int, seed: int):
+    """(objective, ci) of one bound-comparison method at band ratios chis."""
+    if method == "tv_numeric":
+        bands = [BandDistribution(p_norm=c, q_norm=1.0) for c in chis]
+        return tv_numeric_product(bands, samples=trials, seed=seed)
+    if method == "proposed_bound":
+        return tv_upper_bound(chis), None
+    if method == "pinsker_bound":
+        return pinsker_budget([limit_kl(float(c)) for c in chis], 1), None
+    if method == "hellinger_bound":
+        affinity = float(np.prod([band_affinity(float(c)) for c in chis]))
+        return hellinger_bound(affinity), None
+    raise ValueError(f"cannot recompute objective for method {method!r}")
 
 
-def _band_affinity(chi: float) -> float:
-    """Bhattacharyya affinity of the limiting band densities, in (0, 1]."""
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must lie in [0, 1)")
-    if chi == 0.0:
-        return 1.0
-
-    def integrand(t):
-        fu = -math.expm1(-t * (1.0 / chi - 1.0)) / (1.0 - chi)
-        return math.exp(-t) * math.sqrt(fu)
-
-    val, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return float(min(val, 1.0))
-
-
-def _hellinger_bound(affinity: float) -> float:
-    return math.sqrt(max(0.0, 1.0 - affinity * affinity))
-
-
-# ---------------------------------------------------------------------------
-# figure runners; each returns (point_rows, trace_rows) for one sweep index
-
-
-def _fig2_point(spec: ExperimentSpec, i: int):
+def _bounds_point(spec: ExperimentSpec, i: int):
     chi = float(spec.sweep[i])
     seed = _scenario_seed(spec.seed, i, 0)
     base = _base_row(spec, i, chi, 0, seed, None)
     base.update(K=2, chi=np.array([chi, chi]))
     rows = []
     try:
-        bands = [BandDistribution(p_norm=chi, q_norm=1.0)] * 2
-        est, ci = tv_numeric_product(bands, samples=spec.trials, seed=seed)
-        rows.append({**base, "method": "tv_numeric", "objective": est,
-                     "ci": ci})
-        rows.append({**base, "method": "proposed_bound",
-                     "objective": tv_upper_bound([chi, chi])})
-        d = _limit_kl(chi)
-        rows.append({**base, "method": "pinsker_bound",
-                     "objective": pinsker_budget([d, d], 1)})
-        rho = _band_affinity(chi)
-        rows.append({**base, "method": "hellinger_bound",
-                     "objective": _hellinger_bound(rho * rho)})
+        for method in FIGURES[spec.figure_id].methods:
+            objective, ci = _bound_value(method, base["chi"], spec.trials,
+                                         seed)
+            rows.append({**base, "method": method, "objective": objective,
+                         "ci": ci})
     except Exception as exc:
         rows.append({**base, "method": "bounds", "error": _err(exc)})
     return rows, []
 
 
-def _qs_methods_for(spec: ExperimentSpec) -> tuple:
-    return ("sca", "poa") if spec.figure_id == "fig4_rate_vs_Q" else ("sca",)
+def _solver_point(spec: ExperimentSpec, i: int, override: dict,
+                  problem_cells: dict, derive, solve):
+    """Rows of sweep point i: each scenario, then each of the figure's methods.
+
+    A trace figure runs scenario 0 only. `derive` turns a sampled instance
+    into solver inputs; `solve(method, params, previous)` returns the
+    result and its row cells, `previous` being the result of the method
+    before it.
+    """
+    fig = FIGURES[spec.figure_id]
+    value = spec.sweep[i]
+    config = _build_config(spec, override)
+    rows, traces = [], []
+    for j in range(1 if fig.trace else spec.scenarios_per_point):
+        seed = _scenario_seed(spec.seed, i, j)
+        base = {**_base_row(spec, i, value, j, seed, config), **problem_cells}
+        try:
+            params = derive(sample_scenario(config, seed))
+        except Exception as exc:
+            rows.append({**base, "method": "scenario", "error": _err(exc)})
+            continue
+        res = None
+        for method in fig.methods:
+            try:
+                res, cells = solve(method, params, res)
+            except Exception as exc:
+                rows.append({**base, "method": method, "error": _err(exc)})
+                continue
+            rows.append({**base, "method": method,
+                         "objective": res.objective, **cells})
+            if fig.trace:
+                traces.extend({"figure": spec.figure_id, "point_index": i,
+                               "sweep_value": value, "method": method, **t}
+                              for t in res.trace)
+    return rows, traces
 
 
 def _qs_point(spec: ExperimentSpec, i: int):
-    value = spec.sweep[i]
-    override = {}
-    if spec.figure_id == "fig4_rate_vs_Q":
-        override["Q_dBm"] = float(value)
-    elif spec.figure_id == "fig5_rate_vs_M":
-        override["M"] = int(value)
-    epsilon = float(_problem_value(spec, "epsilon"))
-    methods = _qs_methods_for(spec)
-    rows = []
-    for j in range(spec.scenarios_per_point):
-        seed = _scenario_seed(spec.seed, i, j)
-        config = _build_config(spec, override)
-        base = _base_row(spec, i, value, j, seed, config)
-        base.update(epsilon=epsilon, N_d=_QS_AUDIT_N_D, L=1)
-        try:
-            params = derive_quasi_static(sample_scenario(config, seed),
-                                         epsilon)
-        except Exception as exc:
-            rows.append({**base, "method": "scenario", "error": _err(exc)})
-            continue
-        warm = None
-        for method in methods:
-            try:
-                if method == "sca":
-                    res = sca_solve(params)
-                    warm = res.chi
-                else:
-                    res = poa_solve(params, delta=1e-3, max_iter=4000,
-                                    warm_start=warm)
-                rows.append({**base, "method": method,
-                             "objective": res.objective, "chi": res.chi,
-                             "gamma": res.gamma})
-            except Exception as exc:
-                rows.append({**base, "method": method, "error": _err(exc)})
-    return rows, []
+    override, problem = _point_inputs(spec, spec.sweep[i])
+    epsilon = float(problem["epsilon"])
 
+    def solve(method, params, previous):
+        if method == "sca":
+            res = sca_solve(params)
+        else:
+            res = poa_solve(params, delta=1e-3, max_iter=4000,
+                            warm_start=None if previous is None
+                            else previous.chi)
+        return res, {"chi": res.chi, "gamma": res.gamma}
 
-def _fig3_point(spec: ExperimentSpec, i: int):
-    value = spec.sweep[i]
-    seed = _scenario_seed(spec.seed, i, 0)
-    epsilon = float(_problem_value(spec, "epsilon"))
-    config = _build_config(spec, {})
-    base = _base_row(spec, i, value, 0, seed, config)
-    base.update(epsilon=epsilon, N_d=_QS_AUDIT_N_D, L=1)
-    try:
-        params = derive_quasi_static(sample_scenario(config, seed), epsilon)
-        res = sca_solve(params)
-    except Exception as exc:
-        return [{**base, "method": "sca", "error": _err(exc)}], []
-    points = [{**base, "method": "sca", "objective": res.objective,
-               "chi": res.chi, "gamma": res.gamma}]
-    traces = [{"figure": spec.figure_id, "point_index": i,
-               "sweep_value": value, "method": "sca",
-               "iteration": t["iteration"], "objective": t["objective"]}
-              for t in res.trace]
-    return points, traces
-
-
-def _fast_problem(spec: ExperimentSpec, value):
-    n = int(_problem_value(spec, "N"))
-    blocks = int(_problem_value(spec, "L"))
-    if spec.figure_id == "fig9_rate_vs_eps":
-        epsilon = float(value)
-    else:
-        epsilon = float(_problem_value(spec, "epsilon"))
-    return n, blocks, epsilon
+    return _solver_point(
+        spec, i, override, {"epsilon": epsilon, "N_d": _QS_AUDIT_N_D, "L": 1},
+        lambda instance: derive_quasi_static(instance, epsilon), solve)
 
 
 def _fast_point(spec: ExperimentSpec, i: int):
-    value = spec.sweep[i]
-    override = {}
-    if spec.figure_id == "fig8_rate_vs_Q_fast":
-        override["Q_dBm"] = float(value)
-    elif spec.figure_id == "fig7_rate_vs_PR":
-        override["P_R_dBm"] = float(value)
-    n, blocks, epsilon = _fast_problem(spec, value)
-    methods = ("es", "ao") if spec.figure_id == "fig7_rate_vs_PR" else ("ao",)
+    override, problem = _point_inputs(spec, spec.sweep[i])
+    n, blocks = int(problem["N"]), int(problem["L"])
+    epsilon = float(problem["epsilon"])
     rule = spec.quad_rule()
-    rows = []
-    for j in range(spec.scenarios_per_point):
-        seed = _scenario_seed(spec.seed, i, j)
-        config = _build_config(spec, override)
-        base = _base_row(spec, i, value, j, seed, config)
-        base.update(epsilon=epsilon, N=n, L=blocks)
-        try:
-            params = derive_fast_varying(sample_scenario(config, seed),
-                                         n, blocks, epsilon)
-        except Exception as exc:
-            rows.append({**base, "method": "scenario", "error": _err(exc)})
-            continue
-        for method in methods:
-            try:
-                if method == "es":
-                    res = es_solve(params, rule=rule)
-                else:
-                    res = ao_solve(params, rule=rule)
-                rows.append({**base, "method": method,
-                             "objective": res.objective, "chi": res.chi,
-                             "tau": res.tau, "N_t": res.N_t,
-                             "N_d": n - res.N_t, "lam": res.lam})
-            except Exception as exc:
-                rows.append({**base, "method": method, "error": _err(exc)})
-    return rows, []
+
+    def solve(method, params, previous):
+        res = (es_solve if method == "es" else ao_solve)(params, rule=rule)
+        return res, {"chi": res.chi, "tau": res.tau, "N_t": res.N_t,
+                     "N_d": n - res.N_t, "lam": res.lam}
+
+    return _solver_point(
+        spec, i, override, {"epsilon": epsilon, "N": n, "L": blocks},
+        lambda instance: derive_fast_varying(instance, n, blocks, epsilon),
+        solve)
 
 
-def _fig6_point(spec: ExperimentSpec, i: int):
-    value = spec.sweep[i]
-    seed = _scenario_seed(spec.seed, i, 0)
-    n, blocks, epsilon = _fast_problem(spec, value)
-    config = _build_config(spec, {})
-    base = _base_row(spec, i, value, 0, seed, config)
-    base.update(epsilon=epsilon, N=n, L=blocks)
-    try:
-        params = derive_fast_varying(sample_scenario(config, seed),
-                                     n, blocks, epsilon)
-        res = ao_solve(params, rule=spec.quad_rule())
-    except Exception as exc:
-        return [{**base, "method": "ao", "error": _err(exc)}], []
-    points = [{**base, "method": "ao", "objective": res.objective,
-               "chi": res.chi, "tau": res.tau, "N_t": res.N_t,
-               "N_d": n - res.N_t, "lam": res.lam}]
-    traces = [{"figure": spec.figure_id, "point_index": i,
-               "sweep_value": value, "method": "ao",
-               "iteration": t["iteration"], "objective": t["objective"],
-               "tau": t["tau"], "lam": t["lam"]}
-              for t in res.trace]
-    return points, traces
+# ---------------------------------------------------------------------------
+# the figure table
 
 
-_RUNNERS = {
-    "fig2_tv_bounds": _fig2_point,
-    "fig3_sca_convergence": _fig3_point,
-    "fig4_rate_vs_Q": _qs_point,
-    "fig5_rate_vs_M": _qs_point,
-    "fig6_ao_convergence": _fig6_point,
-    "fig7_rate_vs_PR": _fast_point,
-    "fig8_rate_vs_Q_fast": _fast_point,
-    "fig9_rate_vs_eps": _fast_point,
+@dataclass(frozen=True)
+class Figure:
+    """One figure: what it sweeps, its defaults, how it runs, its labels.
+
+    `runner(spec, i)` returns the point and trace rows of sweep index i.
+    `scenario` and `problem` are the defaults under the spec's [scenario]
+    overrides. A `trace` figure solves scenario 0 of each point and
+    writes traces.csv.
+    """
+
+    sweep_param: str
+    sweep: tuple
+    runner: Callable
+    methods: tuple
+    xlabel: str
+    ylabel: str
+    scenario: dict = field(default_factory=dict)
+    problem: dict = field(default_factory=dict)
+    trace: bool = False
+
+
+_QS_PROBLEM = {"epsilon": _QS_EPSILON}
+_QS_RATE = "effective sum rate [nats]"
+_FAST_RATE = "ergodic sum rate [nats/symbol]"
+
+FIGURES = {
+    "fig2_tv_bounds": Figure(
+        "chi", (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+        _bounds_point,
+        ("tv_numeric", "proposed_bound", "pinsker_bound", "hellinger_bound"),
+        "chi", "total variation"),
+    "fig3_sca_convergence": Figure(
+        "instance", (0, 1, 2, 3), _qs_point, ("sca",), "instance", _QS_RATE,
+        scenario={"K": 3}, problem=_QS_PROBLEM, trace=True),
+    "fig4_rate_vs_Q": Figure(
+        "Q_dBm", (15.0, 20.0, 25.0, 30.0, 35.0), _qs_point, ("sca", "poa"),
+        "jammer power Q [dBm]", _QS_RATE,
+        scenario={"K": 2}, problem=_QS_PROBLEM),
+    "fig5_rate_vs_M": Figure(
+        "M", (5, 10, 20, 40), _qs_point, ("sca",), "transmit antennas M",
+        _QS_RATE, scenario={"K": 4}, problem=_QS_PROBLEM),
+    "fig6_ao_convergence": Figure(
+        "instance", (0, 1, 2, 3), _fast_point, ("ao",), "instance",
+        _FAST_RATE, scenario={"K": 4}, problem=_FAST_DEFAULTS, trace=True),
+    "fig7_rate_vs_PR": Figure(
+        "P_R_dBm", (0.0, 5.0, 10.0), _fast_point, ("es", "ao"),
+        "receiver jamming power P_R [dBm]", _FAST_RATE,
+        scenario={"K": 4}, problem=_FAST_DEFAULTS),
+    "fig8_rate_vs_Q_fast": Figure(
+        "Q_dBm", (15.0, 25.0, 45.0), _fast_point, ("ao",),
+        "jammer power Q [dBm]", _FAST_RATE,
+        scenario={"K": 4}, problem=_FAST_DEFAULTS),
+    "fig9_rate_vs_eps": Figure(
+        "epsilon", (0.01, 0.02, 0.05, 0.1, 0.2), _fast_point, ("ao",),
+        "covertness level epsilon", _FAST_RATE,
+        scenario={"K": 4}, problem={"N": 100, "L": 15, "epsilon": None}),
 }
+FIGURE_IDS = tuple(FIGURES)
 
 
 def _summarize(spec: ExperimentSpec, points: list) -> list:
@@ -598,13 +525,13 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     """
     out_dir = Path(spec.output_dir) / spec.figure_id
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[spec.figure_id]
+    fig = FIGURES[spec.figure_id]
     indices = range(len(spec.sweep))
     if spec.jobs > 1:
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(lambda i: runner(spec, i), indices))
+            results = list(pool.map(lambda i: fig.runner(spec, i), indices))
     else:
-        results = [runner(spec, i) for i in indices]
+        results = [fig.runner(spec, i) for i in indices]
 
     points, traces = [], []
     for point_rows, trace_rows in results:
@@ -614,7 +541,7 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     _write_csv(out_dir / "points.csv", POINT_COLUMNS, points)
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS,
                _summarize(spec, points))
-    if spec.figure_id in ("fig3_sca_convergence", "fig6_ao_convergence"):
+    if fig.trace:
         _write_csv(out_dir / "traces.csv", TRACE_COLUMNS, traces)
     (out_dir / "plot.py").write_text(_plot_script(spec))
     save_spec(spec, out_dir / "spec.ini")
@@ -626,7 +553,7 @@ def run_experiment(spec: ExperimentSpec) -> Path:
 
 
 def _row_config(spec: ExperimentSpec, row: dict) -> ScenarioConfig:
-    merged = dict(_FIGURE_SCENARIO[spec.figure_id])
+    merged = dict(FIGURES[spec.figure_id].scenario)
     user_config, _ = _split_overrides(spec.scenario)
     merged.update(user_config)
     merged["K"] = int(row["K"])
@@ -657,19 +584,8 @@ def recompute_objective(spec: ExperimentSpec, row: dict) -> float:
         params = derive_fast_varying(instance, int(row["N"]), int(row["L"]),
                                      float(row["epsilon"]))
         return ergodic_sum_rate(chis, float(row["tau"]), params)
-    if method == "tv_numeric":
-        bands = [BandDistribution(p_norm=c, q_norm=1.0) for c in chis]
-        est, _ = tv_numeric_product(bands, samples=spec.trials,
-                                    seed=int(row["scenario_seed"]))
-        return est
-    if method == "proposed_bound":
-        return tv_upper_bound(chis)
-    if method == "pinsker_bound":
-        return pinsker_budget([_limit_kl(float(c)) for c in chis], 1)
-    if method == "hellinger_bound":
-        affinity = float(np.prod([_band_affinity(float(c)) for c in chis]))
-        return _hellinger_bound(affinity)
-    raise ValueError(f"cannot recompute objective for method {method!r}")
+    return _bound_value(method, chis, spec.trials,
+                        int(row["scenario_seed"]))[0]
 
 
 def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
@@ -701,7 +617,7 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
         audit = covertness_audit(
             instance, _parse_vector(row["chi"]), int(row["N_d"]),
             int(row["L"]), float(row["epsilon"]), trials=trials,
-            seed=_scenario_seed(seed, idx, 0), jobs=1)
+            seed=_scenario_seed(seed, idx, 0))
         return {
             "figure": row["figure"],
             "point_index": int(row["point_index"]),
@@ -760,31 +676,11 @@ def list_defaults() -> str:
         "",
         "figure sweeps",
     ]
-    for figure_id in FIGURE_IDS:
-        sweep = ",".join(_fmt(v) for v in _DEFAULT_SWEEPS[figure_id])
-        lines.append(f"  {figure_id:22s} {_SWEEP_PARAM[figure_id]} = {sweep}")
+    for figure_id, fig in FIGURES.items():
+        sweep = ",".join(_fmt(v) for v in fig.sweep)
+        lines.append(f"  {figure_id:22s} {fig.sweep_param} = {sweep}")
     return "\n".join(lines)
 
-
-_XLABELS = {
-    "fig2_tv_bounds": "chi",
-    "fig4_rate_vs_Q": "jammer power Q [dBm]",
-    "fig5_rate_vs_M": "transmit antennas M",
-    "fig7_rate_vs_PR": "receiver jamming power P_R [dBm]",
-    "fig8_rate_vs_Q_fast": "jammer power Q [dBm]",
-    "fig9_rate_vs_eps": "covertness level epsilon",
-}
-
-_YLABELS = {
-    "fig2_tv_bounds": "total variation",
-    "fig3_sca_convergence": "effective sum rate [nats]",
-    "fig4_rate_vs_Q": "effective sum rate [nats]",
-    "fig5_rate_vs_M": "effective sum rate [nats]",
-    "fig6_ao_convergence": "ergodic sum rate [nats/symbol]",
-    "fig7_rate_vs_PR": "ergodic sum rate [nats/symbol]",
-    "fig8_rate_vs_Q_fast": "ergodic sum rate [nats/symbol]",
-    "fig9_rate_vs_eps": "ergodic sum rate [nats/symbol]",
-}
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Render {figure} from the CSVs beside this script."""
@@ -841,11 +737,10 @@ print("wrote", out)
 
 
 def _plot_script(spec: ExperimentSpec) -> str:
-    kind = "trace" if spec.figure_id in ("fig3_sca_convergence",
-                                         "fig6_ao_convergence") else "sweep"
+    fig = FIGURES[spec.figure_id]
     return _PLOT_TEMPLATE.format(
         figure=spec.figure_id,
-        kind=kind,
-        xlabel=_XLABELS.get(spec.figure_id, spec.sweep_param),
-        ylabel=_YLABELS[spec.figure_id],
+        kind="trace" if fig.trace else "sweep",
+        xlabel=fig.xlabel,
+        ylabel=fig.ylabel,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,23 +157,11 @@ def chi_given_tau(tau: float, params: FastVaryingParams, zeta_values,
 
 
 def zeta_vector(params: FastVaryingParams, n_d: float,
-                cache: dict | None = None, rule=None) -> np.ndarray:
-    """zeta(q_k, n_d) per band, with optional cross-call caching.
-
-    A shared cache must not mix different quadrature rules; the solvers
-    below keep one cache per solve, where the rule is fixed.
-    """
-    out = np.empty(params.K)
-    for k, q in enumerate(params.q_norm):
-        key = (float(q), float(n_d))
-        if cache is not None and key in cache:
-            out[k] = cache[key]
-        else:
-            val = zeta(float(q), float(n_d), rule)
-            if cache is not None:
-                cache[key] = val
-            out[k] = val
-    return out
+                rule=None) -> np.ndarray:
+    """zeta(q_k, n_d) per band; bands with equal q share one evaluation."""
+    qs = [float(q) for q in params.q_norm]
+    values = {q: zeta(q, float(n_d), rule) for q in dict.fromkeys(qs)}
+    return np.array([values[q] for q in qs])
 
 
 def _adversary_samples(params: FastVaryingParams, n_t: int, mode: str) -> int:
@@ -186,39 +173,26 @@ def _adversary_samples(params: FastVaryingParams, n_t: int, mode: str) -> int:
     raise ValueError("n_d_mode must be 'data' or 'full'")
 
 
-def es_solve(params: FastVaryingParams, jobs: int = 1,
-             n_d_mode: str = "data", rule=None) -> FvSolveResult:
+def es_solve(params: FastVaryingParams, n_d_mode: str = "data",
+             rule=None) -> FvSolveResult:
     """Exhaustive search over the pilot grid; exact fixed-tau subproblems.
 
     n_d_mode selects how many symbols the adversary tests: "data" uses the
     jammed data phase N - N_t (the baseline convention), "full" the whole
-    block N. The per-(q, n) covertness coefficients are cached across the
-    sweep.
+    block N.
     """
-    cache: dict = {}
     budget = params.budget
-    grid = range(1, params.N)
 
     def candidate(n_t: int):
         tau = n_t / params.N
         z = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode),
-                        cache, rule)
+                        rule)
         chis, lam = chi_given_tau(tau, params, z, budget)
         obj = ergodic_sum_rate(chis, tau, params)
         used = 0.5 * float(np.dot(z, chis * chis))
         return n_t, tau, chis, lam, obj, used
 
-    if jobs > 1:
-        # Pre-fill the zeta cache serially (it is shared mutable state),
-        # then evaluate candidates concurrently.
-        for n_t in grid:
-            zeta_vector(params, _adversary_samples(params, n_t, n_d_mode),
-                        cache, rule)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(candidate, grid))
-    else:
-        rows = [candidate(n_t) for n_t in grid]
-
+    rows = [candidate(n_t) for n_t in range(1, params.N)]
     trace = [{"tau": r[1], "objective": r[4], "lam": r[3]} for r in rows]
     best = max(rows, key=lambda r: (r[4], -r[0]))
     n_t, tau, chis, lam, obj, used = best
@@ -275,9 +249,8 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
     """
     if not 0.0 < tau0 < 1.0:
         raise ValueError("tau0 must lie in (0, 1)")
-    cache: dict = {}
     budget = params.budget
-    z_frozen = zeta_vector(params, params.N, cache, rule)
+    z_frozen = zeta_vector(params, params.N, rule)
 
     tau = tau0
     trace = []
@@ -298,7 +271,7 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
     n_t = int(min(max(math.floor(tau * params.N + 0.5), 1), params.N - 1))
     tau_g = n_t / params.N
     z_true = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode),
-                         cache, rule)
+                         rule)
     if np.any(z_frozen < z_true * (1.0 - 1e-9)):
         warnings.warn(
             "full-block covertness coefficient is smaller than the "

@@ -333,7 +333,3 @@ def h0_expectation(fn, q: float, n: float,
     r = h0_energy_rule(q, n, rule)
     return r.expectation(fn(r.z))
 
-
-def gamma_constant(m: int) -> float:
-    """Gamma(m + 1/2)^2 / Gamma(m)^2 through log-gamma (finite for any m)."""
-    return float(np.exp(2.0 * (gammaln(m + 0.5) - gammaln(m))))

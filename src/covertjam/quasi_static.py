@@ -29,7 +29,6 @@ from .scenario import QuasiStaticParams
 
 __all__ = [
     "QsSolveResult",
-    "Polyblock",
     "ScaState",
     "effective_rate",
     "single_receiver_gamma",
@@ -154,17 +153,6 @@ def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
     )
 
 
-@dataclass
-class Polyblock:
-    """Vertex state of the outer-approximation loop (diagnostic type)."""
-
-    vertices: list
-    best_point: np.ndarray | None
-    best_value: float
-    iteration: int
-    eviction_triggered: bool = False
-
-
 class _RateCache:
     """Per-coordinate best-response cache: chi value -> (rate, gamma)."""
 
@@ -195,20 +183,6 @@ class _RateCache:
     def gammas(self, v: np.ndarray) -> np.ndarray:
         return np.array([self.rate_gamma(k, float(v[k]))[1]
                          for k in range(self.params.K)])
-
-
-def _project_to_boundary(v: np.ndarray, epsilon: float) -> float:
-    """Largest rho with sum eta(rho v) <= epsilon, by bisection on rho."""
-    if tv_budget(v) <= epsilon:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if tv_budget(mid * v) <= epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _project_rows(V: np.ndarray, epsilon: float) -> np.ndarray:
@@ -290,7 +264,9 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     classic vertex-splitting scheme applies: evaluate the best vertex,
     project it onto the boundary along its ray, split the vertex at the
     projection, prune, and stop when the vertex bound is within delta of
-    the best feasible value (a delta-optimal certificate).
+    the best feasible value (a delta-optimal certificate). When the vertex
+    cap evicts vertices, the certificate also needs the largest evicted
+    bound within delta of the best value; otherwise `converged` is False.
 
     `warm_start` (a feasible chi vector, e.g. an SCA solution) seeds the
     incumbent, which sharpens pruning; boxes whose bound exceeds it are
@@ -321,7 +297,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         best_point = ws
         best_value = cache.value(ws)
     trace = []
-    evicted = False
+    evicted_bound = -math.inf
     converged = False
     pops = 0
 
@@ -334,7 +310,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
                 break
             popped.append((-neg, v))
         if not popped:
-            converged = True
+            converged = evicted_bound <= best_value + delta
             break
         pops += len(popped)
         bounds = np.array([b for b, _ in popped])
@@ -355,7 +331,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         trace.append({"iteration": pops, "bound": float(bounds[0]),
                       "best_feasible": best_value})
         if bounds[0] - best_value <= delta:
-            converged = True
+            converged = evicted_bound <= best_value + delta
             break
 
         m = len(popped)
@@ -370,9 +346,10 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
             heapq.heappush(heap, (-float(child_vals[i]), seq, children[i]))
             seq += 1
         if len(heap) > _VERTEX_CAP:
-            evicted = True
-            heap = heapq.nsmallest(_VERTEX_CAP, heap)
-            heapq.heapify(heap)
+            # A sorted list is a heap; the tail holds the lowest bounds.
+            heap.sort()
+            evicted_bound = max(evicted_bound, -heap[_VERTEX_CAP][0])
+            del heap[_VERTEX_CAP:]
 
     gammas = cache.gammas(best_point)
     obj = float(np.sum(effective_rate(best_point, gammas, params.A, params.B)))

@@ -245,6 +245,11 @@ def derive_quasi_static(instance: ScenarioInstance, epsilon: float) -> QuasiStat
     return QuasiStaticParams(A=a, B=b, epsilon=epsilon)
 
 
+def gamma_constant(m: int) -> float:
+    """Gamma(m + 1/2)^2 / Gamma(m)^2 through log-gamma (finite for any m)."""
+    return math.exp(2.0 * (gammaln(m + 0.5) - gammaln(m)))
+
+
 def beamforming_stats(M: int, N_t: float, mu_k: float):
     """Mean-square and variance of the estimated-channel beamforming gain.
 
@@ -252,13 +257,12 @@ def beamforming_stats(M: int, N_t: float, mu_k: float):
     the normalized beamforming gain has
         mean_sq  = N_t/(N_t+mu) * G,   G = Gamma(M+1/2)^2 / Gamma(M)^2,
         variance = N_t/(N_t+mu) * E + mu/(N_t+mu),   E = M - G.
-    G is computed through log-gamma to stay finite for large M.
     """
     if N_t < 1:
         raise ValueError("N_t must be >= 1")
     if mu_k < 0:
         raise ValueError("mu_k must be nonnegative")
-    g = math.exp(2.0 * (gammaln(M + 0.5) - gammaln(M)))
+    g = gamma_constant(M)
     e = M - g
     w = N_t / (N_t + mu_k)
     return w * g, w * e + mu_k / (N_t + mu_k)
@@ -316,7 +320,7 @@ def derive_fast_varying(instance: ScenarioInstance, N: int, L: int,
                         epsilon: float) -> FastVaryingParams:
     """Reduce a sampled scenario to the fast-varying problem constants."""
     m = instance.config.M
-    g = math.exp(2.0 * (gammaln(m + 0.5) - gammaln(m)))
+    g = gamma_constant(m)
     e = m - g
     ratio = instance.Q_mw * instance.S_AJ / instance.S_AT
     recv = (instance.Q_mw * instance.S_RJ + instance.sigma2_R) / instance.S_RT

@@ -8,8 +8,10 @@ import pytest
 
 from covertjam.covertness import (
     BandDistribution,
+    band_affinity,
     eta,
     kl_divergence,
+    limit_kl,
     log_psi,
     pdf_U,
     pdf_V,
@@ -174,6 +176,27 @@ def test_pinsker_budget_formula():
     assert abs(pinsker_budget([0.02], 4) - math.sqrt(0.04)) < 1e-15
     with pytest.raises(ValueError):
         pinsker_budget([-0.1], 1)
+
+
+def test_limit_density_closed_forms_match_mpmath_quadrature():
+    # Independent oracle: 30-digit quadrature of the defining integrals in
+    # the scale-free variable t, reference density e^-t, transmission
+    # density (e^-t - e^-(t/chi)) / (1 - chi).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    assert limit_kl(0.0) == 0.0
+    assert band_affinity(0.0) == 1.0
+    for chi in np.geomspace(1e-6, 0.9999, 13):
+        c = mpmath.mpf(float(chi))
+        rate = (1 - c) / c
+        breaks = [0, c, 1, 10, mpmath.inf]
+        kl = mpmath.quad(lambda t: mpmath.exp(-t) * (
+            mpmath.log(1 - c) - mpmath.log(-mpmath.expm1(-rate * t))), breaks)
+        rho = mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.sqrt(
+            -mpmath.expm1(-rate * t) / (1 - c)), breaks)
+        assert abs(limit_kl(float(chi)) - float(kl)) <= 1e-10 * float(kl)
+        assert abs(band_affinity(float(chi)) - float(rho)) <= \
+            1e-10 * float(rho)
 
 
 def test_single_band_tv_speed():

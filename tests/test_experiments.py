@@ -10,6 +10,8 @@ import pytest
 from covertjam import cli
 from covertjam.experiments import (
     FIGURE_IDS,
+    FIGURES,
+    POINT_COLUMNS,
     ExperimentSpec,
     audit_run,
     default_spec,
@@ -94,6 +96,55 @@ def test_bound_comparison_figure(tmp_path):
                                                    "hellinger_bound")]
     assert (out / "plot.py").exists()
     assert (out / "spec.ini").exists()
+
+
+def test_bound_figure_at_tiny_chi_has_no_error_row(tmp_path):
+    # The limiting-density KL is 6.45e-5 at chi = 1e-4; a quadrature that
+    # rounds it negative makes the Pinsker bound raise.
+    out = run_experiment(default_spec("fig2_tv_bounds", sweep=(1e-4,),
+                                      trials=2000, output_dir=str(tmp_path)))
+    rows = _read(out / "points.csv")
+    assert len(rows) == 4
+    assert not any(r["error"] for r in rows)
+
+
+_EXPECTED_METHODS = {
+    "fig2_tv_bounds": {"tv_numeric", "proposed_bound", "pinsker_bound",
+                       "hellinger_bound"},
+    "fig3_sca_convergence": {"sca"},
+    "fig4_rate_vs_Q": {"sca", "poa"},
+    "fig5_rate_vs_M": {"sca"},
+    "fig6_ao_convergence": {"ao"},
+    "fig7_rate_vs_PR": {"es", "ao"},
+    "fig8_rate_vs_Q_fast": {"ao"},
+    "fig9_rate_vs_eps": {"ao"},
+}
+_TRACE_FIGURES = {"fig3_sca_convergence", "fig6_ao_convergence"}
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_figure_table_contract(figure_id, tmp_path):
+    fig = FIGURES[figure_id]
+    value = fig.sweep[0]
+    # Short pilot blocks keep the fast-fading solvers quick.
+    scenario = {"N": 20} if "N" in fig.problem else {}
+    out = run_experiment(default_spec(
+        figure_id, sweep=(value,), scenarios_per_point=2, trials=2000,
+        seed=1, output_dir=str(tmp_path), scenario=scenario))
+    rows = _read(out / "points.csv")
+    assert rows and not any(r["error"] for r in rows)
+    assert {r["method"] for r in rows} == _EXPECTED_METHODS[figure_id]
+    assert (out / "traces.csv").exists() == (figure_id in _TRACE_FIGURES)
+    if figure_id in _TRACE_FIGURES:
+        assert {r["scenario_index"] for r in rows} == {"0"}
+        assert _read(out / "traces.csv")
+    for row in rows:
+        assert float(row["sweep_value"]) == value
+        if fig.sweep_param in POINT_COLUMNS:
+            cells = row[fig.sweep_param].split(";")
+            assert all(float(c) == value for c in cells)
+    plot = (out / "plot.py").read_text()
+    assert repr(fig.xlabel) in plot and repr(fig.ylabel) in plot
 
 
 def test_runs_are_byte_identical(tmp_path):

@@ -99,14 +99,6 @@ def test_es_exhaustive_over_pilot_grid():
     assert res.budget_used <= res.budget + 1e-18
 
 
-def test_es_jobs_do_not_change_the_answer():
-    params = _scenario_params(seed=6, k=2, n=20)
-    a = es_solve(params)
-    b = es_solve(params, jobs=4)
-    assert a.N_t == b.N_t
-    assert a.objective == b.objective
-
-
 def test_tau_given_chi_beats_dense_grid():
     params = _scenario_params(seed=7, k=3, n=50)
     z = zeta_vector(params, 40)
@@ -166,15 +158,23 @@ def test_full_block_adversary_mode():
 
 
 def test_zeta_vector_cache_and_rule():
-    params = _scenario_params(seed=3, k=2, n=20)
-    cache = {}
-    a = zeta_vector(params, 15, cache)
-    assert len(cache) == len(set(map(float, params.q_norm)))
-    b = zeta_vector(params, 15, cache)
-    assert np.array_equal(a, b)
+    from covertjam.covertness import _zeta_cached
     from covertjam.quadrature import QuadratureRule
-    c = zeta_vector(params, 15, None, QuadratureRule.gauss_laguerre(160))
+    params = _scenario_params(seed=3, k=2, n=20)
+    a = zeta_vector(params, 15)
+    hits = _zeta_cached.cache_info().hits
+    b = zeta_vector(params, 15)
+    assert np.array_equal(a, b)
+    # One cached zeta per distinct jamming spread.
+    assert _zeta_cached.cache_info().hits - hits == \
+        len(set(map(float, params.q_norm)))
+    rule = QuadratureRule.gauss_laguerre(160)
+    c = zeta_vector(params, 15, rule)
     assert np.allclose(a, c, rtol=1e-6)
+    # A custom rule is cached under its order, apart from the default.
+    hits = _zeta_cached.cache_info().hits
+    assert np.array_equal(zeta_vector(params, 15, rule), c)
+    assert _zeta_cached.cache_info().hits > hits
 
 
 def test_result_validation():

@@ -9,7 +9,6 @@ from scipy.special import gammaln
 from covertjam.quadrature import (
     H0EnergyRule,
     QuadratureRule,
-    gamma_constant,
     gamma_rule,
     h0_energy_rule,
     h0_expectation,
@@ -17,6 +16,7 @@ from covertjam.quadrature import (
     log_phi_exact,
     phi,
 )
+from covertjam.scenario import gamma_constant
 
 
 def test_laguerre_weights_sum_to_one():

@@ -130,6 +130,20 @@ def test_poa_certificate_beats_boundary_grid():
     assert abs(res.objective - 3.2496921493220308) < 1e-6
 
 
+def test_poa_eviction_voids_the_certificate(monkeypatch):
+    # A vertex cap of 8 evicts vertices whose bounds beat the incumbent by
+    # more than delta; the uncapped search finds a point better by more
+    # than delta, so a certificate claimed after eviction would be false.
+    import covertjam.quasi_static as qs
+    params = derive_quasi_static(
+        sample_scenario(ScenarioConfig(K=3, seed=3)), 0.005)
+    uncapped = poa_solve(params, delta=1e-3, max_iter=4000)
+    monkeypatch.setattr(qs, "_VERTEX_CAP", 8)
+    capped = poa_solve(params, delta=1e-3, max_iter=4000)
+    assert uncapped.objective > capped.objective + 1e-3
+    assert not capped.converged
+
+
 def test_poa_warm_start_never_hurts():
     params = _params_k2()
     sca = sca_solve(params)
