@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import beta, digamma
+from scipy.special import zeta as riemann_zeta
 
 from .quadrature import (
     QuadratureRule,
@@ -60,6 +62,9 @@ __all__ = [
 # Above this jamming spread the Laguerre mixture misses the v ~ 1/q scale
 # and zeta switches to the single-integral form (see zeta docstring).
 _ZETA_DIRECT_SWITCH = 50.0
+
+# zeta(m + 1) - 1/m, m = 1..16: limit_kl's series coefficients for small x.
+_LIMIT_KL_SERIES = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
 
 
 def eta(x):
@@ -177,22 +182,19 @@ def tv_numeric_k1(band: BandDistribution, noise: float = 1.0) -> float:
     return 0.5 * (abs(lower) + abs(upper))
 
 
-def tv_numeric_product(bands, noises=None, samples: int = 10**6,
+def tv_numeric_product(bands, samples: int = 10**6,
                        seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo TV between the K-band product laws, with a 95% CI.
 
     Samples the jamming-only product law exactly (per-band shifted
     exponentials) and averages |prod_k f_U/f_V - 1| / 2. The per-band
     likelihood ratio depends only on chi_k and a standard exponential draw,
-    so the estimate is scale-free; `noises` is accepted for interface
-    symmetry and only checked for length.
+    so the estimate is scale-free: no noise level enters.
     """
     bands = list(bands)
     k = len(bands)
     if k < 1:
         raise ValueError("at least one band is required")
-    if noises is not None and len(np.atleast_1d(noises)) != k:
-        raise ValueError("noises must match the number of bands")
     chis = np.array([b.chi for b in bands])
     for b in bands:
         b.require_covert_domain()
@@ -344,12 +346,16 @@ def limit_kl(chi: float) -> float:
     In the scale-free variable t the reference density is e^{-t} and the
     transmission one is (e^{-t} - e^{-t/chi})/(1 - chi). Expanding
     ln(1 - e^{-t/x}), x = chi/(1 - chi), termwise gives the closed form
-    D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0.
+    D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0. For
+    x < 0.05 that sum cancels to D ~ 0.64 x, so the power series
+    D = sum_m (-1)^(m+1) (zeta(m+1) - 1/m) x^m is used instead; both agree
+    to about 1e-15 relative at the switch.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError("chi must lie in [0, 1)")
-    if chi == 0.0:
-        return 0.0
+    x = chi / (1.0 - chi)
+    if x < 0.05:
+        return x * float(polyval(-x, _LIMIT_KL_SERIES))
     return math.log1p(-chi) + float(digamma(1.0 / (1.0 - chi))) \
         + np.euler_gamma
 
@@ -374,21 +380,23 @@ def hellinger_bound(affinity: float) -> float:
     return math.sqrt(max(0.0, 1.0 - affinity * affinity))
 
 
-def solve_chi_star(epsilon: float) -> float:
+def solve_chi_star(epsilon):
     """Largest chi with eta(chi) <= epsilon: bisection of eta(x) = epsilon.
 
-    Valid for epsilon in (0, 1); for epsilon >= 1/e every chi < 1 is
-    feasible and the root bracket's upper end (1 - 1e-12) is returned.
+    Vectorized over epsilon; a scalar gives a float. Valid for epsilon in
+    (0, 1); for epsilon >= 1/e every chi < 1 is feasible and the root
+    bracket's upper end (1 - 1e-12) is returned.
     """
-    if not 0.0 < epsilon < 1.0:
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all((eps > 0.0) & (eps < 1.0)):
         raise ValueError("epsilon must lie in (0, 1)")
-    lo, hi = 1e-15, 1.0 - 1e-12
-    if eta(hi) <= epsilon:
-        return hi
+    lo = np.full(eps.shape, 1e-15)
+    hi = np.full(eps.shape, 1.0 - 1e-12)
+    top = eta(hi) <= eps
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if eta(mid) <= epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        ok = eta(mid) <= eps
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    out = np.where(top, 1.0 - 1e-12, lo)
+    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,6 @@ N_d complex samples per band.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "lrt_statistic",
     "simulate_detection",
     "covertness_audit",
-    "detection_csv_row",
 ]
 
 _SHARD = 1 << 14
@@ -248,21 +246,3 @@ def covertness_audit(instance: ScenarioInstance, chis, N_d: int, L: int,
     slack = est.sum_error + 3.0 * est.ci_half_width - bound
     return CovertnessAudit(estimate=est, epsilon=epsilon, bound=bound,
                            slack=slack, passed=slack >= 0.0)
-
-
-def detection_csv_row(estimate: DetectionEstimate, chis, N_d: int, L: int) -> dict:
-    """One flat record per (detector, N_d, L, chi-vector) for the run CSVs."""
-    chis = np.asarray(chis, dtype=float)
-    digest = hashlib.sha256(
-        ",".join(f"{c:.12e}" for c in chis).encode()).hexdigest()[:12]
-    return {
-        "detector_kind": estimate.detector_kind,
-        "N_d": N_d,
-        "L": L,
-        "chi_hash": digest,
-        "p_fa": estimate.p_fa,
-        "p_md": estimate.p_md,
-        "sum_error": estimate.sum_error,
-        "ci_half_width": estimate.ci_half_width,
-        "trials": estimate.trials,
-    }

@@ -402,7 +402,7 @@ def _qs_point(spec: ExperimentSpec, i: int):
         if method == "sca":
             res = sca_solve(params)
         else:
-            res = poa_solve(params, delta=1e-3, max_iter=4000,
+            res = poa_solve(params, delta=1e-3,
                             warm_start=None if previous is None
                             else previous.chi)
         return res, {"chi": res.chi, "gamma": res.gamma}

@@ -4,9 +4,12 @@ Maximizes the effective sum rate over the covert region
 {chi : sum_k eta(chi_k) <= epsilon}. Three solvers:
 
   * closed form for a single receiver (the inner SINR threshold gamma* is
-    the root of a scalar transcendental equation),
-  * a polyblock outer-approximation (POA) global solver exploiting that the
-    best-response objective is increasing in chi and the region is normal,
+    the root of a scalar transcendental equation, solved by one kernel
+    vectorized over bands and transmit levels),
+  * a global budget-split search (`poa_solve`): objective and budget are
+    both separable, so it splits epsilon across the bands' increasing
+    best-response rates on a share grid, with a floor-share feasible
+    incumbent and a ceil-share upper bound as its delta-certificate,
   * a successive-convex-approximation (SCA) local solver on the equivalent
     (t, gamma) formulation with t = chi/gamma, which is fast and in practice
     lands within a few percent of the global optimum.
@@ -16,12 +19,10 @@ Rates are in nats per channel use throughout.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
 from .covertness import eta, solve_chi_star
@@ -39,7 +40,8 @@ __all__ = [
     "default_sca_state",
 ]
 
-_VERTEX_CAP = 10**5
+# Largest share grid of the budget-split search (it starts at 64 steps).
+_GRID_CAP = 2**16
 
 
 @dataclass
@@ -87,167 +89,82 @@ def effective_rate(chi_k, gamma_k, A_k, B_k):
     return float(val) if val.ndim == 0 else val
 
 
-def _xi(kappa: float, a_chi: float, b: float) -> float:
-    """Stationarity function whose root at Xi = B gives kappa* = 1/gamma*."""
-    if kappa <= 0.0:
-        return 1.0
-    m = a_chi * kappa
-    # kappa (1+kappa) log1p(1/kappa) = kappa * factor; folding one kappa
-    # into m avoids squaring kappa, which overflows near 1e154.
-    if kappa > 1e10:
-        factor = 1.0 + 0.5 / kappa
-    else:
-        factor = (1.0 + kappa) * math.log1p(1.0 / kappa)
-    return math.exp(min(m, 700.0)) - b * m * factor
+def _threshold_residual(m, a_chi, b):
+    """F(m) = ln(e^m / (B (1 + m phi))) and dF/dm, with kappa = m / (A chi).
+
+    phi(kappa) = (1 + kappa) ln(1 + 1/kappa), so F = 0 exactly where
+    Xi(kappa) = e^m - B m phi = B. Working in m = A chi kappa keeps kappa
+    from overflowing near 1e154; F is convex in m.
+    """
+    kappa = m / a_chi
+    big = kappa > 1e10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.log1p(1.0 / kappa)
+        phi = np.where(big, 1.0 + 0.5 / kappa, (1.0 + kappa) * log_term)
+        # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1, -> 1 for large kappa
+        dphi = np.where(big, 1.0, (1.0 + 2.0 * kappa) * log_term - 1.0)
+    return m - np.log(b) - np.log1p(m * phi), 1.0 - dphi / (1.0 + m * phi)
 
 
-def single_receiver_gamma(A1: float, B1: float, chi_cap: float) -> float:
+def single_receiver_gamma(A1, B1, chi_cap):
     """Optimal SINR threshold for one receiver at transmit level chi_cap.
 
-    The optimum gamma* = 1/kappa* where kappa* is the unique root of
-    Xi(kappa) = B above ln(B)/(A chi); Xi - B changes sign from - to +
-    exactly once there, so a bracketed root find is exact. The returned
-    gamma keeps the outage factor strictly below 1.
+    Vectorized over broadcast (A1, B1, chi_cap); scalar inputs give a
+    float. The optimum gamma* = 1/kappa* where kappa* is the unique root of
+    Xi(kappa) = B above ln(B)/(A chi). In m = A chi kappa the root solves the
+    convex F(m) = 0 of `_threshold_residual` on the bracket [ln B, ln B + 60]:
+    F < 0 at the outage edge m = ln B, and F > 0 at the right end for every
+    finite input, since phi < 711 there keeps ln(1 + m phi) below 14.
+    Newton from the right end converges monotonically, with a bisection
+    guard. The returned gamma keeps the outage factor B e^{-m} below 1.
     """
-    if A1 <= 0.0 or B1 <= 1.0:
+    a, b, chi = np.broadcast_arrays(*(np.asarray(v, float)
+                                      for v in (A1, B1, chi_cap)))
+    if np.any(a <= 0.0) or np.any(b <= 1.0):
         raise ValueError("need A1 > 0 and B1 > 1")
-    if not 0.0 < chi_cap < 1.0:
+    if np.any(chi <= 0.0) or np.any(chi >= 1.0):
         raise ValueError("chi_cap must lie in (0, 1)")
-    a_chi = A1 * chi_cap
-    ln_b = math.log(B1)
-    kappa_lo = ln_b / a_chi
-    # Below kappa_lo the outage factor exceeds 1 and the rate is zero;
-    # Xi(kappa_lo) < B always (the spread factor exceeds 1).
-    kappa_hi = (ln_b + 60.0) / a_chi
-    f = lambda k: _xi(k, a_chi, B1) - B1
-    if not f(kappa_lo) < 0.0:
-        raise ArithmeticError("lower bracket violates Xi < B; check inputs")
-    lo, hi = kappa_lo, kappa_hi
-    guard = 0
-    while f(hi) <= 0.0:
-        lo, hi = hi, hi * 2.0
-        guard += 1
-        if guard > 60:
-            raise ArithmeticError("bracket expansion failed for kappa*")
-    kappa = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=200)
-    if kappa < kappa_lo:
-        raise ArithmeticError("root fell below the outage-feasible region")
-    return 1.0 / kappa
+    a_chi, b = (a * chi).ravel(), b.ravel()
+    lo = np.log(b)
+    hi = lo + 60.0
+    m = hi.copy()
+    todo = np.arange(m.size)
+    for _ in range(100):
+        x, x_lo, x_hi = m[todo], lo[todo], hi[todo]
+        f, df = _threshold_residual(x, a_chi[todo], b[todo])
+        x_lo = np.where(f > 0.0, x_lo, x)
+        x_hi = np.where(f > 0.0, x, x_hi)
+        step = x - f / df
+        step = np.where((step >= x_lo) & (step <= x_hi), step,
+                        0.5 * (x_lo + x_hi))
+        m[todo], lo[todo], hi[todo] = step, x_lo, x_hi
+        # |f| <= 1e-15 m is the rounding floor of F's three terms.
+        done = (np.abs(f) <= 1e-15 * x) | (np.abs(step - x) <= 1e-15 * x)
+        todo = todo[~done]
+        if todo.size == 0:
+            break
+    else:
+        raise ArithmeticError("kappa* root find did not converge")
+    gamma = (a_chi / m).reshape(chi.shape)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
     """Single-receiver solution: chi at the covertness cap, gamma in closed form."""
     if params.K != 1:
         raise ValueError("closed form applies to exactly one receiver")
-    chi = solve_chi_star(params.epsilon)
-    gamma = single_receiver_gamma(params.A[0], params.B[0], chi)
-    obj = float(effective_rate(chi, gamma, params.A[0], params.B[0]))
+    chi = np.array([solve_chi_star(params.epsilon)])
+    gamma, rates = _best_response(params.A, params.B, chi)
+    obj = float(rates[0])
     return QsSolveResult(
-        chi=np.array([chi]),
-        gamma=np.array([gamma]),
-        rates=np.array([math.log1p(gamma)]),
+        chi=chi,
+        gamma=gamma,
+        rates=np.log1p(gamma),
         objective=obj,
         method="closed_form",
         trace=[{"iteration": 0, "objective": obj}],
-        constraint_slack=params.epsilon - eta(chi),
+        constraint_slack=params.epsilon - tv_budget(chi),
     )
-
-
-class _RateCache:
-    """Per-coordinate best-response cache: chi value -> (rate, gamma)."""
-
-    def __init__(self, params: QuasiStaticParams):
-        self.params = params
-        self._store = [dict() for _ in range(params.K)]
-
-    def rate_gamma(self, k: int, x: float):
-        if x <= 0.0:
-            return 0.0, 0.0
-        # The rate is capped by ln(1 + A x / ln B); below double precision
-        # the band contributes nothing and the root find is skipped.
-        if self.params.A[k] * x < 1e-15 * math.log(self.params.B[k]):
-            return 0.0, 0.0
-        hit = self._store[k].get(x)
-        if hit is None:
-            gamma = single_receiver_gamma(self.params.A[k], self.params.B[k], x)
-            rate = float(effective_rate(x, gamma, self.params.A[k],
-                                        self.params.B[k]))
-            hit = (rate, gamma)
-            self._store[k][x] = hit
-        return hit
-
-    def value(self, v: np.ndarray) -> float:
-        return sum(self.rate_gamma(k, float(v[k]))[0]
-                   for k in range(self.params.K))
-
-    def gammas(self, v: np.ndarray) -> np.ndarray:
-        return np.array([self.rate_gamma(k, float(v[k]))[1]
-                         for k in range(self.params.K)])
-
-
-def _project_rows(V: np.ndarray, epsilon: float) -> np.ndarray:
-    """Row-wise boundary projection factors (vectorized bisection)."""
-    V = np.minimum(V, 1.0 - 1e-15)
-    budgets = eta(V).sum(axis=1)
-    rho = np.ones(len(V))
-    need = budgets > epsilon
-    if need.any():
-        lo = np.zeros(need.sum())
-        hi = np.ones(need.sum())
-        W = V[need]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            ok = eta(mid[:, None] * W).sum(axis=1) <= epsilon
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        rho[need] = lo
-    return rho
-
-
-class _BandRateTable:
-    """Per-band best-response rate, tabulated as certified cubic splines.
-
-    The polyblock loop evaluates band rates millions of times; root-finding
-    each one dominates the runtime. A spline in ln(chi) reproduces the
-    smooth rate curve to ~1e-9; `margin` is a certified inflation added to
-    upper bounds so spline error can never prune the true optimum. Below
-    `lo` the rate is under 1e-14 (capped by A chi / ln B) and treated as 0.
-    """
-
-    def __init__(self, params: QuasiStaticParams, cap: float,
-                 knots: int = 1200):
-        self.params = params
-        self.cap = cap
-        self.lo = np.minimum(1e-14 * np.log(params.B) / params.A, 0.5 * cap)
-        self.splines = []
-        margin = 1e-12
-        rng = np.random.default_rng(0)
-        for k in range(params.K):
-            grid = np.geomspace(self.lo[k], cap, knots)
-            vals = np.array([self._exact(k, x) for x in grid])
-            spl = CubicSpline(np.log(grid), vals)
-            self.splines.append(spl)
-            probe = np.exp(rng.uniform(np.log(self.lo[k]), np.log(cap), 64))
-            err = max(abs(float(spl(math.log(x))) - self._exact(k, x))
-                      for x in probe)
-            margin = max(margin, 10.0 * err)
-        self.margin = margin
-
-    def _exact(self, k: int, x: float) -> float:
-        gamma = single_receiver_gamma(self.params.A[k], self.params.B[k], x)
-        return float(effective_rate(x, gamma, self.params.A[k],
-                                    self.params.B[k]))
-
-    def sum_rates(self, rows: np.ndarray) -> np.ndarray:
-        """Approximate objective for each row of chi values."""
-        out = np.zeros(len(rows))
-        for k in range(self.params.K):
-            x = rows[:, k]
-            live = x > self.lo[k]
-            if live.any():
-                vals = self.splines[k](np.log(x[live]))
-                out[live] += np.maximum(vals, 0.0)
-        return out
 
 
 def tv_budget(chis) -> float:
@@ -255,38 +172,72 @@ def tv_budget(chis) -> float:
     return float(np.sum(eta(np.minimum(np.asarray(chis, float), 1 - 1e-15))))
 
 
-def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
-              max_iter: int = 20000, warm_start=None) -> QsSolveResult:
-    """Global polyblock outer approximation of the covert rate problem.
+def _best_response(A, B, chi):
+    """Best SINR thresholds and their rates, broadcast; zero where chi = 0."""
+    a, b, chi = np.broadcast_arrays(A, B, np.asarray(chi, float))
+    gamma = np.zeros(chi.shape)
+    live = chi > 0.0
+    gamma[live] = single_receiver_gamma(a[live], b[live], chi[live])
+    return gamma, effective_rate(chi, gamma, a, b)
 
-    The feasible chi region is normal (downward closed) inside the box
-    [0, chi_star]^K and the best-response objective is increasing, so the
-    classic vertex-splitting scheme applies: evaluate the best vertex,
-    project it onto the boundary along its ray, split the vertex at the
-    projection, prune, and stop when the vertex bound is within delta of
-    the best feasible value (a delta-optimal certificate). When the vertex
-    cap evicts vertices, the certificate also needs the largest evicted
-    bound within delta of the best value; otherwise `converged` is False.
+
+def _split_dp(table: np.ndarray, budgets):
+    """Best sum_k table[k, j_k] over integer shares with sum_k j_k <= budget.
+
+    Max-plus dynamic program, one band at a time: best[b] is the value of
+    the bands so far within b grid steps and picks[k][b] is band k's share
+    in it. Rows are replaced by their prefix maxima, so the first band's
+    share is min(b, G), and the last band is solved at the given budgets
+    only. Memory is O(K max(budgets)). Returns (value, shares) per budget.
+    """
+    k, n = table.shape
+    rows = np.maximum.accumulate(table, axis=1)
+    span = np.arange(max(budgets) + 1)
+    picks = [np.minimum(span, n - 1)]
+    best = rows[0][picks[0]]
+    for row in rows[1:]:
+        pick = np.zeros(span.size, int)
+        value = np.zeros(span.size)
+        for b in span if len(picks) < k - 1 else budgets:
+            top = min(b, n - 1)
+            # best[b - j] + row[j] for the band's share j = 0 .. top
+            cand = best[b - top:b + 1][::-1] + row[:top + 1]
+            pick[b] = np.argmax(cand)
+            value[b] = cand[pick[b]]
+        picks.append(pick)
+        best = value
+    out = []
+    for budget in budgets:
+        shares = np.zeros(k, int)
+        for band in range(k - 1, -1, -1):
+            shares[band] = picks[band][budget - shares.sum()]
+        out.append((float(best[budget]), shares))
+    return out
+
+
+def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
+              warm_start=None) -> QsSolveResult:
+    """Global delta-certified solution by a budget-split search.
+
+    Both the objective sum_k r_k(chi_k) and the budget sum_k eta(chi_k) are
+    separable, so the problem splits epsilon into shares e_k across the K
+    increasing functions g_k(e) = r_k(eta^-1(e)). On the grid e_j = j eps/G
+    one kernel call tabulates every g_k. Floor shares (sum_k j_k <= G) are
+    feasible, so their best split is the incumbent; the optimum's shares
+    rounded up sum to at most G + K - 1 grid steps and each g_k is
+    increasing, so the best split at that budget bounds the optimum from
+    above. G doubles until bound - incumbent <= delta (`converged`); past
+    `_GRID_CAP` the incumbent is returned with `converged` False.
+
+    The name and the "poa" method label predate this search: they were
+    kept for the polyblock outer approximation it replaced, because run
+    directories, traces and benchmarks refer to them.
 
     `warm_start` (a feasible chi vector, e.g. an SCA solution) seeds the
-    incumbent, which sharpens pruning; boxes whose bound exceeds it are
-    still explored, so the returned value can only match or beat the seed.
+    incumbent, so the returned value never falls below it.
     """
     k = params.K
-    cache = _RateCache(params)
-    cap = solve_chi_star(params.epsilon)
-    box = np.full(k, cap)
-    table = _BandRateTable(params, cap)
-    pad = k * table.margin  # certified bound inflation per vertex
-
-    # Max-heap of (negated bound, insertion order, vertex); insertion order
-    # breaks value ties in favour of the older (lower-index) vertex. The
-    # top `batch` vertices are processed together so projections and rate
-    # lookups vectorize.
-    heap = [(-(cache.value(box) + pad), 0, box)]
-    seq = 1
-    batch = 64
-    best_point = box * 0.0
+    best_point = np.zeros(k)
     best_value = 0.0
     if warm_start is not None:
         ws = np.asarray(warm_start, float)
@@ -295,69 +246,31 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         if tv_budget(ws) > params.epsilon + 1e-12:
             raise ValueError("warm_start violates the covertness budget")
         best_point = ws
-        best_value = cache.value(ws)
+        best_value = float(np.sum(_best_response(params.A, params.B, ws)[1]))
     trace = []
-    evicted_bound = -math.inf
-    converged = False
-    pops = 0
-
-    while pops < max_iter:
-        popped = []
-        while heap and len(popped) < batch:
-            neg, _, v = heapq.heappop(heap)
-            if -neg <= best_value + delta:
-                heap.clear()  # heap order: everything else is lower
-                break
-            popped.append((-neg, v))
-        if not popped:
-            converged = evicted_bound <= best_value + delta
-            break
-        pops += len(popped)
-        bounds = np.array([b for b, _ in popped])
-        V = np.array([v for _, v in popped])
-        rho = _project_rows(V, params.epsilon)
-        XF = rho[:, None] * V
-
-        approx = table.sum_rates(XF)
-        # Exact re-evaluation of the most promising projections keeps
-        # best_value a true objective value, never a spline estimate.
-        for i in np.argsort(approx)[::-1][:8]:
-            if approx[i] + pad <= best_value:
-                break
-            f_val = cache.value(XF[i])
-            if f_val > best_value:
-                best_value = f_val
-                best_point = XF[i]
-        trace.append({"iteration": pops, "bound": float(bounds[0]),
+    converged, grid = False, 64
+    while not converged and grid <= _GRID_CAP:
+        chi = np.zeros(grid + 1)
+        chi[1:] = solve_chi_star(np.linspace(0.0, params.epsilon, grid + 1)[1:])
+        table = _best_response(params.A[:, None], params.B[:, None], chi)[1]
+        (_, shares), (bound, _) = _split_dp(table, (grid, grid + k - 1))
+        low = float(np.sum(table[np.arange(k), shares]))
+        if low > best_value:
+            best_value, best_point = low, chi[shares]
+            # Shares summed in floating point may exceed epsilon by an ulp.
+            while tv_budget(best_point) > params.epsilon:
+                best_point = np.nextafter(best_point, 0.0)
+        trace.append({"iteration": len(trace) + 1, "bound": bound,
                       "best_feasible": best_value})
-        if bounds[0] - best_value <= delta:
-            converged = evicted_bound <= best_value + delta
-            break
+        converged = bound - best_value <= delta
+        grid *= 2
 
-        m = len(popped)
-        children = np.repeat(V, k, axis=0)
-        rows = np.arange(m * k)
-        cols = np.tile(np.arange(k), m)
-        children[rows, cols] = XF.ravel()
-        valid = XF.ravel() < V[rows // k, cols]
-        child_vals = table.sum_rates(children) + pad
-        keep = valid & (child_vals > best_value + delta)
-        for i in np.flatnonzero(keep):
-            heapq.heappush(heap, (-float(child_vals[i]), seq, children[i]))
-            seq += 1
-        if len(heap) > _VERTEX_CAP:
-            # A sorted list is a heap; the tail holds the lowest bounds.
-            heap.sort()
-            evicted_bound = max(evicted_bound, -heap[_VERTEX_CAP][0])
-            del heap[_VERTEX_CAP:]
-
-    gammas = cache.gammas(best_point)
-    obj = float(np.sum(effective_rate(best_point, gammas, params.A, params.B)))
+    gammas, rates = _best_response(params.A, params.B, best_point)
     return QsSolveResult(
         chi=best_point,
         gamma=gammas,
         rates=np.log1p(gammas),
-        objective=obj,
+        objective=float(np.sum(rates)),
         method="poa",
         trace=trace,
         constraint_slack=params.epsilon - tv_budget(best_point),
@@ -395,8 +308,7 @@ def default_sca_state(params: QuasiStaticParams) -> ScaState:
     k = params.K
     chi0 = min(solve_chi_star(params.epsilon / (2 * k)),
                params.epsilon / (2 * k))
-    gamma = np.array([single_receiver_gamma(params.A[i], params.B[i], chi0)
-                      for i in range(k)])
+    gamma = single_receiver_gamma(params.A, params.B, chi0)
     t = chi0 / gamma
     alpha = 1.0 - params.B * np.exp(-params.A * t)
     beta = np.log1p(gamma)

@@ -220,6 +220,7 @@ def test_criterion_06_global_local_gap(report):
     rng = np.random.default_rng(7)
     worst_ratio = np.inf
     worst_grid_gap = np.inf
+    certified = 0
     for i in range(20):
         k = 2 if i < 10 else 3
         a = 10.0 ** rng.uniform(0.5, 3.5, k)
@@ -229,6 +230,7 @@ def test_criterion_06_global_local_gap(report):
         local = sca_solve(params)
         delta = 1e-4 if k == 2 else 1e-3
         best = poa_solve(params, delta=delta, warm_start=local.chi)
+        certified += best.converged
         if best.objective > 0.0:
             worst_ratio = min(worst_ratio, local.objective / best.objective)
         if k == 2:
@@ -246,8 +248,9 @@ def test_criterion_06_global_local_gap(report):
                 grid_best = max(grid_best, total)
             worst_grid_gap = min(worst_grid_gap,
                                  best.objective - (grid_best - delta))
-    ok = worst_ratio >= 0.95 and worst_grid_gap >= -1e-9
+    ok = worst_ratio >= 0.95 and worst_grid_gap >= -1e-9 and certified == 20
     report(6, ok, f"SCA/POA ratio >= {worst_ratio:.4f} over 20 scenarios; "
+                  f"{certified}/20 POA optima certified; "
                   f"POA vs 401-ray boundary grid slack >= "
                   f"{worst_grid_gap:.2e} on K=2")
     assert ok

@@ -186,7 +186,7 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
     mpmath.mp.dps = 30
     assert limit_kl(0.0) == 0.0
     assert band_affinity(0.0) == 1.0
-    for chi in np.geomspace(1e-6, 0.9999, 13):
+    for chi in np.geomspace(1e-12, 0.9999, 19):
         c = mpmath.mpf(float(chi))
         rate = (1 - c) / c
         breaks = [0, c, 1, 10, mpmath.inf]

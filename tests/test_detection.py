@@ -6,7 +6,6 @@ import pytest
 from covertjam.covertness import eta, tv_exact_n
 from covertjam.detection import (
     covertness_audit,
-    detection_csv_row,
     lrt_statistic,
     simulate_detection,
 )
@@ -108,13 +107,3 @@ def test_audit_validates_epsilon():
     inst = _instance()
     with pytest.raises(ValueError):
         covertness_audit(inst, [0.1], N_d=10, L=1, epsilon=1.5, trials=100)
-
-
-def test_csv_row_is_flat_and_complete():
-    inst = _instance()
-    est = simulate_detection(inst, [0.2], N_d=25, L=2, trials=5000, seed=9)
-    row = detection_csv_row(est, [0.2], N_d=25, L=2)
-    assert row["N_d"] == 25
-    assert row["L"] == 2
-    assert 0.0 <= row["sum_error"] <= 1.0
-    assert all(np.isscalar(v) or isinstance(v, str) for v in row.values())

@@ -75,6 +75,13 @@ def test_threshold_stationarity_residual(log_a, log_bm1, log_chi):
     # exp(A chi k) = B (A chi k) (1 + k) ln(1 + 1/k) at k = 1/gamma.
     xi = math.exp(m) - b * m * (1.0 + kappa) * math.log1p(1.0 / kappa)
     assert abs(xi - b) / math.exp(m) <= 1e-10
+    # The vectorized kernel matches scalar calls element by element, here
+    # with the extreme chi of test_single_receiver_gamma_extreme_chi_cap.
+    points = [(a, b, chi), (1000.0, 1.5, 1e-150)]
+    batch = single_receiver_gamma(*(np.array(v) for v in zip(*points)))
+    for value, point in zip(batch, points):
+        scalar = single_receiver_gamma(*point)
+        assert abs(value - scalar) <= 1e-14 * scalar
 
 
 @settings(deadline=None, max_examples=25)

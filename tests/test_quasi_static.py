@@ -1,4 +1,4 @@
-"""Power/rate allocation under slow fading: closed form, polyblock, SCA."""
+"""Power/rate allocation under slow fading: closed form, budget split, SCA."""
 
 import numpy as np
 import pytest
@@ -130,24 +130,32 @@ def test_poa_certificate_beats_boundary_grid():
     assert abs(res.objective - 3.2496921493220308) < 1e-6
 
 
-def test_poa_eviction_voids_the_certificate(monkeypatch):
-    # A vertex cap of 8 evicts vertices whose bounds beat the incumbent by
-    # more than delta; the uncapped search finds a point better by more
-    # than delta, so a certificate claimed after eviction would be false.
-    import covertjam.quasi_static as qs
+def test_poa_certifies_three_bands():
+    # Three bands at the fig4 settings: the certificate needs a share grid
+    # of 8192 steps (bound 4.355098).
     params = derive_quasi_static(
         sample_scenario(ScenarioConfig(K=3, seed=3)), 0.005)
-    uncapped = poa_solve(params, delta=1e-3, max_iter=4000)
-    monkeypatch.setattr(qs, "_VERTEX_CAP", 8)
-    capped = poa_solve(params, delta=1e-3, max_iter=4000)
-    assert uncapped.objective > capped.objective + 1e-3
-    assert not capped.converged
+    res = poa_solve(params, delta=1e-3)
+    assert res.converged
+    assert res.objective >= 4.35459 - 1e-3
+    assert res.objective >= sca_solve(params).objective
+    assert res.trace[-1]["bound"] - res.objective <= 1e-3
+    assert res.constraint_slack >= 0.0
+
+
+def test_poa_unreachable_delta_is_flagged():
+    params = _params_k2()
+    res = poa_solve(params, delta=1e-9)
+    assert not res.converged
+    assert res.trace[-1]["bound"] - res.objective > 1e-9
+    assert res.constraint_slack >= 0.0
+    assert res.objective >= 3.2496921493220308 - 1e-6
 
 
 def test_poa_warm_start_never_hurts():
     params = _params_k2()
     sca = sca_solve(params)
-    res = poa_solve(params, delta=1e-3, max_iter=2000, warm_start=sca.chi)
+    res = poa_solve(params, delta=1e-3, warm_start=sca.chi)
     assert res.objective >= sca.objective - 1e-12
 
 
