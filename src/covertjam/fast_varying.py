@@ -7,7 +7,9 @@ subject to the quadratic covertness budget sum_k zeta_k chi_k^2 / 2 <=
 
   * exhaustive search (ES) over the pilot grid Z_N = {1/N, ..., (N-1)/N},
     exact because the fixed-tau problem is concave and solved to optimality
-    by a dual bisection,
+    by a dual bisection; the whole grid is one call of the fixed-tau
+    kernel chi_given_tau, which is vectorised over taus and bands (a
+    scalar tau is its T = 1 case),
   * alternating optimization (AO) on a relaxed constraint that replaces
     zeta_k(tau) by the tau-independent zeta(q_k, N); the pilot fraction is
     continuous during the alternation, rounded to the grid at the end, and
@@ -66,8 +68,8 @@ class FvSolveResult:
             raise ValueError("covertness budget exceeded")
 
 
-def _snr_terms(params: FastVaryingParams, tau: float):
-    """Per-band SNR coefficients at pilot fraction tau."""
+def _snr_terms(params: FastVaryingParams, tau):
+    """Per-band SNR coefficients at pilot fraction tau (or a (T, 1) column)."""
     g_t = tau * params.Gk
     e_t = tau * params.Ek + params.mu_tilde
     f_t = tau * params.F1 + params.F2
@@ -86,31 +88,46 @@ def ergodic_sum_rate(chis, tau: float, params: FastVaryingParams) -> float:
     return (1.0 - tau) * float(np.sum(np.log1p(snr)))
 
 
-def chi_given_tau(tau: float, params: FastVaryingParams, zeta_values,
-                  budget: float):
-    """Optimal powers at fixed tau by dual bisection; returns (chis, lam).
+def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
+    """Optimal powers at fixed pilot fractions by dual bisection.
+
+    tau is a scalar or a (T,) array of pilot fractions; zeta_values is
+    (T, K), one row of covertness coefficients per tau, or (K,) shared by
+    every tau. Returns (chis, lam): chis of shape (T, K) and lam of shape
+    (T,), or a (K,) array and a float for a scalar tau, which is the T = 1
+    case of the same arithmetic. Rows do not interact: each follows the
+    scalar recipe bit for bit.
 
     Stationarity of each band is a cubic with positive coefficients,
     chi ((G+E) chi + F)(E chi + F) = G F / (lam zeta_k), whose unique
-    positive root is found by monotone bisection (vectorized over bands).
-    The quadratic budget is strictly decreasing in lam, so an outer
-    bisection drives it to activity. The budget binds at any optimum
-    (the rate is strictly increasing in every chi_k).
+    positive root is found by monotone bisection (vectorized over taus and
+    bands). The quadratic budget is strictly decreasing in lam, so an outer
+    bisection per row drives it to activity. The budget binds at any
+    optimum (the rate is strictly increasing in every chi_k).
     """
     z = np.asarray(zeta_values, float)
     if np.any(z <= 0.0):
         raise ValueError("zeta values must be positive")
     if budget <= 0.0:
         raise ValueError("budget must be positive")
-    if not 0.0 < tau < 1.0:
+    tau = np.asarray(tau, float)
+    if tau.ndim > 1:
+        raise ValueError("tau must be a scalar or a 1-D array")
+    taus = tau.reshape(-1)
+    if not np.all((taus > 0.0) & (taus < 1.0)):
         raise ValueError("tau must lie in (0, 1)")
-    g_t, e_t, f_t = _snr_terms(params, tau)
+    shape = (taus.size, params.K)
+    if z.shape not in (shape[1:], shape):
+        raise ValueError(f"zeta values of shape {z.shape} do not match "
+                         f"{taus.size} taus and {params.K} bands")
+    z = np.broadcast_to(z, shape)
+    g_t, e_t, f_t = _snr_terms(params, taus[:, None])
     a3 = (g_t + e_t) * e_t
     a2 = f_t * (g_t + 2.0 * e_t)
     a1 = f_t * f_t
 
-    def chis_at(lam: float) -> np.ndarray:
-        rhs = g_t * f_t / (lam * z)
+    def spent(lam: np.ndarray):
+        rhs = g_t * f_t / (lam[:, None] * z)
         # Either the cubic or the linear term alone reaching rhs bounds the
         # root, so the smaller of the two caps is a valid upper bracket.
         with np.errstate(divide="ignore"):
@@ -123,36 +140,40 @@ def chi_given_tau(tau: float, params: FastVaryingParams, zeta_values,
             take = lhs < rhs
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
-        return hi
+        # A stacked matmul sums each row exactly as np.dot on that row.
+        return 0.5 * (z[:, None, :] @ (hi * hi)[:, :, None])[:, 0, 0], hi
 
-    def spent(lam: float):
-        chis = chis_at(lam)
-        return 0.5 * float(np.dot(z, chis * chis)), chis
+    def fail(message: str, rows: np.ndarray):
+        raise ArithmeticError(f"{message} (tau = {taus[rows].tolist()})")
 
-    lo = 1e-12
+    lo = np.full(taus.size, 1e-12)
     s_lo, _ = spent(lo)
-    if s_lo <= budget:
-        raise ArithmeticError("budget not binding at the bracket floor")
-    hi = 1.0
+    if np.any(s_lo <= budget):
+        fail("budget not binding at the bracket floor", s_lo <= budget)
+    hi = np.ones(taus.size)
     s_hi, _ = spent(hi)
     guard = 0
-    while s_hi > budget:
-        lo, hi = hi, hi * 2.0
+    while np.any(s_hi > budget):
+        grow = s_hi > budget
+        lo = np.where(grow, hi, lo)
+        hi = np.where(grow, hi * 2.0, hi)
         s_hi, _ = spent(hi)
         guard += 1
         if guard > 60:
-            raise ArithmeticError("lambda bracket expansion failed")
+            fail("lambda bracket expansion failed", grow)
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         s_mid, _ = spent(mid)
-        if s_mid > budget:
-            lo = mid
-        else:
-            hi = mid
+        above = s_mid > budget
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
     lam = 0.5 * (lo + hi)
     used, chis = spent(lam)
-    if abs(used - budget) > 1e-10 * budget:
-        raise ArithmeticError("budget activity residual above tolerance")
+    off = np.abs(used - budget) > 1e-10 * budget
+    if np.any(off):
+        fail("budget activity residual above tolerance", off)
+    if tau.ndim == 0:
+        return chis[0], float(lam[0])
     return chis, lam
 
 
@@ -177,28 +198,29 @@ def es_solve(params: FastVaryingParams, n_d_mode: str = "data",
              rule=None) -> FvSolveResult:
     """Exhaustive search over the pilot grid; exact fixed-tau subproblems.
 
-    n_d_mode selects how many symbols the adversary tests: "data" uses the
-    jammed data phase N - N_t (the baseline convention), "full" the whole
-    block N.
+    Every grid point N_t = 1..N-1 is solved at once by one batched
+    chi_given_tau call on the (N-1, K) matrix of covertness coefficients;
+    each row is then scored, and the best rate wins (ties toward fewer
+    pilots). n_d_mode selects how many symbols the adversary tests: "data"
+    uses the jammed data phase N - N_t (the baseline convention), "full"
+    the whole block N.
     """
     budget = params.budget
-
-    def candidate(n_t: int):
-        tau = n_t / params.N
-        z = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode),
-                        rule)
-        chis, lam = chi_given_tau(tau, params, z, budget)
-        obj = ergodic_sum_rate(chis, tau, params)
-        used = 0.5 * float(np.dot(z, chis * chis))
-        return n_t, tau, chis, lam, obj, used
-
-    rows = [candidate(n_t) for n_t in range(1, params.N)]
-    trace = [{"tau": r[1], "objective": r[4], "lam": r[3]} for r in rows]
-    best = max(rows, key=lambda r: (r[4], -r[0]))
-    n_t, tau, chis, lam, obj, used = best
-    return FvSolveResult(chi=chis, tau=tau, N_t=n_t, objective=obj, lam=lam,
-                         method="es", trace=trace, budget=budget,
-                         budget_used=used)
+    n_ts = range(1, params.N)
+    taus = [n_t / params.N for n_t in n_ts]
+    z = np.array([zeta_vector(params, _adversary_samples(params, n_t,
+                                                         n_d_mode), rule)
+                  for n_t in n_ts])
+    chis, lams = chi_given_tau(np.array(taus), params, z, budget)
+    objs = [ergodic_sum_rate(c, tau, params) for c, tau in zip(chis, taus)]
+    trace = [{"tau": tau, "objective": obj, "lam": float(lam)}
+             for tau, obj, lam in zip(taus, objs, lams)]
+    i = max(range(len(objs)), key=lambda j: (objs[j], -j))
+    chi = chis[i]
+    return FvSolveResult(chi=chi, tau=taus[i], N_t=n_ts[i], objective=objs[i],
+                         lam=float(lams[i]), method="es", trace=trace,
+                         budget=budget,
+                         budget_used=0.5 * float(np.dot(z[i], chi * chi)))
 
 
 def tau_given_chi(chis, params: FastVaryingParams) -> float:

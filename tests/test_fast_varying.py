@@ -81,6 +81,60 @@ def test_chi_given_tau_dominates_equal_split():
         ergodic_sum_rate(equal, 0.3, params) - 1e-12
 
 
+def test_batched_chi_given_tau_equals_scalar_calls():
+    # Each row of a batched call follows the scalar arithmetic bit for bit,
+    # with a per-row zeta matrix and with one zeta row shared by every tau.
+    params = _scenario_params(seed=11)
+    taus = np.array([1.0 / params.N, 0.3, 0.5, (params.N - 1.0) / params.N])
+    rows = np.array([zeta_vector(params, params.N - round(t * params.N))
+                     for t in taus])
+    shared = zeta_vector(params, 70)
+    for z in (rows, shared):
+        chis, lams = chi_given_tau(taus, params, z, params.budget)
+        assert chis.shape == (taus.size, params.K)
+        assert lams.shape == (taus.size,)
+        for tau, z_row, chi_row, lam in zip(taus, np.broadcast_to(
+                z, chis.shape), chis, lams):
+            chi, lam_scalar = chi_given_tau(float(tau), params, z_row,
+                                            params.budget)
+            assert isinstance(chi, np.ndarray) and chi.shape == (params.K,)
+            assert isinstance(lam_scalar, float)
+            assert np.array_equal(chi, chi_row)
+            assert np.array_equal(lam_scalar, lam)
+
+
+def test_batched_chi_given_tau_validates():
+    params = _scenario_params(seed=11)
+    z = zeta_vector(params, 70)
+    taus = np.array([0.2, 0.4, 0.6])
+    with pytest.raises(ValueError, match="do not match"):
+        chi_given_tau(taus, params, np.tile(z, (2, 1)), params.budget)
+    with pytest.raises(ValueError, match="do not match"):
+        chi_given_tau(taus, params, z[:-1], params.budget)
+    for bad in (np.array([0.2, 1.0]), np.array([0.0, 0.5]),
+                np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="tau must lie"):
+            chi_given_tau(bad, params, z, params.budget)
+    with pytest.raises(ValueError, match="1-D"):
+        chi_given_tau(taus[None, :], params, z, params.budget)
+
+
+def test_batched_failure_names_the_pilot_fraction():
+    # A budget that the bracket floor already meets fails only the rows
+    # whose coefficients make it so, and the error lists their taus.
+    params = _scenario_params(seed=11)
+    z = np.tile(zeta_vector(params, 70), (3, 1))
+    z[1] *= 1e40
+    with pytest.raises(ArithmeticError,
+                       match=r"bracket floor \(tau = \[0\.4\]\)"):
+        chi_given_tau(np.array([0.2, 0.4, 0.6]), params, z, params.budget)
+    # A budget that lambda = 2^61 still overspends on one row only.
+    z[1] *= 1e-70
+    with pytest.raises(ArithmeticError,
+                       match=r"expansion failed \(tau = \[0\.4\]\)"):
+        chi_given_tau(np.array([0.2, 0.4, 0.6]), params, z, 1e-30)
+
+
 def test_budget_scales_quadratically_with_epsilon():
     inst = sample_scenario(ScenarioConfig(K=2, seed=0))
     full = derive_fast_varying(inst, 50, 1, 0.01)
@@ -97,6 +151,27 @@ def test_es_exhaustive_over_pilot_grid():
     assert abs(res.tau - 0.3) < 1e-15
     assert abs(res.objective - 0.39389563775740133) < 1e-12
     assert res.budget_used <= res.budget + 1e-18
+
+
+@pytest.mark.parametrize("mode", ["data", "full"])
+def test_es_equals_one_scalar_solve_per_pilot_count(mode):
+    # Reference: the search as one scalar chi_given_tau call per N_t.
+    params = _scenario_params(seed=21, k=3, n=12)
+    rows = []
+    for n_t in range(1, params.N):
+        tau = n_t / params.N
+        n_d = params.N - n_t if mode == "data" else params.N
+        z = zeta_vector(params, n_d)
+        chis, lam = chi_given_tau(tau, params, z, params.budget)
+        rows.append((n_t, tau, chis, lam, ergodic_sum_rate(chis, tau, params),
+                     0.5 * float(np.dot(z, chis * chis))))
+    n_t, tau, chis, lam, obj, used = max(rows, key=lambda r: (r[4], -r[0]))
+    res = es_solve(params, n_d_mode=mode)
+    assert (res.N_t, res.tau, res.objective, res.lam, res.budget_used) == \
+        (n_t, tau, obj, lam, used)
+    assert res.chi.tobytes() == chis.tobytes()
+    assert res.trace == [{"tau": r[1], "objective": r[4], "lam": r[3]}
+                         for r in rows]
 
 
 def test_tau_given_chi_beats_dense_grid():
