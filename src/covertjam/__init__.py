@@ -11,7 +11,6 @@ from .covertness import (
     kl_divergence,
     pinsker_budget,
     solve_chi_star,
-    tv_closed_form_k1,
     tv_exact_n,
     tv_numeric_k1,
     tv_numeric_product,
@@ -89,7 +88,6 @@ __all__ = [
     "single_receiver_gamma",
     "solve_chi_star",
     "tau_given_chi",
-    "tv_closed_form_k1",
     "tv_exact_n",
     "tv_numeric_k1",
     "tv_numeric_product",

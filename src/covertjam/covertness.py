@@ -39,7 +39,6 @@ __all__ = [
     "BandDistribution",
     "QuadratureRule",
     "eta",
-    "tv_closed_form_k1",
     "tv_upper_bound",
     "pdf_U",
     "pdf_V",
@@ -80,14 +79,6 @@ def eta(x):
         out = np.exp(np.log(arr) / (1.0 - arr))
     out = np.where(arr == 0.0, 0.0, out)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def tv_closed_form_k1(chi):
-    """Single-band total variation between the two energy laws: eta(chi).
-
-    Named alias so the K=1 TV identity is explicit at call sites.
-    """
-    return eta(chi)
 
 
 def tv_upper_bound(chis) -> float:
@@ -317,9 +308,9 @@ def tv_exact_n(p: float, q: float, n: float,
                rule: QuadratureRule | None = None) -> float:
     """Exact TV between the n-sample energy laws: (1/2) E_{H0}|Psi - 1|.
 
-    This is the finite-sample analogue of tv_closed_form_k1 (which it
-    approaches as n -> inf) and the analytic reference for the simulated
-    detector's minimum error sum, 1 - TV.
+    This is the finite-sample analogue of the single-band TV eta(chi)
+    (which it approaches as n -> inf) and the analytic reference for the
+    simulated detector's minimum error sum, 1 - TV.
     """
     if not 0.0 <= p < q:
         raise ValueError("requires 0 <= p < q")

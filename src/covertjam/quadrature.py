@@ -326,10 +326,3 @@ def _h0_energy_rule_cached(q: float, n: float, order: int) -> H0EnergyRule:
             f"H0 energy rule mass certificate failed: {mass!r} (q={q}, n={n})")
     return H0EnergyRule(q=q, n=n, z=z, w=w, log_phi_q=lpq, mass=mass)
 
-
-def h0_expectation(fn, q: float, n: float,
-                   rule: QuadratureRule | None = None) -> float:
-    """E_{H0}[fn(z)] for the n-sample normalized energy at jamming spread q."""
-    r = h0_energy_rule(q, n, rule)
-    return r.expectation(fn(r.z))
-

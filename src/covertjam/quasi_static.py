@@ -12,7 +12,10 @@ Maximizes the effective sum rate over the covert region
     incumbent and a ceil-share upper bound as its delta-certificate,
   * a successive-convex-approximation (SCA) local solver on the equivalent
     (t, gamma) formulation with t = chi/gamma, which is fast and in practice
-    lands within a few percent of the global optimum.
+    lands within a few percent of the global optimum. Each convex
+    subproblem bisects one dual multiplier; at a fixed multiplier every
+    band's 2-D problem reduces to one monotone scalar equation, solved by
+    a guarded Newton step in plain `math`.
 
 Rates are in nats per channel use throughout.
 """
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .covertness import eta, solve_chi_star
 from .scenario import QuasiStaticParams
@@ -42,6 +44,8 @@ __all__ = [
 
 # Largest share grid of the budget-split search (it starts at 64 steps).
 _GRID_CAP = 2**16
+# Cap on the SCA outage variable x, which keeps t(x) finite.
+_X_HI = 1.0 - 1e-12
 
 
 @dataclass
@@ -316,120 +320,128 @@ def default_sca_state(params: QuasiStaticParams) -> ScaState:
                     iteration=0, objective=float(np.dot(alpha, beta)))
 
 
-def _band_newton(rho, lam_l1, lam_l2, a, ln_b, alpha0, beta0):
+def _increasing_root(fn, y, lo, hi):
+    """Root of an increasing function on the bracket [lo, hi], from y.
+
+    fn(y) returns (f, df, floor): the value, its derivative and the size
+    of its rounding error; f = +inf marks a point above the root.
+    Newton steps that leave the bracket become geometric bisections (with
+    lo floored at the smallest subnormal), so roots near 1e-200 take a few
+    dozen steps. Stops at the rounding floor |f| <= floor, or returns
+    the lower end once the bracket is a few ulps wide or cannot be split.
+    """
+    for _ in range(200):
+        f, df, floor = fn(y)
+        if abs(f) <= floor:
+            return y
+        if f > 0.0:
+            hi = y
+        else:
+            lo = y
+        if df > 0.0:
+            y = y - f / df
+        if not lo < y < hi:
+            y = math.sqrt(max(lo, math.ulp(0.0))) * math.sqrt(hi)
+        if hi - lo <= 1e-15 * hi or not lo < y < hi:
+            return lo
+    raise ArithmeticError("band root find did not converge")
+
+
+def _band_optimum(rho, lam_l1, lam_l2, a, ln_b, y_start):
     """Minimize (x-y)^2 - 2 rho (x+y) + (lam l1/2) t(x)^2 + (lam l2/2) g(y)^2.
 
     t(x) = (ln B - ln(1-x))/a and g(y) = e^y - 1 come from the activity of
-    the outage and rate constraints. The objective is strictly convex on
-    x in [0,1), y >= 0; damped Newton on the gradient with a boundary
-    check at x = 0 (y = 0 is never optimal unless rho = x = 0).
+    the outage and rate constraints; x lies in [0, 1 - 1e-12], y >= 0 and
+    rho > 0. The y-stationarity gives x(y) = y - rho + (lam l2/2) g(y) e^y,
+    convex and increasing, and along that curve the x-gradient is
+    S(y) = -4 rho + lam l2 g(y) e^y + p(x(y)) with p = lam l1 t t', convex
+    and increasing while x(y) is in range and below S(y0) before it. So
+    the optimum is the corner x = 0 at x(y0) = 0 when S(y0) >= 0, x pinned
+    at its cap when S stays negative up to it, and the root of S
+    otherwise. At an end x_e of the range, S = p(x_e) - 2 (rho + y_e - x_e)
+    with y_e - x_e in [0, rho], which rules out each end case cheaply.
+    Since x(y) >= y - rho, every root lies in [0, rho + 1]. `y_start`
+    seeds each root find.
     """
-    x_hi = 1.0 - 1e-12
-    y_hi = 300.0
-    x = min(max(alpha0, 1e-8), x_hi)
-    y = min(max(beta0, 1e-8), y_hi)
-    for _ in range(80):
+    half = 0.5 * lam_l2
+
+    def x_gap(y, x_end):  # x(y) - x_end
+        e = math.exp(y)
+        q = half * math.expm1(y) * e
+        return (y - rho + q - x_end, 1.0 + half * e * (2.0 * e - 1.0),
+                1e-14 * (y + rho + q + x_end))
+
+    def slope(y):  # S(y); +inf once x(y) passes its cap
+        e = math.exp(y)
+        q = lam_l2 * math.expm1(y) * e
+        x = y - rho + 0.5 * q
+        if x > _X_HI:
+            return math.inf, 1.0, 0.0
         one_mx = 1.0 - x
-        t = (ln_b - math.log(one_mx)) / a
-        tp = 1.0 / (a * one_mx)
-        ey = math.exp(y)
-        g = ey - 1.0
-        gx = 2.0 * (x - y) - 2.0 * rho + lam_l1 * t * tp
-        gy = 2.0 * (y - x) - 2.0 * rho + lam_l2 * g * ey
-        hxx = 2.0 + lam_l1 * (tp * tp + t * tp / one_mx)
-        hyy = 2.0 + lam_l2 * ey * (2.0 * ey - 1.0)
-        det = hxx * hyy - 4.0
-        dx = (hyy * gx + 2.0 * gy) / det
-        dy = (2.0 * gx + hxx * gy) / det
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            break
-        step = 1.0
-        while x - step * dx >= x_hi + 1e-15 or x - step * dx < 0.0 \
-                or y - step * dy < 0.0:
-            step *= 0.5
-            if step < 1e-14:
-                break
-        # The projected step is valid for this convex objective even when
-        # backtracking bottoms out (near-singular Hessian at tiny lam).
-        x_new = min(max(x - step * dx, 0.0), x_hi)
-        y_new = min(max(y - step * dy, 0.0), y_hi)
-        if x_new < 1e-12:
-            # Candidate corner x = 0: check the sign of the x-gradient there.
-            y_c = _beta_root(rho, lam_l2, 0.0)
-            gx0 = -2.0 * y_c - 2.0 * rho + lam_l1 * (ln_b / a) / a
-            if gx0 >= 0.0:
-                return 0.0, y_c
-            x_new = 1e-12
-        x, y = x_new, y_new
-        if abs(gx) + abs(gy) < 1e-12 * (1.0 + abs(rho) + lam_l1 + lam_l2):
-            break
-    return x, y
-
-
-def _beta_root(rho, lam_l2, x):
-    """Root of 2(y - x) - 2 rho + lam l2 (e^y - 1) e^y = 0, y >= 0."""
-    if x + rho <= 0.0:
-        return 0.0
-    f = lambda y: 2.0 * (y - x) - 2.0 * rho + lam_l2 * math.expm1(y) * math.exp(y)
-    hi = 1.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ArithmeticError("beta bracket expansion failed")
-    return brentq(f, 0.0, hi, xtol=1e-300, rtol=1e-15)
-
-
-def _band_fallback(rho, lam_l1, lam_l2, a, ln_b):
-    """Robust nested 1-D solve of the per-band subproblem (slow path)."""
-
-    def inner(x):
-        y = _beta_root(rho, lam_l2, x)
         t = (ln_b - math.log1p(-x)) / a
-        g = math.expm1(y)
-        val = (x - y) ** 2 - 2.0 * rho * (x + y) \
-            + 0.5 * (lam_l1 * t * t + lam_l2 * g * g)
-        return val, y
+        tp = 1.0 / (a * one_mx)
+        p = lam_l1 * t * tp
+        dp = lam_l1 * tp * (tp + t / one_mx)
+        ds = lam_l2 * e * (2.0 * e - 1.0) \
+            + dp * (1.0 + half * e * (2.0 * e - 1.0))
+        # x(y) is rounded by about 1e-16 (y + rho + q), which reaches S
+        # through dp/dx.
+        return q + p - 4.0 * rho, ds, \
+            1e-14 * (q + p + 4.0 * rho) + 1e-15 * dp * (y + rho + q)
 
-    res = minimize_scalar(lambda x: inner(x)[0], bounds=(0.0, 1.0 - 1e-10),
-                          method="bounded",
-                          options={"xatol": 1e-13, "maxiter": 500})
-    x = float(res.x)
-    # The bounded minimizer never evaluates the exact endpoint; snap to the
-    # corner when the interior value does not beat it.
-    if inner(0.0)[0] <= res.fun:
-        x = 0.0
-    return x, inner(x)[1]
+    def end_slope(x_end, p_end, lo):  # y_e with x(y_e) = x_end, S there
+        hi = rho + x_end
+        y_e = _increasing_root(lambda y: x_gap(y, x_end),
+                               min(max(y_start, lo), hi), lo, hi)
+        return y_e, p_end - 2.0 * (rho + y_e - x_end)
+
+    # x(y) <= y (1 + (lam l2/2) e^(2 rho)) - rho for y <= rho bounds y0 below.
+    lo, hi = rho / (1.0 + half * math.exp(2.0 * rho)), rho + 1.0
+    p_end = lam_l1 * ln_b / (a * a)
+    if p_end > 2.0 * rho:
+        lo, s_end = end_slope(0.0, p_end, lo)
+        if s_end >= 0.0:
+            return 0.0, lo
+    p_end = lam_l1 * (ln_b - math.log1p(-_X_HI)) / (a * a * (1.0 - _X_HI))
+    if p_end < 4.0 * rho:
+        hi, s_end = end_slope(_X_HI, p_end, lo)
+        if s_end < 0.0:
+            return _X_HI, hi
+    y = _increasing_root(slope, min(max(y_start, lo), hi), lo, hi)
+    return max(x_gap(y, 0.0)[0], 0.0), y
 
 
-def _subproblem_at_lambda(lam, rho, l1, l2, params, warm):
-    """Per-band minimizers at the given dual multiplier."""
-    k = params.K
-    alpha = np.empty(k)
-    beta = np.empty(k)
-    for i in range(k):
-        ln_b = math.log(params.B[i])
-        x, y = _band_newton(rho[i], lam * l1[i], lam * l2[i], params.A[i],
-                            ln_b, warm[0][i], warm[1][i])
-        t = (ln_b - math.log1p(-x)) / params.A[i]
-        g = math.expm1(y)
-        gx = 2.0 * (x - y) - 2.0 * rho[i] + lam * l1[i] * t / (params.A[i] * (1 - x))
-        gy = 2.0 * (y - x) - 2.0 * rho[i] + lam * l2[i] * g * (g + 1.0)
-        scale = 1.0 + lam * (l1[i] + l2[i])
-        # Stationarity may legitimately fail at an active clamp: x pinned at
-        # its upper guard with the gradient still pushing up, or a corner.
-        x_ok = abs(gx) <= 1e-6 * scale or (x >= 1.0 - 1e-11 and gx < 0.0) \
-            or (x <= 1e-11 and gx > 0.0)
-        y_ok = abs(gy) <= 1e-6 * scale or (y <= 1e-11 and gy > 0.0) \
-            or (y >= 300.0 - 1e-9 and gy < 0.0)
-        if not np.isfinite(x + y) or not (x_ok and y_ok):
-            x, y = _band_fallback(rho[i], lam * l1[i], lam * l2[i],
-                                  params.A[i], ln_b)
+def _subproblem_at_lambda(lam, bands, warm):
+    """Per-band minimizers (alpha, beta) at the given dual multiplier.
+
+    `bands` holds (index, rho, l1, l2, A, ln B) per active band as floats;
+    `warm` holds each band's y from the previous call and is overwritten
+    with the new one. Each solution is checked for stationarity; a failure
+    names the band (its index in the full problem) and lam.
+    """
+    alpha = np.empty(len(bands))
+    beta = np.empty(len(bands))
+    for i, (band, rho, l1, l2, a, ln_b) in enumerate(bands):
+        x, y = _band_optimum(rho, lam * l1, lam * l2, a, ln_b, warm[i])
+        t = (ln_b - math.log1p(-x)) / a
+        tp = 1.0 / (a * (1.0 - x))
+        q = lam * l2 * math.expm1(y) * math.exp(y)
+        gx = 2.0 * (x - y) - 2.0 * rho + lam * l1 * t * tp
+        gy = 2.0 * (y - x) - 2.0 * rho + q
+        tol = 1e-6 * (1.0 + lam * (l1 + l2))
+        # x = x(y) carries the rounding of y - rho + q/2, which reaches gx
+        # through its curvature: near x = 1 that exceeds 1e-6.
+        tol_x = tol + 1e-14 * lam * l1 * tp * (tp + t / (1.0 - x)) \
+            * (y + rho + q)
+        # x may stop at a clamp with the gradient pointing outward.
+        x_ok = abs(gx) <= tol_x or (x >= 1.0 - 1e-11 and gx < 0.0) \
+            or (x == 0.0 and gx > 0.0)
+        if not (x_ok and abs(gy) <= tol):
+            raise ArithmeticError(f"SCA band {band} subproblem is not "
+                                  f"stationary at lambda {lam!r}")
         alpha[i] = x
-        beta[i] = y
-    with np.errstate(divide="ignore"):
-        t = (np.log(params.B) - np.log1p(-alpha)) / params.A
-    gamma = np.expm1(beta)
-    return alpha, beta, t, gamma
+        beta[i] = warm[i] = y
+    return alpha, beta
 
 
 def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
@@ -439,8 +451,10 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     l1 = gamma_j/t_j, l2 = t_j/gamma_j touches the bilinear budget at the
     iterate, so the previous point stays feasible and the surrogate
     objective improves monotonically. At fixed multiplier the problem
-    separates into per-band strictly convex 2-D problems; the multiplier
-    is bisected on the (monotone) ellipsoid residual.
+    separates into per-band strictly convex 2-D problems, each solved
+    exactly by `_band_optimum` and checked for stationarity (a failed check
+    raises ArithmeticError); the multiplier is bisected on the (monotone)
+    ellipsoid residual.
     """
     # A band whose power product has collapsed stays frozen at zero rate;
     # its coordinate would make the trust weights degenerate.
@@ -450,15 +464,20 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
         return ScaState(t=state.t.copy(), gamma=state.gamma.copy(),
                         alpha=np.zeros(params.K), beta=np.zeros(params.K),
                         iteration=state.iteration + 1, objective=0.0)
-    sub = _params_subset(params, active)
+    a, b = params.A[active], params.B[active]
     l1 = state.gamma[active] / state.t[active]
     l2 = state.t[active] / state.gamma[active]
     rho = state.alpha[active] + state.beta[active]
-    warm = (state.alpha[active], state.beta[active])
+    bands = list(zip(np.flatnonzero(active).tolist(), rho.tolist(),
+                     l1.tolist(), l2.tolist(), a.tolist(),
+                     np.log(b).tolist()))
+    warm = state.beta[active].tolist()
 
     def residual(lam):
-        alpha, beta, t, gamma = _subproblem_at_lambda(lam, rho, l1, l2,
-                                                      sub, warm)
+        alpha, beta = _subproblem_at_lambda(lam, bands, warm)
+        with np.errstate(divide="ignore"):
+            t = (np.log(b) - np.log1p(-alpha)) / a
+        gamma = np.expm1(beta)
         return 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
             - params.epsilon, (alpha, beta, t, gamma)
 
@@ -498,11 +517,6 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     return ScaState(t=t_full, gamma=g_full, alpha=full[0], beta=full[1],
                     iteration=state.iteration + 1,
                     objective=float(np.dot(full[0], full[1])))
-
-
-def _params_subset(params: QuasiStaticParams, mask) -> QuasiStaticParams:
-    return QuasiStaticParams(A=params.A[mask], B=params.B[mask],
-                             epsilon=params.epsilon)
 
 
 def sca_solve(params: QuasiStaticParams, init: ScaState | None = None,

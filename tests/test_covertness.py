@@ -17,7 +17,6 @@ from covertjam.covertness import (
     pdf_V,
     pinsker_budget,
     solve_chi_star,
-    tv_closed_form_k1,
     tv_exact_n,
     tv_numeric_k1,
     tv_numeric_product,
@@ -33,11 +32,6 @@ def test_eta_closed_values():
     assert abs(eta(0.9) - 0.9 ** 10) < 1e-15
     # x^(1/(1-x)) -> 1/e as x -> 1.
     assert abs(eta(1.0 - 1e-9) - math.exp(-1.0)) < 1e-6
-
-
-def test_closed_form_tv_is_eta():
-    for chi in np.linspace(0.01, 0.99, 23):
-        assert abs(tv_closed_form_k1(chi) - eta(chi)) < 1e-15
 
 
 def test_numeric_tv_matches_closed_form():

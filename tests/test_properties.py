@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
 from covertjam.covertness import eta, solve_chi_star
@@ -15,6 +16,7 @@ from covertjam.fast_varying import (
     zeta_vector,
 )
 from covertjam.quasi_static import (
+    _band_optimum,
     closed_form_solve,
     poa_solve,
     single_receiver_gamma,
@@ -142,3 +144,82 @@ def test_gain_variance_split(m, n_t, mu):
     # which pins down the log-gamma route at both ends.
     g_const = math.exp(2.0 * (gammaln(m + 0.5) - gammaln(m)))
     assert 1.0 - math.pi / 4.0 - 1e-12 <= m - g_const <= 0.25 + 1e-6
+
+
+def _band_value(x, y, rho, lam_l1, lam_l2, a, ln_b):
+    """The SCA per-band objective that `_band_optimum` minimizes."""
+    t = (ln_b - math.log1p(-x)) / a
+    g = math.expm1(y)
+    return (x - y) ** 2 - 2.0 * rho * (x + y) \
+        + 0.5 * (lam_l1 * t * t + lam_l2 * g * g)
+
+
+def _reference_band(rho, lam_l1, lam_l2, a, ln_b):
+    """Independent nested 1-D solve of the same problem (x <= 1 - 1e-10).
+
+    The inner y-minimizer at fixed x is a brentq root of the y-gradient;
+    the outer x is a bounded scalar minimization, compared with the corner.
+    """
+
+    def best_y(x):
+        f = lambda y: 2.0 * (y - x) - 2.0 * rho \
+            + lam_l2 * math.expm1(y) * math.exp(y)
+        hi = 1.0
+        while f(hi) <= 0.0:
+            hi *= 2.0
+        return brentq(f, 0.0, hi, xtol=1e-300, rtol=1e-15)
+
+    def value(x):
+        return _band_value(x, best_y(x), rho, lam_l1, lam_l2, a, ln_b)
+
+    res = minimize_scalar(value, bounds=(0.0, 1.0 - 1e-10), method="bounded",
+                          options={"xatol": 1e-13, "maxiter": 500})
+    x = 0.0 if value(0.0) <= res.fun else float(res.x)
+    return x, best_y(x)
+
+
+# A K = 2 SCA run with one dead band (A = 1e-12, B = 1 + 1e-12) solves
+# these: rho ~ 1e-100 and lam l2 up to 4e102 put y0 near 1e-203.
+_DEAD = (-99.875, -97.15, 102.6, -12.0, 1.000088900581841e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.floats(min_value=-3.0, max_value=0.7),
+       st.floats(min_value=-14.0, max_value=3.0),
+       st.floats(min_value=-14.0, max_value=3.0),
+       st.floats(min_value=0.0, max_value=3.5),
+       st.floats(min_value=1e-4, max_value=2.0),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(0.3, -1.0, 0.5, 1.0, 0.7, 0.5)  # interior
+@example(-1.0, 3.0, 0.0, 0.5, 1.0, 0.5)  # corner x = 0
+@example(0.3, -12.0, -12.0, 1.0, 0.7, 1.0)  # x pinned at lambda = 1e-12
+@example(*_DEAD, 0.0)
+@example(-99.875, -111.875, 87.875, -12.0, 1.000088900581841e-12, 1.0)
+def test_band_optimum_matches_nested_reference(log_rho, log_l1, log_l2,
+                                               log_a, ln_b, start):
+    rho, lam_l1, lam_l2, a = (10.0 ** v for v in (log_rho, log_l1, log_l2,
+                                                 log_a))
+    x, y = _band_optimum(rho, lam_l1, lam_l2, a, ln_b, start * (rho + 1.0))
+    assert 0.0 <= x <= 1.0 - 1e-12 and y >= 0.0
+    value = _band_value(x, y, rho, lam_l1, lam_l2, a, ln_b)
+    ref = _band_value(*_reference_band(rho, lam_l1, lam_l2, a, ln_b),
+                      rho, lam_l1, lam_l2, a, ln_b)
+    assert value <= ref + 1e-12 * (1.0 + abs(ref))
+    # KKT: y-stationary; x-stationary inside, or the gradient points out
+    # of the range at the corner or the cap. gx is resolved only to its
+    # curvature times the rounding of x.
+    t = (ln_b - math.log1p(-x)) / a
+    tp = 1.0 / (a * (1.0 - x))
+    p = lam_l1 * t * tp
+    q = lam_l2 * math.expm1(y) * math.exp(y)
+    gx = 2.0 * (x - y) - 2.0 * rho + p
+    gy = 2.0 * (y - x) - 2.0 * rho + q
+    assert abs(gy) <= 1e-12 * (2.0 * (x + y + rho) + q)
+    tol = 1e-12 * (2.0 * (x + y + rho) + p) \
+        + 1e-13 * (2.0 + lam_l1 * tp * (tp + t / (1.0 - x)))
+    if x == 0.0:
+        assert gx >= -tol
+    elif x >= 1.0 - 1e-11:
+        assert gx <= tol
+    else:
+        assert abs(gx) <= tol

@@ -11,7 +11,6 @@ from covertjam.quadrature import (
     QuadratureRule,
     gamma_rule,
     h0_energy_rule,
-    h0_expectation,
     log_phi,
     log_phi_exact,
     phi,
@@ -101,11 +100,8 @@ def test_h0_energy_rule_matches_known_moments():
         assert abs(mean / (n * (1.0 + q)) - 1.0) < 1e-8
         unit = rule.expectation(np.exp(-rule.z - rule.log_phi_q))
         assert abs(unit - 1.0) < 1e-8
-
-
-def test_h0_expectation_callable_form():
-    val = h0_expectation(lambda z: np.ones_like(z), 5.0, 10.0)
-    assert abs(val - 1.0) < 1e-8
+    rule = h0_energy_rule(5.0, 10.0)
+    assert abs(rule.expectation(np.ones_like(rule.z)) - 1.0) < 1e-8
 
 
 def test_gamma_constant_matches_direct_ratio():
