@@ -100,6 +100,9 @@ def test_h0_energy_rule_matches_known_moments():
         assert abs(mean / (n * (1.0 + q)) - 1.0) < 1e-8
         unit = rule.expectation(np.exp(-rule.z - rule.log_phi_q))
         assert abs(unit - 1.0) < 1e-8
+
+
+def test_h0_expectation_callable_form():
     rule = h0_energy_rule(5.0, 10.0)
     assert abs(rule.expectation(np.ones_like(rule.z)) - 1.0) < 1e-8
 
