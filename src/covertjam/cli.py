@@ -23,10 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the spec's seed")
     run_p.add_argument("--jobs", type=int, default=None,
                        help="worker threads across sweep points")
-    run_p.add_argument("--quad-order", dest="quad_order", type=int,
-                       default=None,
-                       help="Gauss-Laguerre order for the covertness "
-                            "coefficients (0 keeps the solver default)")
     run_p.add_argument("--output-dir", dest="output_dir", default=None)
     run_p.add_argument("--scenarios-per-point", dest="scenarios_per_point",
                        type=int, default=None)
@@ -52,7 +48,7 @@ def _run(args) -> int:
     spec = experiments.load_spec(args.spec_file)
     overrides = {
         name: getattr(args, name)
-        for name in ("seed", "jobs", "quad_order", "output_dir",
+        for name in ("seed", "jobs", "output_dir",
                      "scenarios_per_point", "trials")
         if getattr(args, name) is not None
     }

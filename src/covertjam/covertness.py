@@ -25,27 +25,16 @@ from scipy.integrate import quad
 from scipy.special import beta, digamma
 from scipy.special import zeta as riemann_zeta
 
-from .quadrature import (
-    QuadratureRule,
-    default_rule,
-    gamma_rule,
-    h0_energy_rule,
-    log_phi,
-    log_phi_exact,
-    phi,
-)
+from .quadrature import gamma_rule, h0_energy_rule, log_phi_exact
 
 __all__ = [
     "BandDistribution",
-    "QuadratureRule",
     "eta",
     "tv_upper_bound",
     "pdf_U",
     "pdf_V",
     "tv_numeric_k1",
     "tv_numeric_product",
-    "phi",
-    "log_phi",
     "log_psi",
     "likelihood_ratio_delta",
     "kl_divergence",
@@ -58,8 +47,10 @@ __all__ = [
     "solve_chi_star",
 ]
 
-# Above this jamming spread the Laguerre mixture misses the v ~ 1/q scale
-# and zeta switches to the single-integral form (see zeta docstring).
+# Above this jamming spread zeta takes the direct single integral against
+# the fixed-order Gamma(n) rule: fewer ln Phi evaluations than the H0 energy
+# rule, whose support grows with q, and zeta >> 1 there makes its
+# subtraction harmless (see zeta docstring).
 _ZETA_DIRECT_SWITCH = 50.0
 
 # zeta(m + 1) - 1/m, m = 1..16: limit_kl's series coefficients for small x.
@@ -215,7 +206,6 @@ def tv_numeric_product(bands, samples: int = 10**6,
 
 
 def likelihood_ratio_delta(p: float, q: float, z, n: float,
-                           rule: QuadratureRule | None = None,
                            log_phi_p=None, log_phi_q=None) -> np.ndarray:
     """Psi(p, q, z) - 1 for the n-sample energy likelihood ratio.
 
@@ -232,7 +222,7 @@ def likelihood_ratio_delta(p: float, q: float, z, n: float,
 
     def resolve(pre, x):
         if pre is None:
-            return log_phi(x, z, n, rule)
+            return log_phi_exact(x, z, n)
         return pre(z) if callable(pre) else np.asarray(pre, dtype=float)
 
     lp = resolve(log_phi_p, p)
@@ -243,15 +233,12 @@ def likelihood_ratio_delta(p: float, q: float, z, n: float,
 
 
 def log_psi(p: float, q: float, z, n: float,
-            rule: QuadratureRule | None = None,
             log_phi_p=None, log_phi_q=None) -> np.ndarray:
     """ln Psi(p, q, z), the adversary's per-band log likelihood ratio."""
-    return np.log1p(likelihood_ratio_delta(p, q, z, n, rule,
-                                           log_phi_p, log_phi_q))
+    return np.log1p(likelihood_ratio_delta(p, q, z, n, log_phi_p, log_phi_q))
 
 
-def kl_divergence(p: float, q: float, n: float,
-                  rule: QuadratureRule | None = None) -> float:
+def kl_divergence(p: float, q: float, n: float) -> float:
     """KL divergence D(H0 || H1) of the n-sample normalized band energy.
 
     Since E_{H0}[Psi] = 1 exactly, D = -E_{H0}[ln Psi] equals
@@ -266,12 +253,12 @@ def kl_divergence(p: float, q: float, n: float,
         raise ValueError("n must be >= 1")
     if p == 0.0:
         return 0.0
-    r = h0_energy_rule(q, n, rule)
-    delta = likelihood_ratio_delta(p, q, r.z, n, rule, log_phi_q=r.log_phi_q)
+    r = h0_energy_rule(q, n)
+    delta = likelihood_ratio_delta(p, q, r.z, n, log_phi_q=r.log_phi_q)
     return r.expectation(delta - np.log1p(delta))
 
 
-def zeta(q: float, n: float, rule: QuadratureRule | None = None) -> float:
+def zeta(q: float, n: float, rule=None) -> float:
     """Quadratic KL coefficient: D ~ zeta(q, n) p^2 / (2 q^2) for small p.
 
     Two equivalent forms are used depending on q. For moderate q,
@@ -281,31 +268,37 @@ def zeta(q: float, n: float, rule: QuadratureRule | None = None) -> float:
     zeta = E_{s~Gamma(n)}[e^{-s}/Phi(q,s)] - 1 is cheaper and exact; there
     zeta >> 1, so the subtraction is harmless. Both equal the defining
     variance because E_{H0}[e^{-z}/Phi(q,z)] = 1 identically.
+
+    `rule` selects nothing and must stay None: ln Phi has a single
+    evaluator. The keyword remains only because the bench harness
+    (`bench/tracing.py::_zeta_key`) binds zeta's arguments by name; it goes
+    once that code stops reading it.
     """
+    if rule is not None:
+        raise TypeError("zeta takes no quadrature rule; pass rule=None")
     if q <= 0.0:
         raise ValueError("q must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     # Pilot-grid sweeps hit the same (q, n) pairs across scenarios.
-    return _zeta_cached(float(q), float(n), (rule or default_rule()).n_quad)
+    return _zeta_cached(float(q), float(n))
 
 
 @lru_cache(maxsize=4096)
-def _zeta_cached(q: float, n: float, order: int) -> float:
+def _zeta_cached(q: float, n: float) -> float:
     if q <= _ZETA_DIRECT_SWITCH:
-        r = h0_energy_rule(q, n, QuadratureRule.gauss_laguerre(order))
+        r = h0_energy_rule(q, n)
         resid = -np.expm1(-r.z - r.log_phi_q)
         val = r.expectation(resid * resid)
     else:
-        s, w = gamma_rule(n, order)
+        s, w = gamma_rule(n)
         val = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
     if not np.isfinite(val) or val < 0.0:
         raise ArithmeticError(f"zeta({q}, {n}) evaluation failed: {val!r}")
     return val
 
 
-def tv_exact_n(p: float, q: float, n: float,
-               rule: QuadratureRule | None = None) -> float:
+def tv_exact_n(p: float, q: float, n: float) -> float:
     """Exact TV between the n-sample energy laws: (1/2) E_{H0}|Psi - 1|.
 
     This is the finite-sample analogue of the single-band TV eta(chi)
@@ -316,8 +309,8 @@ def tv_exact_n(p: float, q: float, n: float,
         raise ValueError("requires 0 <= p < q")
     if p == 0.0:
         return 0.0
-    r = h0_energy_rule(q, n, rule)
-    delta = likelihood_ratio_delta(p, q, r.z, n, rule, log_phi_q=r.log_phi_q)
+    r = h0_energy_rule(q, n)
+    delta = likelihood_ratio_delta(p, q, r.z, n, log_phi_q=r.log_phi_q)
     return 0.5 * r.expectation(np.abs(delta))
 
 
@@ -381,7 +374,14 @@ def solve_chi_star(epsilon):
     eps = np.asarray(epsilon, dtype=float)
     if not np.all((eps > 0.0) & (eps < 1.0)):
         raise ValueError("epsilon must lie in (0, 1)")
-    lo = np.full(eps.shape, 1e-15)
+    # eta(x) <= x, so min(eps, 1e-15) is feasible in exact arithmetic, but
+    # rounding breaks that (eta(1e-300) > 1e-300): step the lower end down
+    # until eta(lo) <= eps holds in floating point.
+    lo = np.minimum(eps, 1e-15)
+    low = eta(lo) > eps
+    while np.any(low):
+        lo = np.where(low, np.nextafter(lo, 0.0), lo)
+        low = eta(lo) > eps
     hi = np.full(eps.shape, 1.0 - 1e-12)
     top = eta(hi) <= eps
     for _ in range(100):

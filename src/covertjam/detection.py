@@ -21,13 +21,12 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from .covertness import BandDistribution, likelihood_ratio_delta
-from .quadrature import LogPhiSpline, QuadratureRule, log_phi_exact
+from .quadrature import LogPhiSpline, log_phi_exact
 from .scenario import ScenarioInstance, rng_stream
 
 __all__ = [
     "DetectionEstimate",
     "CovertnessAudit",
-    "lrt_statistic",
     "simulate_detection",
     "covertness_audit",
 ]
@@ -101,29 +100,6 @@ class _BandLogPsi:
         delta = likelihood_ratio_delta(self.p, self.q, flat, self.n,
                                        log_phi_p=lp, log_phi_q=lq)
         return np.log1p(delta).reshape(z.shape)
-
-
-def lrt_statistic(energies, bands, n: float,
-                  rule: QuadratureRule | None = None) -> float:
-    """Log likelihood ratio for normalized energies, one per (band, block).
-
-    `energies` has the band axis first: shape (K,) or (K, L). The statistic
-    is the sum over bands and blocks of ln Psi(p_k, q_k, z); the adversary
-    declares transmission when it exceeds 0 (likelihood-ratio threshold 1,
-    the minimum-sum-error operating point).
-    """
-    bands = list(bands)
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    if energies.shape[0] != len(bands):
-        raise ValueError("energies must have one leading row per band")
-    total = 0.0
-    for band, z_row in zip(bands, energies):
-        if band.p_norm == 0.0:
-            continue
-        delta = likelihood_ratio_delta(band.p_norm, band.q_norm,
-                                       np.atleast_1d(z_row), n, rule)
-        total += float(np.log1p(delta).sum())
-    return total
 
 
 def _shard_sizes(trials: int):

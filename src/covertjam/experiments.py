@@ -50,7 +50,6 @@ from .covertness import BandDistribution, band_affinity, hellinger_bound, \
     limit_kl, pinsker_budget, tv_numeric_product, tv_upper_bound
 from .detection import covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
-from .quadrature import QuadratureRule
 from .quasi_static import effective_rate, poa_solve, sca_solve
 from .scenario import ScenarioConfig, derive_fast_varying, derive_quasi_static, \
     sample_scenario
@@ -116,7 +115,6 @@ class ExperimentSpec:
     output_dir: str = "runs"
     trials: int = 10**5
     jobs: int = 1
-    quad_order: int = 0
     scenario: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -132,17 +130,10 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.quad_order < 0:
-            raise ValueError("quad_order must be >= 0 (0 means default)")
 
     @property
     def sweep_param(self) -> str:
         return FIGURES[self.figure_id].sweep_param
-
-    def quad_rule(self):
-        if self.quad_order:
-            return QuadratureRule.gauss_laguerre(self.quad_order)
-        return None
 
 
 def default_sweep(figure_id: str) -> tuple:
@@ -203,7 +194,6 @@ def save_spec(spec: ExperimentSpec, path) -> None:
         "output_dir": spec.output_dir,
         "trials": str(spec.trials),
         "jobs": str(spec.jobs),
-        "quad_order": str(spec.quad_order),
     }
     if spec.scenario:
         parser["scenario"] = {k: _fmt(v) for k, v in spec.scenario.items()}
@@ -227,6 +217,11 @@ def load_spec(path) -> ExperimentSpec:
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
     sect = parser["experiment"]
+    # Run directories written before ln Phi had a single evaluator record
+    # quad_order = 0 (the default rule); any other order no longer exists.
+    if sect.getint("quad_order", 0) != 0:
+        raise ValueError(f"{path}: quad_order = {sect['quad_order']} is not "
+                         "supported; only 0 (or no quad_order key) loads")
     figure_id = sect.get("figure", "").strip()
     sweep_raw = sect.get("sweep", "").strip()
     if sweep_raw:
@@ -252,7 +247,6 @@ def load_spec(path) -> ExperimentSpec:
         output_dir=sect.get("output_dir", "runs"),
         trials=sect.getint("trials", 10**5),
         jobs=sect.getint("jobs", 1),
-        quad_order=sect.getint("quad_order", 0),
         scenario=scenario,
     )
 
@@ -416,10 +410,9 @@ def _fast_point(spec: ExperimentSpec, i: int):
     override, problem = _point_inputs(spec, spec.sweep[i])
     n, blocks = int(problem["N"]), int(problem["L"])
     epsilon = float(problem["epsilon"])
-    rule = spec.quad_rule()
 
     def solve(method, params, previous):
-        res = (es_solve if method == "es" else ao_solve)(params, rule=rule)
+        res = (es_solve if method == "es" else ao_solve)(params)
         return res, {"chi": res.chi, "tau": res.tau, "N_t": res.N_t,
                      "N_d": n - res.N_t, "lam": res.lam}
 

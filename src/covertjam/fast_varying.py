@@ -177,11 +177,10 @@ def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
     return chis, lam
 
 
-def zeta_vector(params: FastVaryingParams, n_d: float,
-                rule=None) -> np.ndarray:
+def zeta_vector(params: FastVaryingParams, n_d: float) -> np.ndarray:
     """zeta(q_k, n_d) per band; bands with equal q share one evaluation."""
     qs = [float(q) for q in params.q_norm]
-    values = {q: zeta(q, float(n_d), rule) for q in dict.fromkeys(qs)}
+    values = {q: zeta(q, float(n_d)) for q in dict.fromkeys(qs)}
     return np.array([values[q] for q in qs])
 
 
@@ -194,8 +193,8 @@ def _adversary_samples(params: FastVaryingParams, n_t: int, mode: str) -> int:
     raise ValueError("n_d_mode must be 'data' or 'full'")
 
 
-def es_solve(params: FastVaryingParams, n_d_mode: str = "data",
-             rule=None) -> FvSolveResult:
+def es_solve(params: FastVaryingParams,
+             n_d_mode: str = "data") -> FvSolveResult:
     """Exhaustive search over the pilot grid; exact fixed-tau subproblems.
 
     Every grid point N_t = 1..N-1 is solved at once by one batched
@@ -208,8 +207,7 @@ def es_solve(params: FastVaryingParams, n_d_mode: str = "data",
     budget = params.budget
     n_ts = range(1, params.N)
     taus = [n_t / params.N for n_t in n_ts]
-    z = np.array([zeta_vector(params, _adversary_samples(params, n_t,
-                                                         n_d_mode), rule)
+    z = np.array([zeta_vector(params, _adversary_samples(params, n_t, n_d_mode))
                   for n_t in n_ts])
     chis, lams = chi_given_tau(np.array(taus), params, z, budget)
     objs = [ergodic_sum_rate(c, tau, params) for c, tau in zip(chis, taus)]
@@ -257,8 +255,7 @@ def tau_given_chi(chis, params: FastVaryingParams) -> float:
 
 
 def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
-             max_iter: int = 50, n_d_mode: str = "data",
-             rule=None) -> FvSolveResult:
+             max_iter: int = 50, n_d_mode: str = "data") -> FvSolveResult:
     """Alternating power/pilot optimization with a final grid refinement.
 
     During the alternation the covertness coefficients are frozen at
@@ -272,7 +269,7 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
     if not 0.0 < tau0 < 1.0:
         raise ValueError("tau0 must lie in (0, 1)")
     budget = params.budget
-    z_frozen = zeta_vector(params, params.N, rule)
+    z_frozen = zeta_vector(params, params.N)
 
     tau = tau0
     trace = []
@@ -292,8 +289,7 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
 
     n_t = int(min(max(math.floor(tau * params.N + 0.5), 1), params.N - 1))
     tau_g = n_t / params.N
-    z_true = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode),
-                         rule)
+    z_true = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode))
     if np.any(z_frozen < z_true * (1.0 - 1e-9)):
         warnings.warn(
             "full-block covertness coefficient is smaller than the "

@@ -1,4 +1,4 @@
-"""Quadrature rules and the jamming-averaged energy integral Phi.
+"""The jamming-averaged energy integral Phi and the quadratures built on it.
 
 Phi(x, z, n) = int_0^inf e^{-v} (1+xv)^{-n} e^{-z/(1+xv)} dv is the building
 block of every adversary-side likelihood: it is the density kernel of the
@@ -6,15 +6,14 @@ normalized energy of n Gaussian samples whose variance is exponentially
 mixed with spread x. Everything here works in ln Phi because the interesting
 regimes underflow double precision by hundreds of orders.
 
-Three evaluation routes, from fast to bulletproof:
-  * plain Gauss-Laguerre in v (matches the e^{-v} weight exactly),
-  * a half-order cross-check that flags nodes-miss-the-peak failures
-    (for large x the integrand spikes at v ~ 1/(xn), far below the first
-    Laguerre abscissa, and the 64/128 estimates then disagree violently),
-  * an exact panel integrator in y = ln(1+xv), where the log-integrand
-    -(n-1)y - z e^{-y} - (e^y - 1)/x is strictly concave, so the peak is
-    unique, the tails are certified, and fixed Gauss-Legendre panels between
-    bisected drop-off bounds give near-machine accuracy for any (x, z, n).
+ln Phi has one evaluator, `log_phi_exact`: a panel integrator in
+y = ln(1+xv), where the log-integrand -(n-1)y - z e^{-y} - (e^y - 1)/x is
+strictly concave, so the peak is unique, the tails are certified, and fixed
+Gauss-Legendre panels between bisected drop-off bounds give near-machine
+accuracy for any (x, z, n). A Gauss-Laguerre rule in v would miss the
+integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
+for bulk use at fixed (x, n); `h0_energy_rule` integrates against the H0
+energy law; `gamma_rule` integrates against Gamma(n, 1).
 """
 
 from __future__ import annotations
@@ -25,42 +24,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainccinv, gammaln, logsumexp, roots_laguerre
+from scipy.special import gammainccinv, gammaln
 
 # ln-drop from the peak at which the panel integrator truncates the tails;
 # exp(-60) ~ 9e-27, far below every tolerance used downstream.
 _DROP = 60.0
-# Relative Phi disagreement between the full and half-order Laguerre rules
-# that triggers the exact fallback (equals absolute ln Phi disagreement).
-_GL_AGREE_TOL = 1e-8
 
 _LEG_NODES, _LEG_WEIGHTS = leggauss(20)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Laguerre abscissas/weights for the weight e^{-v} on [0, inf)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    n_quad: int
-
-    @classmethod
-    def gauss_laguerre(cls, n_quad: int = 128) -> "QuadratureRule":
-        return _laguerre_rule(n_quad)
-
-    def half(self) -> "QuadratureRule":
-        return _laguerre_rule(max(2, self.n_quad // 2))
-
-
-@lru_cache(maxsize=32)
-def _laguerre_rule(n_quad: int) -> QuadratureRule:
-    nodes, weights = roots_laguerre(n_quad)
-    rule = QuadratureRule(nodes=nodes, weights=weights, n_quad=n_quad)
-    total = rule.weights.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"Laguerre weights sum to {total!r}, expected 1")
-    return rule
 
 
 @lru_cache(maxsize=512)
@@ -82,20 +52,6 @@ def gamma_rule(n: float, order: int = 128):
     nodes, vecs = eigh_tridiagonal(diag, off)
     weights = vecs[0, :] ** 2
     return nodes, weights / weights.sum()
-
-
-def default_rule() -> QuadratureRule:
-    return QuadratureRule.gauss_laguerre(128)
-
-
-def _log_phi_laguerre(x: float, z: np.ndarray, n: float,
-                      rule: QuadratureRule) -> np.ndarray:
-    """ln Phi by Gauss-Laguerre in v, assembled in log space."""
-    v = rule.nodes
-    scale = 1.0 + x * v
-    # (n_z, n_quad) exponent matrix; logsumexp keeps underflow harmless.
-    expo = -n * np.log(scale)[None, :] - np.outer(z, 1.0 / scale)
-    return logsumexp(expo, axis=1, b=rule.weights[None, :])
 
 
 def _phi_log_integrand(y, x, z_col, b):
@@ -189,39 +145,6 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     return phi_star + np.log(integral) - np.log(x)
 
 
-def log_phi(x: float, z, n: float, rule: QuadratureRule | None = None) -> np.ndarray:
-    """ln Phi with the Gauss-Laguerre fast path and elementwise exact fallback.
-
-    Full- and half-order Laguerre estimates are compared per element; any
-    element where they disagree beyond 1e-8 (or is non-finite) is recomputed
-    with the panel integrator. This keeps the common small-x case at two
-    matrix-vector products while staying correct when the spike at
-    v ~ 1/(xn) escapes the abscissas.
-    """
-    rule = rule or default_rule()
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return -z
-    full = _log_phi_laguerre(x, z, n, rule)
-    half = _log_phi_laguerre(x, z, n, rule.half())
-    bad = ~np.isfinite(full) | (np.abs(full - half) > _GL_AGREE_TOL)
-    if bad.any():
-        full = full.copy()
-        full[bad] = log_phi_exact(x, z[bad], n)
-    return full
-
-
-def phi(x: float, z, n: float, rule: QuadratureRule | None = None):
-    """Phi(x, z, n) itself; underflows to 0 where ln Phi < -745."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.exp(log_phi(x, z_arr, n, rule))
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError("Phi evaluation produced non-finite values")
-    return out if np.ndim(z) else float(out[0])
-
-
 class LogPhiSpline:
     """Vectorized ln Phi(x, ., n) for bulk evaluation at fixed (x, n).
 
@@ -291,19 +214,16 @@ class H0EnergyRule:
         return float(np.dot(self.w, values))
 
 
-def h0_energy_rule(q: float, n: float,
-                   rule: QuadratureRule | None = None) -> H0EnergyRule:
-    rule = rule or default_rule()
-    return _h0_energy_rule_cached(float(q), float(n), rule.n_quad)
+def h0_energy_rule(q: float, n: float) -> H0EnergyRule:
+    return _h0_energy_rule_cached(float(q), float(n))
 
 
 @lru_cache(maxsize=128)
-def _h0_energy_rule_cached(q: float, n: float, order: int) -> H0EnergyRule:
+def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
     if q <= 0.0:
         raise ValueError("q must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rule = QuadratureRule.gauss_laguerre(order)
     # Support window: z >= s stochastically, so the lower Gamma quantile
     # bounds the left tail; on the right P(z > (1+200q) S) <= e^-200 + P(s>S).
     z_lo = max(gammainccinv(n, 1.0 - 1e-15), 1e-300)
@@ -318,7 +238,7 @@ def _h0_energy_rule_cached(q: float, n: float, order: int) -> H0EnergyRule:
     mid = edges[:-1] + half
     z = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
     panel_w = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-    lpq = log_phi(q, z, n, rule)
+    lpq = log_phi_exact(q, z, n)
     w = panel_w * np.exp((n - 1.0) * np.log(z) - gammaln(n) + lpq)
     mass = float(w.sum())
     if abs(mass - 1.0) > 1e-8:

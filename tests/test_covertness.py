@@ -84,6 +84,17 @@ def test_chi_star_inverts_eta():
     assert solve_chi_star(0.05) > chi
 
 
+def test_chi_star_feasible_below_bracket_floor():
+    # Budgets under 1e-15 once returned the bracket floor 1e-15, where
+    # eta(1e-15) > epsilon; rounding also makes eta(x) > x at tiny x.
+    tiny = np.array([1e-16, 1e-20, 1e-300, 5e-324])
+    chis = solve_chi_star(tiny)
+    assert np.all(eta(chis) <= tiny)
+    assert np.all(np.abs(chis - tiny) <= 1e-12 * tiny)
+    for epsilon, chi in zip(tiny, chis):
+        assert solve_chi_star(float(epsilon)) == chi
+
+
 def test_kl_divergence_frozen_value():
     # Independent panel-quadrature evaluation, cross-checked previously
     # against dense trapezoid mixing; frozen here to pin regressions.

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from covertjam.covertness import eta, tv_exact_n
+from covertjam.covertness import BandDistribution, eta, log_psi, tv_exact_n
 from covertjam.detection import (
+    _BandLogPsi,
     covertness_audit,
-    lrt_statistic,
     simulate_detection,
 )
 from covertjam.scenario import ScenarioConfig, sample_scenario
@@ -60,19 +60,27 @@ def test_lrt_not_worse_than_energy_detector():
     assert lrt.sum_error <= energy.sum_error + 2.0 * ci
 
 
-def test_lrt_statistic_sums_band_log_ratios():
-    from covertjam.covertness import BandDistribution, log_psi
-    bands = [BandDistribution(p_norm=3.0, q_norm=10.0),
-             BandDistribution(p_norm=8.0, q_norm=20.0)]
-    energies = np.array([[12.0, 30.0], [25.0, 60.0]])  # (K, L)
-    total = lrt_statistic(energies, bands, n=20.0)
-    manual = sum(
-        float(np.sum(log_psi(b.p_norm, b.q_norm, row, 20.0)))
-        for b, row in zip(bands, energies))
-    assert abs(total - manual) < 1e-10
-    # A silent band contributes nothing.
-    quiet = [BandDistribution(p_norm=0.0, q_norm=10.0)]
-    assert lrt_statistic(np.array([[12.0]]), quiet, n=20.0) == 0.0
+def test_band_log_psi_spline_matches_exact():
+    # The detector's spline ln Psi against exact log_psi on H1 draws, plus
+    # draws above z_hi, where it falls back to the exact evaluator.
+    rng = np.random.default_rng(0)
+    for p, q, n in ((0.3, 10.0, 20.0), (5.0, 316.0, 500.0), (0.5, 3.0, 5.0)):
+        psi = _BandLogPsi(BandDistribution(p_norm=p, q_norm=q), n)
+        scale = 1.0 + p * rng.exponential(size=20000) \
+            + q * rng.exponential(size=20000)
+        z = np.concatenate([rng.gamma(n, scale),
+                            psi.z_hi * np.array([1.01, 2.0, 10.0])])
+        got = psi(z)
+        want = log_psi(p, q, z, n)
+        # ln Psi = ln(q - p r) - ln(q - p) with r = Phi_p/Phi_q, so a ln r
+        # error e moves ln Psi by p r/(q - p r) e; 1e-13 is the rounding floor.
+        r = 1.0 - np.expm1(want) * (q - p) / p
+        spline_err = psi._spline_p.max_abs_err + psi._spline_q.max_abs_err
+        bound = p * r / (q - p * r) * spline_err + 1e-13
+        high = z > psi.z_hi
+        assert high.sum() == 3
+        assert np.all(np.abs(got - want)[~high] <= bound[~high])
+        assert np.all(np.abs(got - want)[high] <= 1e-13)
 
 
 def test_detector_kind_validated():

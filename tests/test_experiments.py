@@ -274,6 +274,26 @@ def test_audit_trivial_epsilon_passes(tmp_path):
     assert audited and all(r["passed"] == "True" for r in audited)
 
 
+def test_audit_replays_legacy_quad_order_key(tmp_path):
+    # Runs written when ln Phi had a selectable Laguerre order carry
+    # quad_order = 0 in spec.ini; they still replay. Other orders are gone.
+    spec = default_spec("fig4_rate_vs_Q", sweep=(25.0,),
+                        scenarios_per_point=1, seed=6,
+                        output_dir=str(tmp_path))
+    out = run_experiment(spec)
+    ini = out / "spec.ini"
+    text = ini.read_text()
+    assert "quad_order" not in text
+    ini.write_text(text.replace("[experiment]\n",
+                                "[experiment]\nquad_order = 0\n"))
+    rows = _read(audit_run(out, trials=5000, max_rows=1))
+    assert rows and rows[0]["passed"] == "True"
+    ini.write_text(text.replace("[experiment]\n",
+                                "[experiment]\nquad_order = 160\n"))
+    with pytest.raises(ValueError, match="quad_order"):
+        audit_run(out, trials=5000, max_rows=1)
+
+
 def test_defaults_listing_mentions_stock_values():
     text = list_defaults()
     assert "150" in text       # adversary distance
