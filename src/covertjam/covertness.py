@@ -22,17 +22,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
-from scipy.special import beta, digamma
+from scipy.special import beta, digamma, lambertw
 from scipy.special import zeta as riemann_zeta
 
 from .quadrature import gamma_rule, h0_energy_rule, log_phi_exact
+from .roots import increasing_roots
 
 __all__ = [
     "BandDistribution",
     "eta",
     "tv_upper_bound",
-    "pdf_U",
-    "pdf_V",
     "tv_numeric_k1",
     "tv_numeric_product",
     "log_psi",
@@ -55,6 +54,9 @@ _ZETA_DIRECT_SWITCH = 50.0
 
 # zeta(m + 1) - 1/m, m = 1..16: limit_kl's series coefficients for small x.
 _LIMIT_KL_SERIES = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
+
+# Largest chi solve_chi_star returns; eta(chi) -> 1/e as chi -> 1.
+_CHI_TOP = 1.0 - 1e-12
 
 
 def eta(x):
@@ -99,44 +101,6 @@ class BandDistribution:
         """chi in [0, 1) is required wherever chi acts as a covertness knob."""
         if not self.chi < 1.0:
             raise ValueError(f"chi = {self.chi:g} is outside [0, 1)")
-
-
-def pdf_U(x, band: BandDistribution, noise: float):
-    """Density of the adversary's per-sample power under transmission.
-
-    A shifted difference of exponentials on [noise, inf):
-    f_U(x) = (e^{-a/q_hat} - e^{-a/p_hat}) / (q_hat - p_hat), a = x - noise,
-    with the Gamma-shape limit (a/q_hat^2) e^{-a/q_hat} when p_hat = q_hat.
-    The difference is assembled via expm1, so nearly equal p_hat, q_hat
-    lose no precision. Returns 0 below the support edge.
-    """
-    x = np.asarray(x, dtype=float)
-    p_hat = band.p_norm * noise
-    q_hat = band.q_norm * noise
-    a = x - noise
-    if p_hat == 0.0:
-        return pdf_V(x, band, noise)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p_hat == q_hat:
-            val = (a / q_hat**2) * np.exp(-a / q_hat)
-        else:
-            # e^{-a/q} - e^{-a/p} = -e^{-a/q} expm1(-a (q-p)/(pq))
-            val = (-np.exp(-a / q_hat)
-                   * np.expm1(-a * (q_hat - p_hat) / (p_hat * q_hat))
-                   / (q_hat - p_hat))
-    out = np.where(a >= 0.0, val, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def pdf_V(x, band: BandDistribution, noise: float):
-    """Density with jamming only: exponential of scale q_hat shifted to noise."""
-    x = np.asarray(x, dtype=float)
-    q_hat = band.q_norm * noise
-    a = x - noise
-    with np.errstate(over="ignore"):
-        val = np.exp(-a / q_hat) / q_hat
-    out = np.where(a >= 0.0, val, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def tv_numeric_k1(band: BandDistribution, noise: float = 1.0) -> float:
@@ -365,29 +329,36 @@ def hellinger_bound(affinity: float) -> float:
 
 
 def solve_chi_star(epsilon):
-    """Largest chi with eta(chi) <= epsilon: bisection of eta(x) = epsilon.
+    """Largest chi with eta(chi) <= epsilon: chi = W0(eps ln eps) / ln eps.
 
-    Vectorized over epsilon; a scalar gives a float. Valid for epsilon in
-    (0, 1); for epsilon >= 1/e every chi < 1 is feasible and the root
-    bracket's upper end (1 - 1e-12) is returned.
+    The Lambert W inverse (Corless et al., "On the Lambert W function",
+    1996) is ill-conditioned toward eps = 1/e, so it is polished by Newton
+    on ln eta(chi) = ln eps and then stepped down by ulps until
+    eta(chi) <= eps holds in floating point. Vectorized over epsilon in
+    (0, 1); a scalar gives a float. Where even eta(1 - 1e-12) <= epsilon
+    (every epsilon >= 1/e among them), 1 - 1e-12 is returned.
     """
     eps = np.asarray(epsilon, dtype=float)
     if not np.all((eps > 0.0) & (eps < 1.0)):
         raise ValueError("epsilon must lie in (0, 1)")
-    # eta(x) <= x, so min(eps, 1e-15) is feasible in exact arithmetic, but
-    # rounding breaks that (eta(1e-300) > 1e-300): step the lower end down
-    # until eta(lo) <= eps holds in floating point.
-    lo = np.minimum(eps, 1e-15)
-    low = eta(lo) > eps
-    while np.any(low):
-        lo = np.where(low, np.nextafter(lo, 0.0), lo)
-        low = eta(lo) > eps
-    hi = np.full(eps.shape, 1.0 - 1e-12)
-    top = eta(hi) <= eps
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        ok = eta(mid) <= eps
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    out = np.where(top, 1.0 - 1e-12, lo)
-    return float(out) if out.ndim == 0 else out
+    ln_eps = np.log(eps).ravel()
+    # scipy's W0 is NaN where eps ln eps rounds below -1/e; fmax gives -1.
+    w0 = np.fmax(lambertw(eps.ravel() * ln_eps).real, -1.0)
+
+    def log_gap(x, rows):
+        # ln eta(x) - ln eps, d/dx (inf at subnormal x) and rounding floor
+        ln_eta = np.log(x) / (1.0 - x)
+        with np.errstate(over="ignore"):
+            slope = (1.0 / x + ln_eta) / (1.0 - x)
+        return ln_eta - ln_eps[rows], slope, \
+            4e-16 * (np.abs(ln_eta) + np.abs(ln_eps[rows]))
+
+    # Started at the cap where eta(1 - 1e-12) <= eps, the search stays there.
+    start = np.where(eta(_CHI_TOP) <= eps.ravel(), _CHI_TOP,
+                     np.minimum(w0 / ln_eps, _CHI_TOP))
+    chi = increasing_roots(log_gap, start, 0.0, _CHI_TOP).reshape(eps.shape)
+    high = eta(chi) > eps
+    while np.any(high):
+        chi = np.where(high, np.nextafter(chi, 0.0), chi)
+        high = eta(chi) > eps
+    return float(chi) if chi.ndim == 0 else chi

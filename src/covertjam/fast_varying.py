@@ -7,9 +7,9 @@ subject to the quadratic covertness budget sum_k zeta_k chi_k^2 / 2 <=
 
   * exhaustive search (ES) over the pilot grid Z_N = {1/N, ..., (N-1)/N},
     exact because the fixed-tau problem is concave and solved to optimality
-    by a dual bisection; the whole grid is one call of the fixed-tau
-    kernel chi_given_tau, which is vectorised over taus and bands (a
-    scalar tau is its T = 1 case),
+    by a Newton search on its one dual multiplier; the whole grid is one
+    call of the fixed-tau kernel chi_given_tau, which is vectorised over
+    taus and bands (a scalar tau is its T = 1 case),
   * alternating optimization (AO) on a relaxed constraint that replaces
     zeta_k(tau) by the tau-independent zeta(q_k, N); the pilot fraction is
     continuous during the alternation, rounded to the grid at the end, and
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covertness import zeta
+from .roots import increasing_root, increasing_roots
 from .scenario import FastVaryingParams
 
 __all__ = [
@@ -38,6 +39,11 @@ __all__ = [
     "ao_solve",
     "zeta_vector",
 ]
+
+
+# AO stops once the relative objective change is at most _AO_TOL.
+_AO_TOL = 1e-6
+_AO_MAX_ITER = 50
 
 
 @dataclass
@@ -89,7 +95,7 @@ def ergodic_sum_rate(chis, tau: float, params: FastVaryingParams) -> float:
 
 
 def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
-    """Optimal powers at fixed pilot fractions by dual bisection.
+    """Optimal powers at fixed pilot fractions by a Newton solve of the dual.
 
     tau is a scalar or a (T,) array of pilot fractions; zeta_values is
     (T, K), one row of covertness coefficients per tau, or (K,) shared by
@@ -99,17 +105,20 @@ def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
     scalar recipe bit for bit.
 
     Stationarity of each band is a cubic with positive coefficients,
-    chi ((G+E) chi + F)(E chi + F) = G F / (lam zeta_k), whose unique
-    positive root is found by monotone bisection (vectorized over taus and
-    bands). The quadratic budget is strictly decreasing in lam, so an outer
-    bisection per row drives it to activity. The budget binds at any
-    optimum (the rate is strictly increasing in every chi_k).
+    P(chi) = chi ((G+E) chi + F)(E chi + F) = G F / (lam zeta_k) = rhs,
+    convex and increasing, so Newton from an upper cap converges to its
+    root monotonically. The budget used, s, falls with lam and ln s is
+    nearly linear in ln lam, d ln s / d ln lam = -(1/s) sum_k zeta_k chi_k
+    rhs_k / P'(chi_k), so Newton on ln lam over [1e-12, 2^61] drives each
+    row's budget to activity; both solves are `roots.increasing_roots`.
+    The budget binds at any optimum (the rate increases in every chi_k).
+    Failures raise ArithmeticError naming the pilot fractions.
     """
     z = np.asarray(zeta_values, float)
-    if np.any(z <= 0.0):
-        raise ValueError("zeta values must be positive")
-    if budget <= 0.0:
-        raise ValueError("budget must be positive")
+    if not np.all((z > 0.0) & (z < np.inf)):
+        raise ValueError("zeta values must be positive and finite")
+    if not 0.0 < budget < np.inf:
+        raise ValueError("budget must be positive and finite")
     tau = np.asarray(tau, float)
     if tau.ndim > 1:
         raise ValueError("tau must be a scalar or a 1-D array")
@@ -125,53 +134,52 @@ def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
     a3 = (g_t + e_t) * e_t
     a2 = f_t * (g_t + 2.0 * e_t)
     a1 = f_t * f_t
+    ln_budget = math.log(budget)
 
-    def spent(lam: np.ndarray):
-        rhs = g_t * f_t / (lam[:, None] * z)
+    def gap(y: np.ndarray, rows: np.ndarray):
+        """ln budget - ln s at lam = 1e-12 e^y, its y-derivative, the chis."""
+        rhs = (g_t[rows] * f_t[rows] / (1e-12 * np.exp(y)[:, None]
+                                        * z[rows])).ravel()
+        c3, c2, c1 = (c[rows].ravel() for c in (a3, a2, a1))
+
+        def cubic(c, i):
+            return ((c3[i] * c + c2[i]) * c + c1[i]) * c - rhs[i], \
+                (3.0 * c3[i] * c + 2.0 * c2[i]) * c + c1[i], 1e-15 * rhs[i]
+
         # Either the cubic or the linear term alone reaching rhs bounds the
         # root, so the smaller of the two caps is a valid upper bracket.
         with np.errstate(divide="ignore"):
-            hi = np.minimum(np.cbrt(rhs / np.where(a3 > 0, a3, np.inf)),
-                            rhs / a1)
-        lo = np.zeros_like(hi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            lhs = ((a3 * mid + a2) * mid + a1) * mid
-            take = lhs < rhs
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
+            cap = np.minimum(np.cbrt(rhs / np.where(c3 > 0, c3, np.inf)),
+                             rhs / c1)
+        chi = increasing_roots(cubic, cap, 0.0, cap)
+        pull = (chi * rhs / cubic(chi, slice(None))[1]).reshape(-1, params.K)
+        chi = chi.reshape(pull.shape)
         # A stacked matmul sums each row exactly as np.dot on that row.
-        return 0.5 * (z[:, None, :] @ (hi * hi)[:, :, None])[:, 0, 0], hi
+        zr = z[rows][:, None, :]
+        s = 0.5 * (zr @ (chi * chi)[:, :, None])[:, 0, 0]
+        return ln_budget - np.log(s), (zr @ pull[:, :, None])[:, 0, 0] / s, chi
 
     def fail(message: str, rows: np.ndarray):
         raise ArithmeticError(f"{message} (tau = {taus[rows].tolist()})")
 
-    lo = np.full(taus.size, 1e-12)
-    s_lo, _ = spent(lo)
-    if np.any(s_lo <= budget):
-        fail("budget not binding at the bracket floor", s_lo <= budget)
-    hi = np.ones(taus.size)
-    s_hi, _ = spent(hi)
-    guard = 0
-    while np.any(s_hi > budget):
-        grow = s_hi > budget
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, hi * 2.0, hi)
-        s_hi, _ = spent(hi)
-        guard += 1
-        if guard > 60:
-            fail("lambda bracket expansion failed", grow)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        s_mid, _ = spent(mid)
-        above = s_mid > budget
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    lam = 0.5 * (lo + hi)
-    used, chis = spent(lam)
-    off = np.abs(used - budget) > 1e-10 * budget
+    every = np.arange(taus.size)
+    y_top = math.log(2.0**61 / 1e-12)
+    f_lo = gap(np.zeros(taus.size), every)[0]
+    if np.any(f_lo >= 0.0):
+        fail("budget not binding at the bracket floor", f_lo >= 0.0)
+    f_hi = gap(np.full(taus.size, y_top), every)[0]
+    if np.any(f_hi < 0.0):
+        fail("budget still overspent at lambda = 2^61: bracket expansion "
+             "failed", f_hi < 0.0)
+    floor = 1e-14 + 1e-15 * abs(ln_budget)
+    # ln s is nearly linear in y, so Newton starts on the chord of the ends.
+    y = increasing_roots(lambda y, rows: gap(y, rows)[:2] + (floor,),
+                         y_top * f_lo / (f_lo - f_hi), 0.0, y_top)
+    miss, _, chis = gap(y, every)
+    off = np.abs(miss) > 1e-10
     if np.any(off):
         fail("budget activity residual above tolerance", off)
+    lam = 1e-12 * np.exp(y)
     if tau.ndim == 0:
         return chis[0], float(lam[0])
     return chis, lam
@@ -225,37 +233,40 @@ def tau_given_chi(chis, params: FastVaryingParams) -> float:
     """Optimal continuous pilot fraction at fixed powers.
 
     The rate is concave in tau with positive slope at 0+ and negative at
-    1-, so the derivative has a single root, found by bisection to 1e-10.
+    1-, so the slope has a single root, found by `roots.increasing_root`
+    with the slope's derivative in closed form.
     """
     chis = np.asarray(chis, float)
-    if np.any(chis < 0.0) or not np.any(chis > 0.0):
-        raise ValueError("need a nonnegative, not identically zero chi")
+    if not np.all((chis >= 0.0) & (chis < np.inf)) or not np.any(chis > 0.0):
+        raise ValueError("need finite, nonnegative chi, not all zero")
     g_b = chis * params.Gk
     e_b = chis * params.Ek + params.F1
     f_b = chis * params.mu_tilde + params.F2
 
-    def slope(tau: float) -> float:
-        snr = g_b * tau / (e_b * tau + f_b)
-        gain = g_b * f_b / (((g_b + e_b) * tau + f_b) * (e_b * tau + f_b))
-        return float(-np.sum(np.log1p(snr)) + (1.0 - tau) * np.sum(gain))
+    def minus_slope(tau: float):
+        # With D1 = (g+e) tau + f, D2 = e tau + f and h = g f/(D1 D2), the
+        # slope is (1-tau) sum h - sum ln(D1/D2), and its derivative
+        # -2 sum h - (1-tau) sum h ((g+e)/D1 + e/D2).
+        d1 = (g_b + e_b) * tau + f_b
+        d2 = e_b * tau + f_b
+        gain = g_b * f_b / (d1 * d2)
+        loss = float(np.sum(np.log1p(g_b * tau / d2)))
+        rest = (1.0 - tau) * float(np.sum(gain))
+        curve = float(np.sum(gain * ((g_b + e_b) / d1 + e_b / d2)))
+        return loss - rest, 2.0 * float(np.sum(gain)) + (1.0 - tau) * curve, \
+            1e-14 * (loss + rest)
 
     lo, hi = 1e-15, 1.0 - 1e-15
-    if slope(lo) <= 0.0 or slope(hi) >= 0.0:
+    if minus_slope(lo)[0] >= 0.0 or minus_slope(hi)[0] <= 0.0:
         raise ArithmeticError("tau derivative lost its sign change")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    if abs(slope(tau)) > 1e-8 * max(1.0, float(np.sum(g_b / f_b))):
+    tau = increasing_root(minus_slope, 0.5, lo, hi)
+    if abs(minus_slope(tau)[0]) > 1e-8 * max(1.0, float(np.sum(g_b / f_b))):
         raise ArithmeticError("tau root residual above tolerance")
     return tau
 
 
-def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
-             max_iter: int = 50, n_d_mode: str = "data") -> FvSolveResult:
+def ao_solve(params: FastVaryingParams, tau0: float = 0.5,
+             n_d_mode: str = "data") -> FvSolveResult:
     """Alternating power/pilot optimization with a final grid refinement.
 
     During the alternation the covertness coefficients are frozen at
@@ -271,19 +282,16 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5, tol: float = 1e-6,
     budget = params.budget
     z_frozen = zeta_vector(params, params.N)
 
-    tau = tau0
-    trace = []
-    prev = None
-    converged = False
-    for it in range(1, max_iter + 1):
+    tau, trace, prev, converged = tau0, [], None, False
+    for it in range(1, _AO_MAX_ITER + 1):
         chis, lam = chi_given_tau(tau, params, z_frozen, budget)
         tau = tau_given_chi(chis, params)
         obj = ergodic_sum_rate(chis, tau, params)
         trace.append({"iteration": it, "objective": obj, "lam": lam,
                       "tau": tau})
-        if prev is not None and abs(obj - prev) <= tol * max(abs(prev), 1e-300):
-            converged = True
-            prev = obj
+        converged = prev is not None \
+            and abs(obj - prev) <= _AO_TOL * max(abs(prev), 1e-300)
+        if converged:
             break
         prev = obj
 

@@ -13,9 +13,9 @@ Maximizes the effective sum rate over the covert region
   * a successive-convex-approximation (SCA) local solver on the equivalent
     (t, gamma) formulation with t = chi/gamma, which is fast and in practice
     lands within a few percent of the global optimum. Each convex
-    subproblem bisects one dual multiplier; at a fixed multiplier every
-    band's 2-D problem reduces to one monotone scalar equation, solved by
-    a guarded Newton step in plain `math`.
+    subproblem is a Newton search on one dual multiplier; at a fixed
+    multiplier every band's 2-D problem reduces to one monotone scalar
+    equation, solved in plain `math`.
 
 Rates are in nats per channel use throughout.
 """
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covertness import eta, solve_chi_star
+from .roots import increasing_root, increasing_roots
 from .scenario import QuasiStaticParams
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
 _GRID_CAP = 2**16
 # Cap on the SCA outage variable x, which keeps t(x) finite.
 _X_HI = 1.0 - 1e-12
+# SCA stops once the relative objective change is below _SCA_TOL.
+_SCA_TOL = 1e-6
+_SCA_MAX_ITER = 100
 
 
 @dataclass
@@ -93,62 +97,46 @@ def effective_rate(chi_k, gamma_k, A_k, B_k):
     return float(val) if val.ndim == 0 else val
 
 
-def _threshold_residual(m, a_chi, b):
-    """F(m) = ln(e^m / (B (1 + m phi))) and dF/dm, with kappa = m / (A chi).
-
-    phi(kappa) = (1 + kappa) ln(1 + 1/kappa), so F = 0 exactly where
-    Xi(kappa) = e^m - B m phi = B. Working in m = A chi kappa keeps kappa
-    from overflowing near 1e154; F is convex in m.
-    """
-    kappa = m / a_chi
-    big = kappa > 1e10
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.log1p(1.0 / kappa)
-        phi = np.where(big, 1.0 + 0.5 / kappa, (1.0 + kappa) * log_term)
-        # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1, -> 1 for large kappa
-        dphi = np.where(big, 1.0, (1.0 + 2.0 * kappa) * log_term - 1.0)
-    return m - np.log(b) - np.log1p(m * phi), 1.0 - dphi / (1.0 + m * phi)
-
-
 def single_receiver_gamma(A1, B1, chi_cap):
     """Optimal SINR threshold for one receiver at transmit level chi_cap.
 
     Vectorized over broadcast (A1, B1, chi_cap); scalar inputs give a
     float. The optimum gamma* = 1/kappa* where kappa* is the unique root of
-    Xi(kappa) = B above ln(B)/(A chi). In m = A chi kappa the root solves the
-    convex F(m) = 0 of `_threshold_residual` on the bracket [ln B, ln B + 60]:
+    Xi(kappa) = B above ln(B)/(A chi). In m = A chi kappa the root solves
+    the convex F(m) = 0 of `residual` below on the bracket [ln B, ln B + 60]:
     F < 0 at the outage edge m = ln B, and F > 0 at the right end for every
     finite input, since phi < 711 there keeps ln(1 + m phi) below 14.
-    Newton from the right end converges monotonically, with a bisection
-    guard. The returned gamma keeps the outage factor B e^{-m} below 1.
+    Newton from the right end (`roots.increasing_roots`) converges
+    monotonically and stops above the root, so the returned gamma keeps
+    the outage factor B e^{-m} below 1.
     """
     a, b, chi = np.broadcast_arrays(*(np.asarray(v, float)
                                       for v in (A1, B1, chi_cap)))
-    if np.any(a <= 0.0) or np.any(b <= 1.0):
-        raise ValueError("need A1 > 0 and B1 > 1")
-    if np.any(chi <= 0.0) or np.any(chi >= 1.0):
+    if not np.all((a > 0.0) & (a < np.inf) & (b > 1.0) & (b < np.inf)):
+        raise ValueError("need finite A1 > 0 and B1 > 1")
+    if not np.all((chi > 0.0) & (chi < 1.0)):
         raise ValueError("chi_cap must lie in (0, 1)")
-    a_chi, b = (a * chi).ravel(), b.ravel()
-    lo = np.log(b)
-    hi = lo + 60.0
-    m = hi.copy()
-    todo = np.arange(m.size)
-    for _ in range(100):
-        x, x_lo, x_hi = m[todo], lo[todo], hi[todo]
-        f, df = _threshold_residual(x, a_chi[todo], b[todo])
-        x_lo = np.where(f > 0.0, x_lo, x)
-        x_hi = np.where(f > 0.0, x, x_hi)
-        step = x - f / df
-        step = np.where((step >= x_lo) & (step <= x_hi), step,
-                        0.5 * (x_lo + x_hi))
-        m[todo], lo[todo], hi[todo] = step, x_lo, x_hi
-        # |f| <= 1e-15 m is the rounding floor of F's three terms.
-        done = (np.abs(f) <= 1e-15 * x) | (np.abs(step - x) <= 1e-15 * x)
-        todo = todo[~done]
-        if todo.size == 0:
-            break
-    else:
-        raise ArithmeticError("kappa* root find did not converge")
+    a_chi, ln_b = (a * chi).ravel(), np.log(b).ravel()
+
+    def residual(m, rows):
+        """F(m) = ln(e^m / (B (1 + m phi))), dF/dm and F's rounding floor.
+
+        With kappa = m / (A chi) and phi(kappa) = (1 + kappa) ln(1 + 1/kappa),
+        F = 0 exactly where Xi(kappa) = e^m - B m phi = B. Working in m
+        keeps kappa from overflowing near 1e154. |F| <= 1e-15 m is the
+        rounding floor of F's three terms.
+        """
+        kappa = m / a_chi[rows]
+        big = kappa > 1e10
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.log1p(1.0 / kappa)
+            phi = np.where(big, 1.0 + 0.5 / kappa, (1.0 + kappa) * log_term)
+            # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1, 1 for big kappa
+            dphi = np.where(big, 1.0, (1.0 + 2.0 * kappa) * log_term - 1.0)
+        return m - ln_b[rows] - np.log1p(m * phi), \
+            1.0 - dphi / (1.0 + m * phi), 1e-15 * m
+
+    m = increasing_roots(residual, ln_b + 60.0, ln_b, ln_b + 60.0)
     gamma = (a_chi / m).reshape(chi.shape)
     return float(gamma) if gamma.ndim == 0 else gamma
 
@@ -320,33 +308,6 @@ def default_sca_state(params: QuasiStaticParams) -> ScaState:
                     iteration=0, objective=float(np.dot(alpha, beta)))
 
 
-def _increasing_root(fn, y, lo, hi):
-    """Root of an increasing function on the bracket [lo, hi], from y.
-
-    fn(y) returns (f, df, floor): the value, its derivative and the size
-    of its rounding error; f = +inf marks a point above the root.
-    Newton steps that leave the bracket become geometric bisections (with
-    lo floored at the smallest subnormal), so roots near 1e-200 take a few
-    dozen steps. Stops at the rounding floor |f| <= floor, or returns
-    the lower end once the bracket is a few ulps wide or cannot be split.
-    """
-    for _ in range(200):
-        f, df, floor = fn(y)
-        if abs(f) <= floor:
-            return y
-        if f > 0.0:
-            hi = y
-        else:
-            lo = y
-        if df > 0.0:
-            y = y - f / df
-        if not lo < y < hi:
-            y = math.sqrt(max(lo, math.ulp(0.0))) * math.sqrt(hi)
-        if hi - lo <= 1e-15 * hi or not lo < y < hi:
-            return lo
-    raise ArithmeticError("band root find did not converge")
-
-
 def _band_optimum(rho, lam_l1, lam_l2, a, ln_b, y_start):
     """Minimize (x-y)^2 - 2 rho (x+y) + (lam l1/2) t(x)^2 + (lam l2/2) g(y)^2.
 
@@ -391,7 +352,7 @@ def _band_optimum(rho, lam_l1, lam_l2, a, ln_b, y_start):
 
     def end_slope(x_end, p_end, lo):  # y_e with x(y_e) = x_end, S there
         hi = rho + x_end
-        y_e = _increasing_root(lambda y: x_gap(y, x_end),
+        y_e = increasing_root(lambda y: x_gap(y, x_end),
                                min(max(y_start, lo), hi), lo, hi)
         return y_e, p_end - 2.0 * (rho + y_e - x_end)
 
@@ -407,45 +368,58 @@ def _band_optimum(rho, lam_l1, lam_l2, a, ln_b, y_start):
         hi, s_end = end_slope(_X_HI, p_end, lo)
         if s_end < 0.0:
             return _X_HI, hi
-    y = _increasing_root(slope, min(max(y_start, lo), hi), lo, hi)
+    y = increasing_root(slope, min(max(y_start, lo), hi), lo, hi)
     return max(x_gap(y, 0.0)[0], 0.0), y
 
 
 def _subproblem_at_lambda(lam, bands, warm):
-    """Per-band minimizers (alpha, beta) at the given dual multiplier.
+    """Per-band (alpha, beta, t, gamma) at multiplier lam, and dr/dlam.
 
     `bands` holds (index, rho, l1, l2, A, ln B) per active band as floats;
     `warm` holds each band's y from the previous call and is overwritten
     with the new one. Each solution is checked for stationarity; a failure
-    names the band (its index in the full problem) and lam.
+    names the band (its index in the full problem) and lam. The ellipsoid
+    residual falls at dr/dlam = -sum_k v_k^T H_k^-1 v_k (the sum returned),
+    H_k the band's Hessian and v_k = (l1 t t', l2 g e^y) the lam-derivative
+    of its gradient; the term is v_y^2 / H_yy with x at 0 or at its cap.
     """
-    alpha = np.empty(len(bands))
-    beta = np.empty(len(bands))
+    out = np.empty((4, len(bands)))
+    pull = 0.0
     for i, (band, rho, l1, l2, a, ln_b) in enumerate(bands):
         x, y = _band_optimum(rho, lam * l1, lam * l2, a, ln_b, warm[i])
         t = (ln_b - math.log1p(-x)) / a
         tp = 1.0 / (a * (1.0 - x))
-        q = lam * l2 * math.expm1(y) * math.exp(y)
+        e = math.exp(y)
+        g = math.expm1(y)
+        q = lam * l2 * g * e
         gx = 2.0 * (x - y) - 2.0 * rho + lam * l1 * t * tp
         gy = 2.0 * (y - x) - 2.0 * rho + q
+        curve_x = lam * l1 * tp * (tp + t / (1.0 - x))
         tol = 1e-6 * (1.0 + lam * (l1 + l2))
         # x = x(y) carries the rounding of y - rho + q/2, which reaches gx
         # through its curvature: near x = 1 that exceeds 1e-6.
-        tol_x = tol + 1e-14 * lam * l1 * tp * (tp + t / (1.0 - x)) \
-            * (y + rho + q)
+        tol_x = tol + 1e-14 * curve_x * (y + rho + q)
         # x may stop at a clamp with the gradient pointing outward.
         x_ok = abs(gx) <= tol_x or (x >= 1.0 - 1e-11 and gx < 0.0) \
             or (x == 0.0 and gx > 0.0)
         if not (x_ok and abs(gy) <= tol):
             raise ArithmeticError(f"SCA band {band} subproblem is not "
                                   f"stationary at lambda {lam!r}")
-        alpha[i] = x
-        beta[i] = warm[i] = y
-    return alpha, beta
+        h_xx = 2.0 + curve_x
+        h_yy = 2.0 + lam * l2 * e * (2.0 * e - 1.0)
+        v_x, v_y = l1 * t * tp, l2 * g * e
+        if x == 0.0 or x == _X_HI:
+            pull += v_y * v_y / h_yy
+        else:
+            pull += (h_yy * v_x * v_x + 4.0 * v_x * v_y + h_xx * v_y * v_y) \
+                / (h_xx * h_yy - 4.0)
+        out[:, i] = x, y, t, g
+        warm[i] = y
+    return out, pull
 
 
 def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
-    """One convex subproblem, solved by dual bisection on its single coupling.
+    """One convex subproblem, solved by a Newton search on its one dual.
 
     The trust ellipsoid (1/2) sum(l1 t^2 + l2 gamma^2) <= epsilon with
     l1 = gamma_j/t_j, l2 = t_j/gamma_j touches the bilinear budget at the
@@ -453,80 +427,56 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     objective improves monotonically. At fixed multiplier the problem
     separates into per-band strictly convex 2-D problems, each solved
     exactly by `_band_optimum` and checked for stationarity (a failed check
-    raises ArithmeticError); the multiplier is bisected on the (monotone)
-    ellipsoid residual.
+    raises ArithmeticError). The ellipsoid residual r falls with lam, so
+    `roots.increasing_root` solves r = -floor (r's rounding floor) in
+    w = 1/lam on [2^-61, 1e12], where bisection halves ln lam; r is then
+    at most two floors below zero and never above it.
     """
     # A band whose power product has collapsed stays frozen at zero rate;
     # its coordinate would make the trust weights degenerate.
     active = (state.t > 0.0) & (state.gamma > 1e-200) \
         & (state.alpha + state.beta > 0.0)
-    if not active.any():
-        return ScaState(t=state.t.copy(), gamma=state.gamma.copy(),
-                        alpha=np.zeros(params.K), beta=np.zeros(params.K),
-                        iteration=state.iteration + 1, objective=0.0)
-    a, b = params.A[active], params.B[active]
     l1 = state.gamma[active] / state.t[active]
     l2 = state.t[active] / state.gamma[active]
     rho = state.alpha[active] + state.beta[active]
     bands = list(zip(np.flatnonzero(active).tolist(), rho.tolist(),
-                     l1.tolist(), l2.tolist(), a.tolist(),
-                     np.log(b).tolist()))
+                     l1.tolist(), l2.tolist(), params.A[active].tolist(),
+                     np.log(params.B[active]).tolist()))
     warm = state.beta[active].tolist()
+    floor = 1e-14 * params.epsilon
+    feasible = {}
 
-    def residual(lam):
-        alpha, beta = _subproblem_at_lambda(lam, bands, warm)
-        with np.errstate(divide="ignore"):
-            t = (np.log(b) - np.log1p(-alpha)) / a
-        gamma = np.expm1(beta)
-        return 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
-            - params.epsilon, (alpha, beta, t, gamma)
+    def residual(w):
+        sol, pull = _subproblem_at_lambda(1.0 / w, bands, warm)
+        t, gamma = sol[2:]
+        r = 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
+            - params.epsilon
+        if r <= 0.0:
+            feasible[w] = sol
+        return r + floor, pull / (w * w), floor
 
-    lo = 1e-12
-    r_lo, sol = residual(lo)
-    if r_lo <= 0.0:
-        alpha, beta, t, gamma = sol
-    else:
-        hi = 1.0
-        r_hi, _ = residual(hi)
-        guard = 0
-        while r_hi > 0.0:
-            lo, hi = hi, hi * 2.0
-            r_hi, _ = residual(hi)
-            guard += 1
-            if guard > 60:
-                raise ArithmeticError("dual bracket expansion failed")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            r_mid, sol = residual(mid)
-            if r_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        _, sol = residual(hi)  # final point on the feasible side
-        alpha, beta, t, gamma = sol
-
-    full = []
-    for arr, frozen in (((alpha), 0.0), ((beta), 0.0)):
-        out = np.full(params.K, frozen)
-        out[active] = arr
-        full.append(out)
-    t_full = np.where(active, 0.0, state.t)
-    t_full[active] = t
-    g_full = np.zeros(params.K)
-    g_full[active] = gamma
-    return ScaState(t=t_full, gamma=g_full, alpha=full[0], beta=full[1],
+    w = increasing_root(residual, 1e12, 2.0**-61, 1e12)
+    if w not in feasible:
+        raise ArithmeticError("no dual multiplier up to 2^61 keeps the "
+                              "SCA step inside its trust ellipsoid")
+    full = np.zeros((4, params.K))
+    full[2] = state.t  # frozen bands keep their t, at zero rate
+    full[:, active] = feasible[w]
+    alpha, beta, t, gamma = full
+    return ScaState(t=t, gamma=gamma, alpha=alpha, beta=beta,
                     iteration=state.iteration + 1,
-                    objective=float(np.dot(full[0], full[1])))
+                    objective=float(np.dot(alpha, beta)))
 
 
-def sca_solve(params: QuasiStaticParams, init: ScaState | None = None,
-              tol: float = 1e-6, max_iter: int = 100) -> QsSolveResult:
+def sca_solve(params: QuasiStaticParams,
+              init: ScaState | None = None) -> QsSolveResult:
     """Iterated convex approximation; monotone surrogate objective.
 
     Starts from `init` (or the half-budget uniform point), runs
-    sca_subproblem until the relative objective change drops below tol,
-    and maps back chi = t * gamma. The conservative budget sum(chi) <=
-    epsilon implies the true constraint sum(eta(chi)) <= epsilon, which is
+    sca_subproblem until the relative objective change drops below
+    `_SCA_TOL` (at most `_SCA_MAX_ITER` times), and maps back
+    chi = t * gamma. The conservative budget sum(chi) <= epsilon implies
+    the true constraint sum(eta(chi)) <= epsilon, which is
     re-verified on exit.
     """
     state = init if init is not None else default_sca_state(params)
@@ -534,13 +484,13 @@ def sca_solve(params: QuasiStaticParams, init: ScaState | None = None,
         raise ValueError("initial state violates the surrogate constraints")
     trace = [{"iteration": state.iteration, "objective": state.objective}]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_SCA_MAX_ITER):
         new = sca_subproblem(state, params)
         trace.append({"iteration": new.iteration, "objective": new.objective})
         rel = abs(new.objective - state.objective) \
             / max(abs(state.objective), 1e-300)
         state = new
-        if rel < tol:
+        if rel < _SCA_TOL:
             converged = True
             break
     chi = state.t * state.gamma

@@ -13,8 +13,6 @@ from covertjam.covertness import (
     kl_divergence,
     limit_kl,
     log_psi,
-    pdf_U,
-    pdf_V,
     pinsker_budget,
     solve_chi_star,
     tv_exact_n,
@@ -46,14 +44,6 @@ def test_numeric_tv_scale_free():
     b = tv_numeric_k1(BandDistribution(p_norm=0.3 * 316.0, q_norm=316.0),
                       noise=1e-8)
     assert abs(a - b) < 1e-10
-
-
-def test_band_densities_normalize():
-    band = BandDistribution(p_norm=50.0, q_norm=100.0)
-    x = np.linspace(1.0, 5e4, 400001)
-    for pdf in (pdf_U, pdf_V):
-        mass = np.trapezoid(pdf(x, band, 1.0), x)
-        assert abs(mass - 1.0) < 1e-4
 
 
 def test_product_tv_single_band_within_ci():

@@ -117,6 +117,16 @@ def test_batched_chi_given_tau_validates():
             chi_given_tau(bad, params, z, params.budget)
     with pytest.raises(ValueError, match="1-D"):
         chi_given_tau(taus[None, :], params, z, params.budget)
+    # Non-finite input once returned wrong answers: a NaN budget gave
+    # chi ~ 206, a NaN zeta a NaN chi and an infinite zeta chi = 0.
+    for budget in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="budget"):
+            chi_given_tau(taus, params, z, budget)
+    for value in (np.nan, np.inf):
+        bad = z.copy()
+        bad[1] = value
+        with pytest.raises(ValueError, match="zeta values"):
+            chi_given_tau(taus, params, bad, params.budget)
 
 
 def test_batched_failure_names_the_pilot_fraction():
@@ -188,6 +198,10 @@ def test_tau_given_chi_validates():
     params = _scenario_params(seed=7, k=2, n=50)
     with pytest.raises(ValueError):
         tau_given_chi(np.zeros(params.K), params)
+    # A NaN chi once gave tau = 2.9e-11.
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tau_given_chi(np.array([value, 1e-4]), params)
 
 
 def test_ao_monotone_trace_and_convergence():

@@ -55,6 +55,12 @@ def test_eta_midpoint_concave(x, y):
 
 
 @given(st.floats(min_value=1e-6, max_value=0.99))
+# Toward 1/e, W0(eps ln eps) / ln eps is ill-conditioned: here it misses
+# the largest feasible chi by 1.5e8 ulps before the Newton polish.
+@example(0.3678794349256178)
+@example(0.36787944)
+@example(0.3678794411712583)  # one ulp below eta(1 - 1e-12)
+@example(0.36787944117125837)  # eta(1 - 1e-12): the returned cap
 def test_chi_star_inverts_eta(epsilon):
     chi = solve_chi_star(epsilon)
     assert float(eta(chi)) <= epsilon

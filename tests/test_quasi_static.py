@@ -69,6 +69,12 @@ def test_single_receiver_gamma_validates():
         single_receiver_gamma(10.0, 0.5, 0.005)  # B must exceed 1
     with pytest.raises(ValueError):
         single_receiver_gamma(10.0, 2.0, 1.5)
+    # NaN A or chi once gave a NaN gamma, and an infinite A an infinite one.
+    for bad in ((np.nan, 2.0, 0.005), (np.inf, 2.0, 0.005),
+                (10.0, np.nan, 0.005), (10.0, np.inf, 0.005),
+                (10.0, 2.0, np.nan)):
+        with pytest.raises(ValueError):
+            single_receiver_gamma(*bad)
 
 
 def test_single_receiver_gamma_extreme_chi_cap():
