@@ -130,6 +130,12 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        problem = FIGURES[self.figure_id].problem
+        unknown = sorted(set(self.scenario) - _CONFIG_FIELDS - set(problem))
+        if unknown:
+            raise ValueError(
+                f"unknown [scenario] key(s) {unknown} for {self.figure_id}; "
+                f"expected a ScenarioConfig field or one of {sorted(problem)}")
 
     @property
     def sweep_param(self) -> str:
@@ -655,14 +661,12 @@ def list_defaults() -> str:
         f"  Q (jammer power)              {config.Q_dBm:g} dBm",
         f"  noise floors                  {config.noise_R_dBm:g} dBm",
         f"  M (transmit antennas)         {config.M}",
-        f"  K (receivers, slow fading)    2",
         "",
         "slow-fading problem defaults",
         f"  epsilon                       {_QS_EPSILON:g}",
         f"  audit adversary               N_d = {_QS_AUDIT_N_D}, L = 1",
         "",
         "fast-fading problem defaults",
-        f"  K (receivers)                 4",
         f"  N (symbols per block)         {_FAST_DEFAULTS['N']}",
         f"  L (blocks)                    {_FAST_DEFAULTS['L']}",
         f"  epsilon                       {_FAST_DEFAULTS['epsilon']:g}",
@@ -671,7 +675,8 @@ def list_defaults() -> str:
     ]
     for figure_id, fig in FIGURES.items():
         sweep = ",".join(_fmt(v) for v in fig.sweep)
-        lines.append(f"  {figure_id:22s} {fig.sweep_param} = {sweep}")
+        k = fig.scenario.get("K", config.K)
+        lines.append(f"  {figure_id:22s} K = {k}, {fig.sweep_param} = {sweep}")
     return "\n".join(lines)
 
 

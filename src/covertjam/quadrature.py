@@ -9,8 +9,10 @@ regimes underflow double precision by hundreds of orders.
 ln Phi has one evaluator, `log_phi_exact`: a panel integrator in
 y = ln(1+xv), where the log-integrand -(n-1)y - z e^{-y} - (e^y - 1)/x is
 strictly concave, so the peak is unique, the tails are certified, and fixed
-Gauss-Legendre panels between bisected drop-off bounds give near-machine
-accuracy for any (x, z, n). A Gauss-Laguerre rule in v would miss the
+Gauss-Legendre panels between the two 60-nat drop-off points (Newton roots
+from `covertjam.roots`) give near-machine accuracy. The one known gap is a
+flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
+off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
 for bulk use at fixed (x, n); `h0_energy_rule` integrates against the H0
 energy law; `gamma_rule` integrates against Gamma(n, 1).
@@ -26,11 +28,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainccinv, gammaln
 
+from .roots import increasing_roots
+
 # ln-drop from the peak at which the panel integrator truncates the tails;
 # exp(-60) ~ 9e-27, far below every tolerance used downstream.
 _DROP = 60.0
+# Rounding floor, in nats, of the drop-point solves: their roots only place
+# panels, so a few hundredths in y are plenty.
+_DROP_FLOOR = 1e-3
 
 _LEG_NODES, _LEG_WEIGHTS = leggauss(20)
+
+# LogPhiSpline's lower z end and knot count.
+_SPLINE_Z_LO = 1e-6
+_SPLINE_KNOTS = 4000
 
 
 @lru_cache(maxsize=512)
@@ -57,44 +68,7 @@ def gamma_rule(n: float, order: int = 128):
 def _phi_log_integrand(y, x, z_col, b):
     """Concave exponent of Phi's integrand in y = ln(1+xv); z_col broadcasts."""
     with np.errstate(over="ignore"):
-        ey = np.exp(y)
-        return -b * y - z_col * np.exp(-y) - (ey - 1.0) / x
-
-
-def _bisect_drop(x, z_col, b, y_star, phi_target, side: str):
-    """Find where the concave exponent falls to phi_target on one side.
-
-    Right side: expand geometrically from the peak, then bisect.
-    Left side: the domain edge y = 0 caps the search.
-    Vectorized over the z axis; ~1e-2 accuracy is plenty (panel bound only).
-    """
-    if side == "right":
-        step = np.ones_like(y_star)
-        hi = y_star + step
-        for _ in range(200):
-            mask = _phi_log_integrand(hi, x, z_col, b) >= phi_target
-            if not mask.any():
-                break
-            step = np.where(mask, step * 2.0, step)
-            hi = np.where(mask, y_star + step, hi)
-        lo = y_star.copy()
-    else:
-        lo = np.zeros_like(y_star)
-        hi = y_star.copy()
-        done = _phi_log_integrand(lo, x, z_col, b) >= phi_target
-        if done.all():
-            return lo
-        hi = np.where(done, lo, hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        high_side = _phi_log_integrand(mid, x, z_col, b) >= phi_target
-        if side == "right":
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-        else:
-            hi = np.where(high_side, mid, hi)
-            lo = np.where(high_side, lo, mid)
-    return hi if side == "right" else lo
+        return -b * y - z_col * np.exp(-y) - np.expm1(y) / x
 
 
 def log_phi_exact(x: float, z, n: float) -> np.ndarray:
@@ -102,9 +76,11 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
 
     Writes Phi = (1/x) int_0^inf exp(phi(y)) dy with phi strictly concave,
     locates the unique peak from the quadratic u^2/x + (n-1)u - z = 0 in
-    u = e^y, bisects the ln-60 drop-off points on both sides, and lays
-    geometrically refined Gauss-Legendre panels between them. Concavity
-    bounds every panel's log-range, so 20-point panels are effectively exact.
+    u = e^y, finds the ln-60 drop-off points on both sides by monotone
+    Newton (from y = 0 on the left, from the closed-form bound
+    y_hi = ln(1 + x |target|) on the right), and lays geometrically refined
+    Gauss-Legendre panels between them. Concavity bounds every panel's
+    log-range, so 20-point panels are effectively exact.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
@@ -124,11 +100,24 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
         u_star = 2.0 * z / (b + np.sqrt(b * b + 4.0 * z / x))
     u_star = np.where(z == 0.0, 0.0, u_star)
     y_star = np.log(np.maximum(u_star, 1.0))
-    z_col = z
-    phi_star = _phi_log_integrand(y_star, x, z_col, b)
+    phi_star = _phi_log_integrand(y_star, x, z, b)
     target = phi_star - _DROP
-    y_r = _bisect_drop(x, z_col, b, y_star, target, "right")
-    y_l = _bisect_drop(x, z_col, b, y_star, target, "left")
+
+    def drop(sign):
+        # sign * (phi - target): concave and increasing left of the peak for
+        # sign = 1, convex and increasing right of it for sign = -1, so
+        # Newton from the outer end of each bracket converges monotonically.
+        def fn(y, rows):
+            zr = z[rows]
+            f = _phi_log_integrand(y, x, zr, b) - target[rows]
+            df = -b + zr * np.exp(-y) - np.exp(y) / x
+            return sign * f, sign * df, _DROP_FLOOR
+        return fn
+
+    # phi <= -(e^y - 1)/x and target <= -_DROP, so phi <= target at y_hi.
+    y_hi = np.log1p(-x * target)
+    y_l = increasing_roots(drop(1.0), 0.0, 0.0, y_star)
+    y_r = increasing_roots(drop(-1.0), y_hi, y_star, y_hi)
 
     frac = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
     left_bp = y_star[:, None] - (y_star - y_l)[:, None] * frac[::-1][None, :]
@@ -139,7 +128,7 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     half = 0.5 * (breakpoints[:, 1:] - lo_edge)
     mid = lo_edge + half
     nodes = mid[:, :, None] + half[:, :, None] * _LEG_NODES[None, None, :]
-    vals = np.exp(_phi_log_integrand(nodes, x, z_col[:, None, None], b)
+    vals = np.exp(_phi_log_integrand(nodes, x, z[:, None, None], b)
                   - phi_star[:, None, None])
     integral = np.einsum("ijk,ij,k->i", vals, half, _LEG_WEIGHTS)
     return phi_star + np.log(integral) - np.log(x)
@@ -148,28 +137,27 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
 class LogPhiSpline:
     """Vectorized ln Phi(x, ., n) for bulk evaluation at fixed (x, n).
 
-    A cubic spline in t = ln z over [z_lo, z_max]. In t the function is
-    smooth at every scale: flat (slope z d ln Phi/dz -> 0) on the left,
-    growing like -2 e^{t/2}/sqrt(x) on the right, with bounded low-order
-    derivatives throughout, so a few thousand knots reach ~1e-6 absolute
-    accuracy even when z_max is 1e9. Construction certifies itself against
-    the exact panel integrator on held-out points. Used by the detection
-    oracle, which needs millions of evaluations per run.
+    A cubic spline in t = ln z over [_SPLINE_Z_LO, z_max]. In t the
+    function is smooth at every scale: flat (slope z d ln Phi/dz -> 0) on
+    the left, growing like -2 e^{t/2}/sqrt(x) on the right, with bounded
+    low-order derivatives throughout, so a few thousand knots reach ~1e-6
+    absolute accuracy even when z_max is 1e9. Construction certifies itself
+    against the exact panel integrator on held-out points. Used by the
+    detection oracle, which needs millions of evaluations per run.
     """
 
-    def __init__(self, x: float, n: float, z_max: float,
-                 z_lo: float = 1e-6, grid_size: int = 4000):
+    def __init__(self, x: float, n: float, z_max: float):
         from scipy.interpolate import CubicSpline
 
-        if z_max <= z_lo or z_lo <= 0.0:
-            raise ValueError("need 0 < z_lo < z_max")
+        if z_max <= _SPLINE_Z_LO:
+            raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
         self.x = x
         self.n = n
-        self.z_lo = z_lo
         self.z_max = z_max
-        t = np.linspace(np.log(z_lo), np.log(z_max), grid_size)
+        t_lo = np.log(_SPLINE_Z_LO)
+        t = np.linspace(t_lo, np.log(z_max), _SPLINE_KNOTS)
         self._spline = CubicSpline(t, log_phi_exact(x, np.exp(t), n))
-        probe = np.exp(np.linspace(np.log(z_lo), np.log(z_max), 257)[1:] -
+        probe = np.exp(np.linspace(t_lo, np.log(z_max), 257)[1:] -
                        0.5 * (t[1] - t[0]))
         err = np.max(np.abs(self._spline(np.log(probe))
                             - log_phi_exact(x, probe, n)))
@@ -182,8 +170,9 @@ class LogPhiSpline:
         z = np.asarray(z, dtype=float)
         if np.any(z > self.z_max * (1.0 + 1e-9)):
             raise ValueError("z beyond the spline's construction range")
-        # Below z_lo, ln Phi is flat to within z_lo; clamping is exact enough.
-        return self._spline(np.log(np.clip(z, self.z_lo, self.z_max)))
+        # Below the first knot ln Phi is flat to within it; clamping is
+        # exact enough.
+        return self._spline(np.log(np.clip(z, _SPLINE_Z_LO, self.z_max)))
 
 
 _GL16_NODES, _GL16_WEIGHTS = leggauss(16)
@@ -230,7 +219,7 @@ def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
     z_hi = (1.0 + 200.0 * q) * gammainccinv(n, 1e-18)
     edges = list(10.0 ** np.arange(np.log10(z_lo), np.log10(z_hi), 0.5))
     rt = np.sqrt(n)
-    bulk = [n + k * rt for k in range(-12, 13)]
+    bulk = list(n + np.arange(-12, 13) * rt)
     edges = sorted({e for e in edges + bulk + [z_hi] if z_lo <= e <= z_hi}
                    | {z_lo})
     edges = np.asarray(edges)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covertness import eta, solve_chi_star
+from .covertness import solve_chi_star, tv_upper_bound
 from .roots import increasing_root, increasing_roots
 from .scenario import QuasiStaticParams
 
@@ -155,13 +155,8 @@ def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
         objective=obj,
         method="closed_form",
         trace=[{"iteration": 0, "objective": obj}],
-        constraint_slack=params.epsilon - tv_budget(chi),
+        constraint_slack=params.epsilon - tv_upper_bound(chi),
     )
-
-
-def tv_budget(chis) -> float:
-    """sum_k eta(chi_k); the quantity capped by epsilon."""
-    return float(np.sum(eta(np.minimum(np.asarray(chis, float), 1 - 1e-15))))
 
 
 def _best_response(A, B, chi):
@@ -235,7 +230,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         ws = np.asarray(warm_start, float)
         if ws.shape != (k,) or np.any(ws < 0.0):
             raise ValueError("warm_start must be a nonnegative K-vector")
-        if tv_budget(ws) > params.epsilon + 1e-12:
+        if tv_upper_bound(ws) > params.epsilon + 1e-12:
             raise ValueError("warm_start violates the covertness budget")
         best_point = ws
         best_value = float(np.sum(_best_response(params.A, params.B, ws)[1]))
@@ -250,7 +245,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         if low > best_value:
             best_value, best_point = low, chi[shares]
             # Shares summed in floating point may exceed epsilon by an ulp.
-            while tv_budget(best_point) > params.epsilon:
+            while tv_upper_bound(best_point) > params.epsilon:
                 best_point = np.nextafter(best_point, 0.0)
         trace.append({"iteration": len(trace) + 1, "bound": bound,
                       "best_feasible": best_value})
@@ -265,7 +260,7 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
         objective=float(np.sum(rates)),
         method="poa",
         trace=trace,
-        constraint_slack=params.epsilon - tv_budget(best_point),
+        constraint_slack=params.epsilon - tv_upper_bound(best_point),
         converged=converged,
     )
 
@@ -494,7 +489,7 @@ def sca_solve(params: QuasiStaticParams,
             converged = True
             break
     chi = state.t * state.gamma
-    slack = params.epsilon - tv_budget(chi)
+    slack = params.epsilon - tv_upper_bound(chi)
     if slack < -1e-9:
         raise ArithmeticError("mapped-back SCA point violates the TV budget")
     obj = float(np.sum(effective_rate(chi, state.gamma, params.A, params.B)))

@@ -6,14 +6,13 @@ where node positions become path losses.
 
 Geometry convention: the transmitter sits at the origin, the adversary and the
 jammer on the negative x-axis at distances d_A and d_J, and the K receivers
-are drawn uniformly from a disc of radius r_c centred at (d_R, 0). Explicit
-coordinates may be supplied to override the axis placement.
+are drawn uniformly from a disc of radius r_c centred at (d_R, 0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -74,10 +73,6 @@ class ScenarioConfig:
     noise_R_dBm: float = -80.0
     noise_T_dBm: float = -80.0
     seed: int = 0
-    # Optional explicit coordinates; None means the x-axis placement above.
-    pos_T: tuple | None = None
-    pos_A: tuple | None = None
-    pos_J: tuple | None = None
 
     def validate(self) -> None:
         if self.K < 1:
@@ -96,13 +91,6 @@ class ScenarioConfig:
         dbm_fields += list(np.atleast_1d(self.noise_A_dBm))
         if not all(math.isfinite(float(v)) for v in dbm_fields):
             raise ValueError("dBm values must be finite")
-
-    def positions(self):
-        """(pos_T, pos_A, pos_J) after applying the axis-placement defaults."""
-        p_t = np.asarray(self.pos_T if self.pos_T is not None else (0.0, 0.0), float)
-        p_a = np.asarray(self.pos_A if self.pos_A is not None else (-self.d_A, 0.0), float)
-        p_j = np.asarray(self.pos_J if self.pos_J is not None else (-self.d_J, 0.0), float)
-        return p_t, p_a, p_j
 
 
 @dataclass
@@ -134,10 +122,6 @@ class ScenarioInstance:
     p_hat_per_mw: float               # S_AT
     p_norm_per_mw: np.ndarray         # S_AT / sigma2_A
     mu: np.ndarray                    # sigma2_T / (P_R * S_RT)
-
-    def transmit_power_for_chi(self, chis) -> np.ndarray:
-        """Map chi_k = p_hat_k / q_hat_k back to transmit powers P_k in mW."""
-        return np.asarray(chis, float) * self.q_hat / self.p_hat_per_mw
 
     def bands_for_chi(self, chis):
         """Per-band adversary-side distributions at the given chi vector."""
@@ -173,7 +157,9 @@ def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario
                                              radius * np.sin(angle)])
     h_norm_sq = rng.gamma(shape=config.M, scale=1.0, size=k)
 
-    pos_t, pos_a, pos_j = config.positions()
+    pos_t = np.zeros(2)
+    pos_a = np.array([-config.d_A, 0.0])
+    pos_j = np.array([-config.d_J, 0.0])
     s_at = path_loss(pos_a, pos_t, alpha)
     s_aj = path_loss(pos_a, pos_j, alpha)
     s_rt = np.array([path_loss(p, pos_t, alpha) for p in receiver_pos])

@@ -41,6 +41,24 @@ def test_spec_validation():
         ExperimentSpec(figure_id="fig4_rate_vs_Q", sweep=(25.0,), jobs=0)
 
 
+def test_spec_rejects_unknown_scenario_keys(tmp_path):
+    # A [scenario] key is a ScenarioConfig field or one of the figure's
+    # problem keys; anything else is a typo that would run the stock value.
+    for key in ("Kk", "eps"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            default_spec("fig4_rate_vs_Q", scenario={key: 3})
+    with pytest.raises(ValueError, match="'N'"):
+        default_spec("fig4_rate_vs_Q", scenario={"N": 20})
+    path = tmp_path / "spec.ini"
+    path.write_text("[experiment]\nfigure = fig4_rate_vs_Q\n"
+                    "[scenario]\nKk = 3\n")
+    with pytest.raises(ValueError, match="'Kk'"):
+        load_spec(path)
+    spec = default_spec("fig9_rate_vs_eps",
+                        scenario={"K": 3, "Q_dBm": 20.0, "N": 20, "L": 5})
+    assert spec.scenario["K"] == 3
+
+
 def test_default_sweeps_cover_every_figure():
     for figure_id in FIGURE_IDS:
         sweep = default_sweep(figure_id)

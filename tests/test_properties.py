@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
-from covertjam.covertness import eta, solve_chi_star
+from covertjam.covertness import eta, solve_chi_star, tv_upper_bound
 from covertjam.fast_varying import (
     chi_given_tau,
     ergodic_sum_rate,
@@ -20,7 +20,6 @@ from covertjam.quasi_static import (
     closed_form_solve,
     poa_solve,
     single_receiver_gamma,
-    tv_budget,
 )
 from covertjam.scenario import (
     ScenarioConfig,
@@ -133,10 +132,10 @@ def test_covertness_activity_at_optima(seed):
     inst = sample_scenario(ScenarioConfig(K=2, seed=seed))
     params = derive_quasi_static(inst, 0.005)
     res = poa_solve(params, delta=1e-3)
-    assert 0.0 <= params.epsilon - tv_budget(res.chi) <= 1e-10 * params.epsilon
+    assert 0.0 <= params.epsilon - tv_upper_bound(res.chi) <= 1e-10 * params.epsilon
     single = sample_scenario(ScenarioConfig(K=1, seed=seed))
     closed = closed_form_solve(derive_quasi_static(single, 0.005))
-    assert abs(tv_budget(closed.chi) - 0.005) <= 1e-10 * 0.005
+    assert abs(tv_upper_bound(closed.chi) - 0.005) <= 1e-10 * 0.005
 
 
 @given(st.integers(min_value=1, max_value=10**4),

@@ -83,7 +83,9 @@ def test_log_phi_exact_matches_mpmath_oracle():
     cases = [(10.0, 13.515383037929151, 1.0)]
     for x, n in ((1e-3, 1.0), (1e-3, 500.0), (0.1, 10.0), (1.0, 1.0),
                  (1.0, 100.0), (10.0, 1.0), (10.0, 30.0), (50.0, 5.0),
-                 (50.0, 500.0)):
+                 (50.0, 500.0), (1e-8, 1.0), (1e-8, 5000.0), (1e-6, 1.0),
+                 (1e-6, 5000.0), (1e4, 1.0), (1e4, 5000.0), (1e9, 1.0),
+                 (1e9, 5000.0)):
         for s_prob, v_prob in ((0.05, 0.05), (0.5, 0.5), (0.95, 0.99)):
             s = float(gammaincinv(n, s_prob))
             cases.append((x, s * (1.0 - x * math.log1p(-v_prob)), n))
