@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from covertjam.covertness import solve_chi_star
+from covertjam.covertness import eta, solve_chi_star, tv_upper_bound
 from covertjam.quasi_static import (
     QsSolveResult,
     closed_form_solve,
@@ -168,6 +168,11 @@ def test_poa_warm_start_validated():
     params = _params_k2()
     with pytest.raises(ValueError):
         poa_solve(params, warm_start=np.array([0.5, 0.5]))  # budget blown
+
+
+def test_tv_budget_definition():
+    chis = np.array([0.002, 0.003])
+    assert abs(tv_upper_bound(chis) - (eta(0.002) + eta(0.003))) < 1e-16
 
 
 def test_sca_monotone_and_feasible():
