@@ -73,7 +73,9 @@ class _BandLogPsi:
 
     Splines cover the plausible range of the Gamma-mixture draws; the rare
     exceedances (exponential draws beyond ~60) fall back to the exact
-    panel integrator, so no sample is ever clamped.
+    panel integrator, so no sample is ever clamped. Both splines end at
+    the same z_hi, hence share their knots, so each sample is located once
+    and both are evaluated at that interval.
     """
 
     def __init__(self, band: BandDistribution, n: float):
@@ -88,12 +90,10 @@ class _BandLogPsi:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
+        at = self._spline_p.locate(flat)
+        lp = self._spline_p.evaluate(*at)
+        lq = self._spline_q.evaluate(*at)
         high = flat > self.z_hi
-        lp = np.empty_like(flat)
-        lq = np.empty_like(flat)
-        ok = ~high
-        lp[ok] = self._spline_p(flat[ok])
-        lq[ok] = self._spline_q(flat[ok])
         if high.any():
             lp[high] = log_phi_exact(self.p, flat[high], self.n)
             lq[high] = log_phi_exact(self.q, flat[high], self.n)
@@ -114,11 +114,16 @@ def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
     """One deterministic slice of trials; returns per-shard counts/statistics."""
     rng = rng_stream(seed, _STREAM_KEY, idx)
     k = len(p)
+    # Each draw's temporaries are released once used, to bound peak memory.
     v0 = rng.exponential(size=(m, blocks, k))
     z0 = rng.gamma(shape=n_d, scale=1.0 + q * v0)
+    del v0
     u1 = rng.exponential(size=(m, blocks, k))
     v1 = rng.exponential(size=(m, blocks, k))
-    z1 = rng.gamma(shape=n_d, scale=1.0 + p * u1 + q * v1)
+    scale1 = 1.0 + p * u1 + q * v1
+    del u1, v1
+    z1 = rng.gamma(shape=n_d, scale=scale1)
+    del scale1
     if kind == "lrt":
         stat0 = np.zeros(m)
         stat1 = np.zeros(m)

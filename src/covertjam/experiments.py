@@ -674,7 +674,8 @@ def list_defaults() -> str:
         "figure sweeps",
     ]
     for figure_id, fig in FIGURES.items():
-        sweep = ",".join(_fmt(v) for v in fig.sweep)
+        # str of a Python float is its shortest round-trip form.
+        sweep = ",".join(str(v) for v in fig.sweep)
         k = fig.scenario.get("K", config.K)
         lines.append(f"  {figure_id:22s} K = {k}, {fig.sweep_param} = {sweep}")
     return "\n".join(lines)

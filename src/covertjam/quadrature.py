@@ -144,6 +144,16 @@ class LogPhiSpline:
     absolute accuracy even when z_max is 1e9. Construction certifies itself
     against the exact panel integrator on held-out points. Used by the
     detection oracle, which needs millions of evaluations per run.
+
+    scipy's `CubicSpline` only computes the coefficients; evaluation is
+    direct on the uniform knots in two steps, so that splines sharing
+    their knots can share the first. `locate` finds the knot interval i
+    and the offset d = t - t_i; `evaluate` sums the cubic at (i, d). The
+    values are bit-identical to `CubicSpline.__call__`, because both steps
+    reproduce scipy's piecewise-polynomial evaluation: the interval is the
+    one its search returns (t_i <= t < t_{i+1}, the last interval closed
+    on the right), and the sum keeps its power-sum order
+    c3 + c2 d + c1 d^2 + c0 (d^2 d), which nested Horner does not.
     """
 
     def __init__(self, x: float, n: float, z_max: float):
@@ -156,23 +166,46 @@ class LogPhiSpline:
         self.z_max = z_max
         t_lo = np.log(_SPLINE_Z_LO)
         t = np.linspace(t_lo, np.log(z_max), _SPLINE_KNOTS)
-        self._spline = CubicSpline(t, log_phi_exact(x, np.exp(t), n))
+        self.knots = t
+        self.coeffs = CubicSpline(t, log_phi_exact(x, np.exp(t), n)).c
+        self._inv_step = (_SPLINE_KNOTS - 1) / (t[-1] - t[0])
+        # Right end of each interval; the last one also holds t = t[-1].
+        self._upper = np.append(t[1:-1], np.inf)
         probe = np.exp(np.linspace(t_lo, np.log(z_max), 257)[1:] -
                        0.5 * (t[1] - t[0]))
-        err = np.max(np.abs(self._spline(np.log(probe))
-                            - log_phi_exact(x, probe, n)))
+        err = np.max(np.abs(self(probe) - log_phi_exact(x, probe, n)))
         self.max_abs_err = float(err)
         if err > 1e-4:
             raise ArithmeticError(
                 f"ln Phi spline certification failed: max err {err:.2e}")
 
+    def locate(self, z) -> tuple:
+        """Knot interval and offset in t of each z, clamped to the range.
+
+        Below the first knot ln Phi is flat to within it, so clamping there
+        is exact enough; above z_max the caller decides.
+        """
+        t = np.log(np.clip(z, _SPLINE_Z_LO, self.z_max))
+        # linspace knots sit within a few ulps of t_lo + i h, so the
+        # floor is at most one interval off: step back or forward once.
+        i = np.minimum(((t - self.knots[0]) * self._inv_step).astype(np.intp),
+                       _SPLINE_KNOTS - 2)
+        i -= t < self.knots[i]
+        i += t >= self._upper[i]
+        return i, t - self.knots[i]
+
+    def evaluate(self, i, d) -> np.ndarray:
+        """The spline at the intervals and offsets from `locate`."""
+        c = self.coeffs
+        d2 = d * d
+        return c[3, i] + c[2, i] * d + c[1, i] * d2 + c[0, i] * (d2 * d)
+
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if np.any(z > self.z_max * (1.0 + 1e-9)):
-            raise ValueError("z beyond the spline's construction range")
-        # Below the first knot ln Phi is flat to within it; clamping is
-        # exact enough.
-        return self._spline(np.log(np.clip(z, _SPLINE_Z_LO, self.z_max)))
+        if not np.all(z <= self.z_max * (1.0 + 1e-9)):
+            raise ValueError("z is NaN or beyond the spline's construction "
+                             "range")
+        return self.evaluate(*self.locate(z))
 
 
 _GL16_NODES, _GL16_WEIGHTS = leggauss(16)

@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from covertjam.covertness import BandDistribution, eta, log_psi, tv_exact_n
+from covertjam.covertness import (
+    BandDistribution,
+    eta,
+    likelihood_ratio_delta,
+    log_psi,
+    tv_exact_n,
+)
 from covertjam.detection import (
     _BandLogPsi,
     covertness_audit,
     simulate_detection,
 )
+from covertjam.quadrature import _SPLINE_KNOTS, _SPLINE_Z_LO, log_phi_exact
 from covertjam.scenario import ScenarioConfig, sample_scenario
 
 
@@ -81,6 +89,48 @@ def test_band_log_psi_spline_matches_exact():
         assert high.sum() == 3
         assert np.all(np.abs(got - want)[~high] <= bound[~high])
         assert np.all(np.abs(got - want)[high] <= 1e-13)
+
+
+def test_band_log_psi_is_bit_identical_to_two_spline_composition():
+    # One knot lookup shared by the p and q splines gives the same bits as
+    # two CubicSpline evaluations composed through likelihood_ratio_delta.
+    p, q, n = 0.3, 10.0, 20.0
+    psi = _BandLogPsi(BandDistribution(p_norm=p, q_norm=q), n)
+    assert np.array_equal(psi._spline_p.knots, psi._spline_q.knots)
+    t = np.linspace(np.log(_SPLINE_Z_LO), np.log(psi.z_hi), _SPLINE_KNOTS)
+    rng = np.random.default_rng(6)
+    scale = 1.0 + p * rng.exponential(size=(4000, 3)) \
+        + q * rng.exponential(size=(4000, 3))
+    z = rng.gamma(n, scale)
+    z[0] = psi.z_hi * np.array([1.01, 2.0, 10.0])
+    z[1] = [psi.z_hi, _SPLINE_Z_LO * 0.5, np.exp(t[-2])]
+    flat = z.ravel()
+    high = flat > psi.z_hi
+    clamped = np.log(np.clip(flat, _SPLINE_Z_LO, psi.z_hi))
+    lp = CubicSpline(t, log_phi_exact(p, np.exp(t), n))(clamped)
+    lq = CubicSpline(t, log_phi_exact(q, np.exp(t), n))(clamped)
+    lp[high] = log_phi_exact(p, flat[high], n)
+    lq[high] = log_phi_exact(q, flat[high], n)
+    want = np.log1p(likelihood_ratio_delta(p, q, flat, n, log_phi_p=lp,
+                                           log_phi_q=lq)).reshape(z.shape)
+    assert np.array_equal(psi(z), want)
+
+
+# p_fa and p_md recorded before the spline evaluation moved off scipy's
+# piecewise-polynomial evaluator: a change to the draw order or to the
+# detector arithmetic shows up here.
+@pytest.mark.parametrize("kind, k, scenario_seed, chis, n_d, blocks, seed, "
+                         "p_fa, p_md", [
+    ("lrt", 4, 5, [0.03, 0.06, 0.02, 0.05], 90, 15, 11, 0.29485, 0.17015),
+    ("lrt", 2, 8, [0.3, 0.6], 500, 1, 12, 0.4188, 0.23825),
+    ("energy", 2, 8, [0.2, 0.6], 20, 2, 13, 0.44735, 0.24065),
+])
+def test_detection_golden_values(kind, k, scenario_seed, chis, n_d, blocks,
+                                 seed, p_fa, p_md):
+    inst = _instance(k=k, seed=scenario_seed)
+    est = simulate_detection(inst, chis, N_d=n_d, L=blocks, trials=20000,
+                             seed=seed, detector_kind=kind)
+    assert (est.p_fa, est.p_md) == (p_fa, p_md)
 
 
 def test_detector_kind_validated():

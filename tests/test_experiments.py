@@ -318,6 +318,9 @@ def test_defaults_listing_mentions_stock_values():
     assert "25" in text        # jammer power dBm
     assert "0.005" in text     # slow-fading epsilon
     assert "fig9_rate_vs_eps" in text
+    # Sweeps print in shortest round-trip form, not the CSV cell format.
+    assert "chi = 0.05,0.1,0.2" in text
+    assert "epsilon = 0.01,0.02,0.05" in text
 
 
 def test_cli_run_audit_defaults(tmp_path, capsys):

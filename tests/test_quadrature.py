@@ -1,13 +1,22 @@
 """Quadrature building blocks: ln Phi, Gamma rules, the H0 energy rule."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import gammaincinv, gammaln
 
+import covertjam
 from covertjam.quadrature import (
+    _SPLINE_KNOTS,
+    _SPLINE_Z_LO,
     H0EnergyRule,
+    LogPhiSpline,
     gamma_rule,
     h0_energy_rule,
     log_phi_exact,
@@ -149,3 +158,45 @@ def test_gamma_constant_matches_direct_ratio():
         assert abs(gamma_constant(m) - direct) < 1e-12 * direct
     # G + E = M split used by the beamforming model.
     assert abs(gamma_constant(1) - math.pi / 4.0) < 1e-12
+
+
+def test_log_phi_spline_is_bit_identical_to_cubic_spline():
+    # LogPhiSpline evaluates CubicSpline's coefficients on its own; the
+    # values must be CubicSpline.__call__'s on ln of the clamped z, bit for
+    # bit, including next to every knot and at both ends.
+    rng = np.random.default_rng(5)
+    for x, n, z_max in ((0.3, 90.0, 2.9e3), (316.0, 500.0, 1e7),
+                        (5.0, 1.0, 50.0)):
+        spline = LogPhiSpline(x, n, z_max)
+        t = np.linspace(np.log(_SPLINE_Z_LO), np.log(z_max), _SPLINE_KNOTS)
+        reference = CubicSpline(t, log_phi_exact(x, np.exp(t), n))
+        at_knots = np.exp(t)
+        z = np.concatenate([
+            np.exp(rng.uniform(np.log(1e-9), np.log(z_max), 20000)),
+            at_knots,
+            np.nextafter(at_knots, 0.0),
+            np.nextafter(at_knots, np.inf)[:-1],
+            [0.0, 1e-300, 1e-9, _SPLINE_Z_LO * 0.5, _SPLINE_Z_LO],
+            [z_max, np.nextafter(z_max, 0.0), z_max * (1.0 + 5e-10)],
+            np.exp(np.linspace(t[-2], t[-1], 257)),
+        ])
+        want = reference(np.log(np.clip(z, _SPLINE_Z_LO, z_max)))
+        assert np.array_equal(spline(z), want), (x, n, z_max)
+        assert spline(3.0) == reference(np.log(3.0))
+        with pytest.raises(ValueError):
+            spline(np.array([1.0, z_max * (1.0 + 2e-9)]))
+        with pytest.raises(ValueError):
+            spline(np.array([1.0, np.nan]))
+
+
+def test_package_import_loads_no_spline_module():
+    # scipy.interpolate is imported only when a LogPhiSpline is built, so
+    # runs that never audit do not pay for it.
+    code = ("import sys, covertjam, covertjam.cli, covertjam.experiments; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.interpolate')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(covertjam.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
