@@ -114,16 +114,20 @@ def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
     """One deterministic slice of trials; returns per-shard counts/statistics."""
     rng = rng_stream(seed, _STREAM_KEY, idx)
     k = len(p)
-    # Each draw's temporaries are released once used, to bound peak memory.
+    # Each draw's temporaries are released once used, and z1's scale
+    # (1 + p u1) + q v1 is formed in u1's buffer, to bound peak memory.
     v0 = rng.exponential(size=(m, blocks, k))
     z0 = rng.gamma(shape=n_d, scale=1.0 + q * v0)
     del v0
     u1 = rng.exponential(size=(m, blocks, k))
     v1 = rng.exponential(size=(m, blocks, k))
-    scale1 = 1.0 + p * u1 + q * v1
-    del u1, v1
-    z1 = rng.gamma(shape=n_d, scale=scale1)
-    del scale1
+    u1 *= p
+    u1 += 1.0
+    v1 *= q
+    u1 += v1
+    del v1
+    z1 = rng.gamma(shape=n_d, scale=u1)
+    del u1
     if kind == "lrt":
         stat0 = np.zeros(m)
         stat1 = np.zeros(m)

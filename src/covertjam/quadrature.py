@@ -14,8 +14,12 @@ from `covertjam.roots`) give near-machine accuracy. The one known gap is a
 flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
 off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
-for bulk use at fixed (x, n); `h0_energy_rule` integrates against the H0
-energy law; `gamma_rule` integrates against Gamma(n, 1).
+for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z;
+scipy fits the coefficients, and the spline evaluates them itself (one
+knot lookup, then the cubic in scipy's summation order), which gives
+scipy's bits and lets splines on the same knots share the lookup.
+`h0_energy_rule` integrates against the H0 energy law; `gamma_rule`
+integrates against Gamma(n, 1).
 """
 
 from __future__ import annotations
