@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import sys
 
 from . import experiments
 
@@ -79,9 +80,12 @@ def main(argv=None) -> int:
     if args.command == "defaults":
         print(experiments.list_defaults())
         return 0
-    if args.command == "run":
-        return _run(args)
-    return _audit(args)
+    try:
+        return _run(args) if args.command == "run" else _audit(args)
+    except ValueError as exc:
+        # A spec, flag or run directory the library rejects: a usage error.
+        print(f"covertjam {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

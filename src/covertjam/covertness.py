@@ -103,12 +103,13 @@ class BandDistribution:
             raise ValueError(f"chi = {self.chi:g} is outside [0, 1)")
 
 
-def tv_numeric_k1(band: BandDistribution, noise: float = 1.0) -> float:
+def tv_numeric_k1(band: BandDistribution) -> float:
     """Single-band TV by adaptive quadrature, (1/2) int |f_U - f_V|.
 
-    Integrates in the scale-free variable t = (x - noise)/q_hat and splits
-    at the crossover t0 = chi ln(1/chi)/(1-chi) where the densities meet,
-    so each piece has a single sign. Absolute tolerance 1e-8.
+    Integrates in the scale-free variable t = (x - noise floor)/q_hat, in
+    which the TV depends on chi alone, and splits at the crossover
+    t0 = chi ln(1/chi)/(1-chi) where the densities meet, so each piece has
+    a single sign. Absolute tolerance 1e-8.
     """
     band.require_covert_domain()
     chi = band.chi
@@ -175,8 +176,9 @@ def likelihood_ratio_delta(p: float, q: float, z, n: float,
 
     Psi = 1 + p/(q-p) (1 - Phi(p,z)/Phi(q,z)); the deviation is computed
     as -expm1(ln Phi_p - ln Phi_q) so that Psi near 1 keeps full precision.
-    ln Phi values may be supplied directly (as arrays matching z) or as
-    evaluators (e.g. splines) for bulk use.
+    ln Phi(p, z) and ln Phi(q, z) may be supplied as arrays matching z
+    (the H0 rule's stored values, the detector's splines); a missing one
+    is evaluated exactly.
     """
     if not 0.0 <= p < q:
         raise ValueError("requires 0 <= p < q")
@@ -187,7 +189,7 @@ def likelihood_ratio_delta(p: float, q: float, z, n: float,
     def resolve(pre, x):
         if pre is None:
             return log_phi_exact(x, z, n)
-        return pre(z) if callable(pre) else np.asarray(pre, dtype=float)
+        return np.asarray(pre, dtype=float)
 
     lp = resolve(log_phi_p, p)
     lq = resolve(log_phi_q, q)
@@ -196,10 +198,9 @@ def likelihood_ratio_delta(p: float, q: float, z, n: float,
     return np.maximum(delta, -1.0 + 1e-300)
 
 
-def log_psi(p: float, q: float, z, n: float,
-            log_phi_p=None, log_phi_q=None) -> np.ndarray:
+def log_psi(p: float, q: float, z, n: float) -> np.ndarray:
     """ln Psi(p, q, z), the adversary's per-band log likelihood ratio."""
-    return np.log1p(likelihood_ratio_delta(p, q, z, n, log_phi_p, log_phi_q))
+    return np.log1p(likelihood_ratio_delta(p, q, z, n))
 
 
 def kl_divergence(p: float, q: float, n: float) -> float:

@@ -98,9 +98,9 @@ AUDIT_COLUMNS = (
 )
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_CONFIG_INT_FIELDS = {"K", "M", "seed"}
+_CONFIG_INT_FIELDS = {"K", "M"}
 _STOCK_CONFIG = ScenarioConfig()
-_QS_METHODS = ("sca", "poa", "closed_form")
+_QS_METHODS = ("sca", "poa")
 _FAST_METHODS = ("es", "ao")
 
 
@@ -130,6 +130,11 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if "seed" in self.scenario:
+            # Every scenario is sampled from a seed derived from the run's
+            # seed, so a [scenario] seed would be recorded and never used.
+            raise ValueError("[scenario] seed is not used; scenario seeds "
+                             "derive from [experiment] seed, set that instead")
         problem = FIGURES[self.figure_id].problem
         unknown = sorted(set(self.scenario) - _CONFIG_FIELDS - set(problem))
         if unknown:
@@ -228,15 +233,20 @@ def load_spec(path) -> ExperimentSpec:
     if sect.getint("quad_order", 0) != 0:
         raise ValueError(f"{path}: quad_order = {sect['quad_order']} is not "
                          "supported; only 0 (or no quad_order key) loads")
-    figure_id = sect.get("figure", "").strip()
+    # Only the keys the file has are passed: ExperimentSpec (and the
+    # figure's stock sweep) supply the rest.
+    given = {"figure_id": sect.get("figure", "").strip()}
     sweep_raw = sect.get("sweep", "").strip()
     if sweep_raw:
-        sweep = tuple(_parse_number(tok.strip())
-                      for tok in sweep_raw.split(",") if tok.strip())
-    else:
-        sweep = default_sweep(figure_id)
-    scenario = {}
+        given["sweep"] = tuple(_parse_number(tok.strip())
+                               for tok in sweep_raw.split(",") if tok.strip())
+    for key in ("scenarios_per_point", "seed", "trials", "jobs"):
+        if key in sect:
+            given[key] = sect.getint(key)
+    if "output_dir" in sect:
+        given["output_dir"] = sect["output_dir"]
     if "scenario" in parser:
+        scenario = given["scenario"] = {}
         for key, raw in parser["scenario"].items():
             raw = raw.strip()
             if key in _CONFIG_INT_FIELDS:
@@ -245,16 +255,7 @@ def load_spec(path) -> ExperimentSpec:
                 scenario[key] = tuple(float(t) for t in raw.split(","))
             else:
                 scenario[key] = float(raw)
-    return ExperimentSpec(
-        figure_id=figure_id,
-        sweep=sweep,
-        scenarios_per_point=sect.getint("scenarios_per_point", 20),
-        seed=sect.getint("seed", 0),
-        output_dir=sect.get("output_dir", "runs"),
-        trials=sect.getint("trials", 10**5),
-        jobs=sect.getint("jobs", 1),
-        scenario=scenario,
-    )
+    return default_spec(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +553,15 @@ def run_experiment(spec: ExperimentSpec) -> Path:
 
 
 def _row_config(spec: ExperimentSpec, row: dict) -> ScenarioConfig:
-    merged = dict(FIGURES[spec.figure_id].scenario)
-    user_config, _ = _split_overrides(spec.scenario)
-    merged.update(user_config)
-    merged["K"] = int(row["K"])
-    merged["M"] = int(row["M"])
+    """The config of a points.csv row: the spec's, under the row's cells."""
+    cells = {"K": int(row["K"]), "M": int(row["M"])}
     for name in ("Q_dBm", "P_R_dBm"):
         cell = row[name]
         if ";" in cell:
-            merged[name] = tuple(float(t) for t in cell.split(";"))
+            cells[name] = tuple(float(t) for t in cell.split(";"))
         else:
-            merged[name] = float(cell)
-    return ScenarioConfig(**merged)
+            cells[name] = float(cell)
+    return _build_config(spec, cells)
 
 
 def recompute_objective(spec: ExperimentSpec, row: dict) -> float:
@@ -597,6 +595,10 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
     resolves a five-fold power inflation at the tightest stock epsilon
     (0.005), where the sum-error deficit is only about 0.02.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if max_rows is not None and max_rows < 1:
+        raise ValueError("max_rows must be >= 1")
     run_dir = Path(run_dir)
     spec = load_spec(run_dir / "spec.ini")
     with open(run_dir / "points.csv", newline="") as fh:

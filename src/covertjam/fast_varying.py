@@ -41,7 +41,9 @@ __all__ = [
 ]
 
 
-# AO stops once the relative objective change is at most _AO_TOL.
+# AO starts from the pilot fraction _AO_TAU0 and stops once the relative
+# objective change is at most _AO_TOL.
+_AO_TAU0 = 0.5
 _AO_TOL = 1e-6
 _AO_MAX_ITER = 50
 
@@ -192,31 +194,19 @@ def zeta_vector(params: FastVaryingParams, n_d: float) -> np.ndarray:
     return np.array([values[q] for q in qs])
 
 
-def _adversary_samples(params: FastVaryingParams, n_t: int, mode: str) -> int:
-    """Samples available to the adversary when n_t symbols are pilots."""
-    if mode == "data":
-        return params.N - n_t
-    if mode == "full":
-        return params.N
-    raise ValueError("n_d_mode must be 'data' or 'full'")
-
-
-def es_solve(params: FastVaryingParams,
-             n_d_mode: str = "data") -> FvSolveResult:
+def es_solve(params: FastVaryingParams) -> FvSolveResult:
     """Exhaustive search over the pilot grid; exact fixed-tau subproblems.
 
     Every grid point N_t = 1..N-1 is solved at once by one batched
-    chi_given_tau call on the (N-1, K) matrix of covertness coefficients;
-    each row is then scored, and the best rate wins (ties toward fewer
-    pilots). n_d_mode selects how many symbols the adversary tests: "data"
-    uses the jammed data phase N - N_t (the baseline convention), "full"
-    the whole block N.
+    chi_given_tau call on the (N-1, K) matrix of covertness coefficients
+    zeta(q_k, N - N_t): the adversary tests the jammed data phase of each
+    block. Each row is then scored, and the best rate wins (ties toward
+    fewer pilots).
     """
     budget = params.budget
     n_ts = range(1, params.N)
     taus = [n_t / params.N for n_t in n_ts]
-    z = np.array([zeta_vector(params, _adversary_samples(params, n_t, n_d_mode))
-                  for n_t in n_ts])
+    z = np.array([zeta_vector(params, params.N - n_t) for n_t in n_ts])
     chis, lams = chi_given_tau(np.array(taus), params, z, budget)
     objs = [ergodic_sum_rate(c, tau, params) for c, tau in zip(chis, taus)]
     trace = [{"tau": tau, "objective": obj, "lam": float(lam)}
@@ -265,24 +255,22 @@ def tau_given_chi(chis, params: FastVaryingParams) -> float:
     return tau
 
 
-def ao_solve(params: FastVaryingParams, tau0: float = 0.5,
-             n_d_mode: str = "data") -> FvSolveResult:
+def ao_solve(params: FastVaryingParams) -> FvSolveResult:
     """Alternating power/pilot optimization with a final grid refinement.
 
-    During the alternation the covertness coefficients are frozen at
-    zeta(q_k, N) (full-block observation), which makes the feasible set
-    independent of tau; each half-step is then an exact maximization, so
-    the objective trace is nondecreasing. The continuous tau is rounded to
-    the nearest grid point (ties toward more pilots) and the powers are
-    re-solved against the true coefficients at the rounded tau, so the
+    The alternation starts at tau = _AO_TAU0 with the covertness
+    coefficients frozen at zeta(q_k, N) (full-block observation), which
+    makes the feasible set independent of tau; each half-step is then an
+    exact maximization, so the objective trace is nondecreasing. The
+    continuous tau is rounded to the nearest grid point (ties toward more
+    pilots) and the powers are re-solved against the true coefficients
+    zeta(q_k, N - N_t) of the jammed data phase at the rounded tau, so the
     returned point satisfies the actual constraint with activity.
     """
-    if not 0.0 < tau0 < 1.0:
-        raise ValueError("tau0 must lie in (0, 1)")
     budget = params.budget
     z_frozen = zeta_vector(params, params.N)
 
-    tau, trace, prev, converged = tau0, [], None, False
+    tau, trace, prev, converged = _AO_TAU0, [], None, False
     for it in range(1, _AO_MAX_ITER + 1):
         chis, lam = chi_given_tau(tau, params, z_frozen, budget)
         tau = tau_given_chi(chis, params)
@@ -297,7 +285,7 @@ def ao_solve(params: FastVaryingParams, tau0: float = 0.5,
 
     n_t = int(min(max(math.floor(tau * params.N + 0.5), 1), params.N - 1))
     tau_g = n_t / params.N
-    z_true = zeta_vector(params, _adversary_samples(params, n_t, n_d_mode))
+    z_true = zeta_vector(params, params.N - n_t)
     if np.any(z_frozen < z_true * (1.0 - 1e-9)):
         warnings.warn(
             "full-block covertness coefficient is smaller than the "

@@ -165,8 +165,6 @@ class LogPhiSpline:
 
         if z_max <= _SPLINE_Z_LO:
             raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
-        self.x = x
-        self.n = n
         self.z_max = z_max
         t_lo = np.log(_SPLINE_Z_LO)
         t = np.linspace(t_lo, np.log(z_max), _SPLINE_KNOTS)
@@ -229,8 +227,6 @@ class H0EnergyRule:
     distance from 1 certifies both panel coverage and Phi accuracy.
     """
 
-    q: float
-    n: float
     z: np.ndarray
     w: np.ndarray
     log_phi_q: np.ndarray
@@ -270,5 +266,5 @@ def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
     if abs(mass - 1.0) > 1e-8:
         raise ArithmeticError(
             f"H0 energy rule mass certificate failed: {mass!r} (q={q}, n={n})")
-    return H0EnergyRule(q=q, n=n, z=z, w=w, log_phi_q=lpq, mass=mass)
+    return H0EnergyRule(z=z, w=w, log_phi_q=lpq, mass=mass)
 

@@ -463,20 +463,17 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
                     objective=float(np.dot(alpha, beta)))
 
 
-def sca_solve(params: QuasiStaticParams,
-              init: ScaState | None = None) -> QsSolveResult:
+def sca_solve(params: QuasiStaticParams) -> QsSolveResult:
     """Iterated convex approximation; monotone surrogate objective.
 
-    Starts from `init` (or the half-budget uniform point), runs
+    Starts from the half-budget uniform point (`default_sca_state`), runs
     sca_subproblem until the relative objective change drops below
     `_SCA_TOL` (at most `_SCA_MAX_ITER` times), and maps back
     chi = t * gamma. The conservative budget sum(chi) <= epsilon implies
     the true constraint sum(eta(chi)) <= epsilon, which is
     re-verified on exit.
     """
-    state = init if init is not None else default_sca_state(params)
-    if state.feasibility_residual(params) > 1e-8:
-        raise ValueError("initial state violates the surrogate constraints")
+    state = default_sca_state(params)
     trace = [{"iteration": state.iteration, "objective": state.objective}]
     converged = False
     for _ in range(_SCA_MAX_ITER):

@@ -95,12 +95,14 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioInstance:
-    """One sampled network realization with all derived link constants.
+    """One sampled network realization with the link constants it fixes.
 
-    The transmit powers P_k are decision variables, so the signal-side
-    coefficients are stored per milliwatt of transmit power:
-    p_hat_k = P_k * p_hat_per_mw and p_k = P_k * p_norm_per_mw[k]. The
-    jamming-side quantities (q_hat, q_norm) are fully determined here.
+    The transmit powers P_k are decision variables and every solver works
+    in the band ratio chi_k = p_k / q_k, so only the jamming side of the
+    adversary's bands is stored, as q_norm = Q_k S_AJ / sigma2_A; the
+    signal side follows from chi (`bands_for_chi`). Besides the draw
+    itself (seed, receiver positions, channel norms), the fields are the
+    link constants `derive_quasi_static` and `derive_fast_varying` read.
     All stored powers are linear milliwatts.
     """
 
@@ -113,14 +115,8 @@ class ScenarioInstance:
     S_RJ: np.ndarray                  # jammer -> receiver k
     h_norm_sq: np.ndarray             # ||h_k||^2 draws, Gamma(M, 1)
     Q_mw: np.ndarray
-    P_R_mw: float
-    sigma2_A: np.ndarray              # adversary noise per band, mW
     sigma2_R: float
-    sigma2_T: float
-    q_hat: np.ndarray                 # Q_k * S_AJ, mW
-    q_norm: np.ndarray                # q_hat / sigma2_A
-    p_hat_per_mw: float               # S_AT
-    p_norm_per_mw: np.ndarray         # S_AT / sigma2_A
+    q_norm: np.ndarray                # Q_k * S_AJ / sigma2_A per band
     mu: np.ndarray                    # sigma2_T / (P_R * S_RT)
 
     def bands_for_chi(self, chis):
@@ -171,7 +167,6 @@ def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario
     sigma2_t = float(dbm_to_mw(config.noise_T_dBm))
     p_r_mw = float(dbm_to_mw(config.P_R_dBm))
 
-    q_hat = q_mw * s_aj
     return ScenarioInstance(
         config=config,
         seed=seed,
@@ -182,14 +177,8 @@ def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario
         S_RJ=s_rj,
         h_norm_sq=h_norm_sq,
         Q_mw=q_mw,
-        P_R_mw=p_r_mw,
-        sigma2_A=sigma2_a,
         sigma2_R=sigma2_r,
-        sigma2_T=sigma2_t,
-        q_hat=q_hat,
-        q_norm=q_hat / sigma2_a,
-        p_hat_per_mw=s_at,
-        p_norm_per_mw=s_at / sigma2_a,
+        q_norm=q_mw * s_aj / sigma2_a,
         mu=sigma2_t / (p_r_mw * s_rt),
     )
 

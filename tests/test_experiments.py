@@ -1,6 +1,7 @@
 """Experiment runner: spec handling, CSV artifacts, audits, CLI."""
 
 import csv
+import dataclasses
 import shutil
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def test_spec_rejects_unknown_scenario_keys(tmp_path):
     assert spec.scenario["K"] == 3
 
 
+def test_spec_rejects_scenario_seed(tmp_path):
+    # Scenario seeds derive from the run's seed, so a [scenario] seed would
+    # be written to spec.ini and never used.
+    with pytest.raises(ValueError, match=r"\[experiment\] seed"):
+        default_spec("fig4_rate_vs_Q", scenario={"seed": 5})
+    path = tmp_path / "spec.ini"
+    path.write_text("[experiment]\nfigure = fig4_rate_vs_Q\n"
+                    "[scenario]\nseed = 5\n")
+    with pytest.raises(ValueError, match=r"\[experiment\] seed"):
+        load_spec(path)
+
+
 def test_default_sweeps_cover_every_figure():
     for figure_id in FIGURE_IDS:
         sweep = default_sweep(figure_id)
@@ -84,8 +97,11 @@ def test_load_spec_fills_default_sweep(tmp_path):
     path = tmp_path / "spec.ini"
     path.write_text("[experiment]\nfigure = fig5_rate_vs_M\n")
     spec = load_spec(path)
-    assert spec.sweep == default_sweep("fig5_rate_vs_M")
-    assert spec.scenarios_per_point == 20
+    # The figure's stock sweep and ExperimentSpec's defaults, field by field.
+    stock = default_spec("fig5_rate_vs_M")
+    assert stock.sweep == default_sweep("fig5_rate_vs_M")
+    for f in dataclasses.fields(ExperimentSpec):
+        assert getattr(spec, f.name) == getattr(stock, f.name), f.name
 
 
 def test_bound_comparison_figure(tmp_path):
@@ -310,6 +326,22 @@ def test_audit_replays_legacy_quad_order_key(tmp_path):
                                 "[experiment]\nquad_order = 160\n"))
     with pytest.raises(ValueError, match="quad_order"):
         audit_run(out, trials=5000, max_rows=1)
+
+
+def test_audit_validates_max_rows_and_jobs(tmp_path, capsys):
+    out = run_experiment(default_spec(
+        "fig4_rate_vs_Q", sweep=(25.0,), scenarios_per_point=1, seed=6,
+        output_dir=str(tmp_path)))
+    for kwargs in ({"max_rows": 0}, {"max_rows": -1}, {"jobs": 0},
+                   {"jobs": -3}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            audit_run(out, trials=5000, **kwargs)
+    for flag in ("--max-rows", "--jobs"):
+        assert cli.main(["audit", str(out), "--trials", "5000", flag,
+                         "0"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+    assert not (out / "audit.csv").exists()
 
 
 def test_defaults_listing_mentions_stock_values():

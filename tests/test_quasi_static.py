@@ -196,6 +196,7 @@ def test_sca_close_to_global_at_small_epsilon():
 def test_sca_subproblem_improves_surrogate():
     params = _params_k2()
     state = default_sca_state(params)
+    assert state.feasibility_residual(params) <= 1e-8
     nxt = sca_subproblem(state, params)
     assert nxt.objective >= state.objective - 1e-12
     assert nxt.feasibility_residual(params) <= 1e-8
@@ -220,13 +221,3 @@ def test_solver_result_validation():
         QsSolveResult(chi=np.array([0.001]), gamma=np.array([1.0]),
                       rates=np.array([0.5]), objective=0.5, method="sca",
                       trace=[], constraint_slack=-1.0)
-
-
-def test_sca_rejects_infeasible_start():
-    params = _params_k2()
-    from covertjam.quasi_static import ScaState
-    bad = ScaState(t=np.array([1.0, 1.0]), gamma=np.array([1.0, 1.0]),
-                   alpha=np.array([0.5, 0.5]), beta=np.array([0.7, 0.7]),
-                   iteration=0, objective=0.0)
-    with pytest.raises(ValueError):
-        sca_solve(params, init=bad)
