@@ -10,6 +10,12 @@ Conditional on the fading/jamming draw of a block, the per-band sample
 vector is isotropic Gaussian, so the total energy is a sufficient statistic
 and is drawn directly from the matching Gamma law instead of materializing
 N_d complex samples per band.
+
+Trials run in fixed-size shards, each on its own RNG stream. A shard
+keeps one (trials, L, K) array alive, the Gamma scales of the hypothesis
+at hand, and draws and reduces the energies a row block of about 2^15
+doubles at a time. The draws, and their order in the stream, are those of
+drawing every array whole, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from .covertness import BandDistribution, likelihood_ratio_delta
-from .quadrature import LogPhiSpline, log_phi_exact
+from .quadrature import _WORK_BLOCK, LogPhiSpline, log_phi_exact
 from .scenario import ScenarioInstance, rng_stream
 
 __all__ = [
@@ -32,6 +38,8 @@ __all__ = [
 ]
 
 _SHARD = 1 << 14
+# Fewest trials per hypothesis that a detection estimate accepts.
+_MIN_TRIALS = 10**3
 # Spawn-key namespace for detection shards (scenario sampling uses 0, the
 # TV Monte-Carlo uses 1).
 _STREAM_KEY = 2
@@ -111,31 +119,49 @@ def _shard_sizes(trials: int):
 
 def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
                n_d: int, blocks: int, evaluators, kind: str):
-    """One deterministic slice of trials; returns per-shard counts/statistics."""
+    """One deterministic slice of trials; returns per-shard counts/statistics.
+
+    One (m, blocks, k) array is live: the Gamma scale of the hypothesis at
+    hand, 1 + q v0 under H0, then (1 + p u1) + q v1 under H1 in the same
+    buffer. The energies, and v1, are drawn a row block of about
+    _WORK_BLOCK doubles at a time, and each energy block is reduced to its
+    rows' statistics at once. The variates and their stream order are
+    those of drawing each array whole (v0, z0, u1, v1, z1): consecutive
+    block draws continue one stream, and gamma(n, s) is
+    s * standard_gamma(n) bit for bit.
+    """
     rng = rng_stream(seed, _STREAM_KEY, idx)
     k = len(p)
-    # Each draw's temporaries are released once used, and z1's scale
-    # (1 + p u1) + q v1 is formed in u1's buffer, to bound peak memory.
-    v0 = rng.exponential(size=(m, blocks, k))
-    z0 = rng.gamma(shape=n_d, scale=1.0 + q * v0)
-    del v0
-    u1 = rng.exponential(size=(m, blocks, k))
-    v1 = rng.exponential(size=(m, blocks, k))
-    u1 *= p
-    u1 += 1.0
-    v1 *= q
-    u1 += v1
-    del v1
-    z1 = rng.gamma(shape=n_d, scale=u1)
-    del u1
+    rows = max(1, _WORK_BLOCK // (blocks * k))
+    row_blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+
+    def statistic(scale):
+        stat = np.zeros(m)
+        for r in row_blocks:
+            z = rng.standard_gamma(n_d, size=scale[r].shape)
+            z *= scale[r]
+            if kind == "lrt":
+                for band_idx, psi in evaluators:
+                    stat[r] += psi(z[:, :, band_idx]).sum(axis=1)
+            else:
+                stat[r] = z.sum(axis=(1, 2))
+        return stat
+
+    scale = rng.standard_exponential(size=(m, blocks, k))
+    scale *= q
+    scale += 1.0
+    stat0 = statistic(scale)
+    rng.standard_exponential(out=scale)
+    scale *= p
+    scale += 1.0
+    for r in row_blocks:
+        v1 = rng.standard_exponential(size=scale[r].shape)
+        v1 *= q
+        scale[r] += v1
+    stat1 = statistic(scale)
     if kind == "lrt":
-        stat0 = np.zeros(m)
-        stat1 = np.zeros(m)
-        for band_idx, psi in evaluators:
-            stat0 += psi(z0[:, :, band_idx]).sum(axis=1)
-            stat1 += psi(z1[:, :, band_idx]).sum(axis=1)
         return int((stat0 > 0.0).sum()), int((stat1 <= 0.0).sum()), None, None
-    return None, None, z0.sum(axis=(1, 2)), z1.sum(axis=(1, 2))
+    return None, None, stat0, stat1
 
 
 def _energy_threshold_errors(t0: np.ndarray, t1: np.ndarray):
@@ -176,8 +202,8 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
     """
     if detector_kind not in ("lrt", "energy"):
         raise ValueError("detector_kind must be 'lrt' or 'energy'")
-    if trials < 10**3:
-        raise ValueError("need at least 1e3 trials per hypothesis")
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials per hypothesis")
     if N_d < 1 or L < 1:
         raise ValueError("N_d and L must be >= 1")
     bands = instance.bands_for_chi(chis)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .covertness import BandDistribution, band_affinity, hellinger_bound, \
     limit_kl, pinsker_budget, tv_numeric_product, tv_upper_bound
-from .detection import covertness_audit
+from .detection import _MIN_TRIALS, covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
 from .quasi_static import effective_rate, poa_solve, sca_solve
 from .scenario import ScenarioConfig, derive_fast_varying, derive_quasi_static, \
@@ -593,12 +593,16 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
     solution with the empirical sum error, its confidence half-width and
     a pass flag against the row's epsilon floor. The default trial count
     resolves a five-fold power inflation at the tightest stock epsilon
-    (0.005), where the sum-error deficit is only about 0.02.
+    (0.005), where the sum-error deficit is only about 0.02. A run with no
+    replayable solver row, or fewer than 1e3 trials, is rejected before
+    any replay, so an audit that checked nothing never reads as a pass.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if max_rows is not None and max_rows < 1:
         raise ValueError("max_rows must be >= 1")
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     run_dir = Path(run_dir)
     spec = load_spec(run_dir / "spec.ini")
     with open(run_dir / "points.csv", newline="") as fh:
@@ -608,6 +612,8 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
         if not row["error"] and row["chi"] and row["N_d"]
         and row["scenario_seed"] and row["method"] in _QS_METHODS + _FAST_METHODS
     ]
+    if not candidates:
+        raise ValueError(f"{run_dir} has no solver row to audit")
     if max_rows is not None:
         candidates = candidates[:max_rows]
 

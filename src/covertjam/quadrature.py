@@ -10,7 +10,11 @@ ln Phi has one evaluator, `log_phi_exact`: a panel integrator in
 y = ln(1+xv), where the log-integrand -(n-1)y - z e^{-y} - (e^y - 1)/x is
 strictly concave, so the peak is unique, the tails are certified, and fixed
 Gauss-Legendre panels between the two 60-nat drop-off points (Newton roots
-from `covertjam.roots`) give near-machine accuracy. The one known gap is a
+from `covertjam.roots`) give near-machine accuracy. The drop points are
+found for all z at once; the 12-panel, 240-node tensor is then integrated
+136 points at a time, so its temporaries stay within one working block of
+2^15 doubles for any number of points, and each value has the same bits
+whatever block it falls in. The one known gap is a
 flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
 off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
@@ -42,6 +46,16 @@ _DROP = 60.0
 _DROP_FLOOR = 1e-3
 
 _LEG_NODES, _LEG_WEIGHTS = leggauss(20)
+# Panel breakpoints as fractions of the peak-to-drop distance on each side:
+# 6 + 6 panels of 20 nodes per point.
+_FRAC = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+
+# Doubles in one working block of a bulk evaluation (256 KiB, so a block's
+# temporaries stay in cache). `log_phi_exact` takes _PANEL_POINTS points
+# per panel tensor; the detection oracle draws about this many energies
+# at a time.
+_WORK_BLOCK = 1 << 15
+_PANEL_POINTS = _WORK_BLOCK // (2 * (len(_FRAC) - 1) * len(_LEG_NODES))
 
 # LogPhiSpline's lower z end and knot count.
 _SPLINE_Z_LO = 1e-6
@@ -84,7 +98,10 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     Newton (from y = 0 on the left, from the closed-form bound
     y_hi = ln(1 + x |target|) on the right), and lays geometrically refined
     Gauss-Legendre panels between them. Concavity bounds every panel's
-    log-range, so 20-point panels are effectively exact.
+    log-range, so 20-point panels are effectively exact. The root finds
+    run over all of z; the panel tensor runs over blocks of _PANEL_POINTS
+    points, so memory stays flat in z.size and a point's value does not
+    depend on the other points of the call.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
@@ -93,12 +110,6 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return -z
-    if z.size > 32768:
-        # The panel tensor is ~240 doubles per input point; cap peak memory.
-        out = np.empty_like(z)
-        for lo in range(0, z.size, 32768):
-            out[lo:lo + 32768] = log_phi_exact(x, z[lo:lo + 32768], n)
-        return out
     b = n - 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
         u_star = 2.0 * z / (b + np.sqrt(b * b + 4.0 * z / x))
@@ -123,18 +134,22 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     y_l = increasing_roots(drop(1.0), 0.0, 0.0, y_star)
     y_r = increasing_roots(drop(-1.0), y_hi, y_star, y_hi)
 
-    frac = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
-    left_bp = y_star[:, None] - (y_star - y_l)[:, None] * frac[::-1][None, :]
-    right_bp = y_star[:, None] + (y_r - y_star)[:, None] * frac[None, :]
+    left_bp = y_star[:, None] - (y_star - y_l)[:, None] * _FRAC[::-1][None, :]
+    right_bp = y_star[:, None] + (y_r - y_star)[:, None] * _FRAC[None, :]
     breakpoints = np.concatenate([left_bp[:, :-1], right_bp], axis=1)
 
     lo_edge = breakpoints[:, :-1]
     half = 0.5 * (breakpoints[:, 1:] - lo_edge)
     mid = lo_edge + half
-    nodes = mid[:, :, None] + half[:, :, None] * _LEG_NODES[None, None, :]
-    vals = np.exp(_phi_log_integrand(nodes, x, z[:, None, None], b)
-                  - phi_star[:, None, None])
-    integral = np.einsum("ijk,ij,k->i", vals, half, _LEG_WEIGHTS)
+
+    # The panel tensor, a block of points at a time.
+    integral = np.empty_like(z)
+    for lo in range(0, z.size, _PANEL_POINTS):
+        s = slice(lo, lo + _PANEL_POINTS)
+        nodes = mid[s, :, None] + half[s, :, None] * _LEG_NODES[None, None, :]
+        vals = np.exp(_phi_log_integrand(nodes, x, z[s, None, None], b)
+                      - phi_star[s, None, None])
+        integral[s] = np.einsum("ijk,ij,k->i", vals, half[s], _LEG_WEIGHTS)
     return phi_star + np.log(integral) - np.log(x)
 
 

@@ -1,5 +1,7 @@
 """Monte-Carlo adversary detection: LRT vs energy detector, audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -12,12 +14,14 @@ from covertjam.covertness import (
     tv_exact_n,
 )
 from covertjam.detection import (
+    _STREAM_KEY,
     _BandLogPsi,
+    _run_shard,
     covertness_audit,
     simulate_detection,
 )
 from covertjam.quadrature import _SPLINE_KNOTS, _SPLINE_Z_LO, log_phi_exact
-from covertjam.scenario import ScenarioConfig, sample_scenario
+from covertjam.scenario import ScenarioConfig, rng_stream, sample_scenario
 
 
 def _instance(k=1, seed=2):
@@ -131,6 +135,56 @@ def test_detection_golden_values(kind, k, scenario_seed, chis, n_d, blocks,
     est = simulate_detection(inst, chis, N_d=n_d, L=blocks, trials=20000,
                              seed=seed, detector_kind=kind)
     assert (est.p_fa, est.p_md) == (p_fa, p_md)
+
+
+def _shard_inputs(k, scenario_seed, chis, n_d):
+    bands = _instance(k=k, seed=scenario_seed).bands_for_chi(chis)
+    p = np.array([b.p_norm for b in bands])
+    q = np.array([b.q_norm for b in bands])
+    return p, q, [(i, _BandLogPsi(b, n_d)) for i, b in enumerate(bands)]
+
+
+@pytest.mark.parametrize("k, scenario_seed, chis, n_d, blocks", [
+    (4, 5, [0.03, 0.06, 0.02, 0.05], 90, 15),  # 31 row blocks of 546
+    (2, 8, [0.3, 0.6], 500, 1),                 # one row block
+])
+def test_shard_draws_match_whole_array_draws(k, scenario_seed, chis, n_d,
+                                             blocks):
+    # A shard draws its energies a row block at a time; the variates, and
+    # so the LRT counts and energy sums, are those of drawing every array
+    # whole with rng.gamma from the same stream.
+    p, q, evaluators = _shard_inputs(k, scenario_seed, chis, n_d)
+    idx, m, seed = 3, 1 << 14, 21
+    rng = rng_stream(seed, _STREAM_KEY, idx)
+    shape = (m, blocks, k)
+    v0 = rng.exponential(size=shape)
+    z0 = rng.gamma(shape=n_d, scale=1.0 + q * v0)
+    u1 = rng.exponential(size=shape)
+    v1 = rng.exponential(size=shape)
+    z1 = rng.gamma(shape=n_d, scale=(1.0 + p * u1) + q * v1)
+    stat0 = sum(psi(z0[:, :, i]).sum(axis=1) for i, psi in evaluators)
+    stat1 = sum(psi(z1[:, :, i]).sum(axis=1) for i, psi in evaluators)
+    want = (int((stat0 > 0.0).sum()), int((stat1 <= 0.0).sum()))
+    args = (idx, m, seed, p, q, n_d, blocks)
+    assert _run_shard(*args, evaluators, "lrt")[:2] == want
+    _, _, e0, e1 = _run_shard(*args, [], "energy")
+    assert np.array_equal(e0, z0.sum(axis=(1, 2)))
+    assert np.array_equal(e1, z1.sum(axis=(1, 2)))
+
+
+def test_shard_holds_one_draw_array():
+    # Peak traced memory of a fig9-sized shard (K = 4, L = 15, N_d = 90,
+    # 2^14 trials) stays below two (m, L, K) float64 arrays; drawing each
+    # array whole took about four of them. The splines are built beforehand.
+    m, k, blocks = 1 << 14, 4, 15
+    p, q, evaluators = _shard_inputs(k, 5, [0.03, 0.06, 0.02, 0.05], 90)
+    tracemalloc.start()
+    try:
+        _run_shard(0, m, 11, p, q, 90, blocks, evaluators, "lrt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * blocks * k * 8
 
 
 def test_detector_kind_validated():

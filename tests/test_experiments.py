@@ -344,6 +344,37 @@ def test_audit_validates_max_rows_and_jobs(tmp_path, capsys):
     assert not (out / "audit.csv").exists()
 
 
+def test_audit_rejects_empty_audits(tmp_path, capsys):
+    # A run without solver rows (fig2 holds only bounds and the numeric
+    # TV) and a trial count below 1e3 are errors before any replay; the
+    # CLI exits with status 2 and writes no audit.csv.
+    bounds = run_experiment(default_spec(
+        "fig2_tv_bounds", sweep=(0.2,), trials=2000, seed=0,
+        output_dir=str(tmp_path / "bounds")))
+    solved = run_experiment(default_spec(
+        "fig4_rate_vs_Q", sweep=(25.0,), scenarios_per_point=1, seed=6,
+        output_dir=str(tmp_path / "solved")))
+    for out, trials, match in ((bounds, 5000, "no solver row"),
+                               (solved, 0, "trials must be >= 1000"),
+                               (solved, 999, "trials must be >= 1000")):
+        with pytest.raises(ValueError, match=match):
+            audit_run(out, trials=trials)
+        assert cli.main(["audit", str(out), "--trials", str(trials)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (out / "audit.csv").exists()
+
+
+def test_audit_csv_is_byte_identical_across_jobs(tmp_path):
+    # Audit rows are the one parallel layer: threads change nothing in
+    # audit.csv.
+    out = run_experiment(default_spec(
+        "fig9_rate_vs_eps", sweep=(0.05, 0.1, 0.2), scenarios_per_point=1,
+        seed=1, output_dir=str(tmp_path / "run")))
+    serial = audit_run(out, trials=5000, jobs=1).read_bytes()
+    assert len(serial.splitlines()) == 4  # header + one row per point
+    assert audit_run(out, trials=5000, jobs=2).read_bytes() == serial
+
+
 def test_defaults_listing_mentions_stock_values():
     text = list_defaults()
     assert "150" in text       # adversary distance

@@ -13,6 +13,7 @@ from scipy.special import gammaincinv, gammaln
 
 import covertjam
 from covertjam.quadrature import (
+    _PANEL_POINTS,
     _SPLINE_KNOTS,
     _SPLINE_Z_LO,
     H0EnergyRule,
@@ -158,6 +159,21 @@ def test_gamma_constant_matches_direct_ratio():
         assert abs(gamma_constant(m) - direct) < 1e-12 * direct
     # G + E = M split used by the beamforming model.
     assert abs(gamma_constant(1) - math.pi / 4.0) < 1e-12
+
+
+def test_log_phi_exact_is_independent_of_block_boundaries():
+    # The panel tensor is integrated _PANEL_POINTS points at a time: 40,000
+    # points span many blocks, and every slicing of them, whatever its
+    # sizes, gives the same bits.
+    assert _PANEL_POINTS == 136
+    rng = np.random.default_rng(9)
+    for x, n in ((0.3, 90.0), (316.0, 500.0), (5.0, 1.0)):
+        z = n * np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 40000))
+        whole = log_phi_exact(x, z, n)
+        sizes = [1, 135, 136, 137, 272, 4000, 32768]
+        cuts = np.cumsum(sizes + list(rng.integers(1, 300, 8)))
+        parts = [log_phi_exact(x, part, n) for part in np.split(z, cuts)]
+        assert np.array_equal(whole, np.concatenate(parts)), (x, n)
 
 
 def test_log_phi_spline_is_bit_identical_to_cubic_spline():
