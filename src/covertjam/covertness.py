@@ -9,14 +9,13 @@ bounds.
 
 Normalization convention: band quantities p = p_hat/sigma2_A and
 q = q_hat/sigma2_A are dimensionless; chi = p/q = p_hat/q_hat is the
-solvers' decision variable and everything TV-related depends on chi alone.
+solvers' decision variable. Everything TV-related depends on chi alone, so
+the TV functions take chi; the n-sample ones take the floats p and q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from functools import lru_cache
 
 import numpy as np
@@ -27,9 +26,9 @@ from scipy.special import zeta as riemann_zeta
 
 from .quadrature import gamma_rule, h0_energy_rule, log_phi_exact
 from .roots import increasing_roots
+from .scenario import rng_stream
 
 __all__ = [
-    "BandDistribution",
     "eta",
     "tv_upper_bound",
     "tv_numeric_k1",
@@ -76,34 +75,16 @@ def eta(x):
 
 def tv_upper_bound(chis) -> float:
     """Sum of per-band eta values; bounds the TV of the K-band product law."""
-    chis = np.asarray(chis, dtype=float)
     return float(np.sum(eta(chis)))
 
 
-@dataclass(frozen=True)
-class BandDistribution:
-    """One adversary band: normalized signal power p and jamming power q."""
-
-    p_norm: float
-    q_norm: float
-
-    def __post_init__(self):
-        if self.q_norm <= 0.0:
-            raise ValueError("q_norm must be positive")
-        if self.p_norm < 0.0:
-            raise ValueError("p_norm must be nonnegative")
-
-    @property
-    def chi(self) -> float:
-        return self.p_norm / self.q_norm
-
-    def require_covert_domain(self):
-        """chi in [0, 1) is required wherever chi acts as a covertness knob."""
-        if not self.chi < 1.0:
-            raise ValueError(f"chi = {self.chi:g} is outside [0, 1)")
+def _require_chi(chis):
+    """chi in [0, 1) is required wherever chi acts as a covertness knob."""
+    if not np.all((chis >= 0.0) & (chis < 1.0)):
+        raise ValueError(f"chi = {chis} is outside [0, 1)")
 
 
-def tv_numeric_k1(band: BandDistribution) -> float:
+def tv_numeric_k1(chi: float) -> float:
     """Single-band TV by adaptive quadrature, (1/2) int |f_U - f_V|.
 
     Integrates in the scale-free variable t = (x - noise floor)/q_hat, in
@@ -111,8 +92,7 @@ def tv_numeric_k1(band: BandDistribution) -> float:
     t0 = chi ln(1/chi)/(1-chi) where the densities meet, so each piece has
     a single sign. Absolute tolerance 1e-8.
     """
-    band.require_covert_domain()
-    chi = band.chi
+    _require_chi(chi)
     if chi == 0.0:
         return 0.0
 
@@ -129,7 +109,7 @@ def tv_numeric_k1(band: BandDistribution) -> float:
     return 0.5 * (abs(lower) + abs(upper))
 
 
-def tv_numeric_product(bands, samples: int = 10**6,
+def tv_numeric_product(chis, samples: int = 10**6,
                        seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo TV between the K-band product laws, with a 95% CI.
 
@@ -138,28 +118,25 @@ def tv_numeric_product(bands, samples: int = 10**6,
     likelihood ratio depends only on chi_k and a standard exponential draw,
     so the estimate is scale-free: no noise level enters.
     """
-    bands = list(bands)
-    k = len(bands)
+    chis = np.asarray(chis, dtype=float)
+    k = len(chis)
     if k < 1:
         raise ValueError("at least one band is required")
-    chis = np.array([b.chi for b in bands])
-    for b in bands:
-        b.require_covert_domain()
+    _require_chi(chis)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    rng = rng_stream(seed, 1)
+    # A chi = 0 band has ratio 1. Its draws are still made, so the stream
+    # does not depend on which bands are zero.
+    active = chis > 0.0
+    c = chis[active]
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk = min(samples, 1 << 18)
     while done < samples:
         m = min(chunk, samples - done)
-        e = rng.exponential(size=(m, k))
-        ratio = np.ones((m, k))
-        active = chis > 0.0
-        if active.any():
-            c = chis[active]
-            ratio[:, active] = (-np.expm1(-e[:, active] * (1.0 - c) / c)
-                                / (1.0 - c))
+        e = rng.exponential(size=(m, k))[:, active]
+        ratio = -np.expm1(-e * (1.0 - c) / c) / (1.0 - c)
         dev = 0.5 * np.abs(np.prod(ratio, axis=1) - 1.0)
         total += float(dev.sum())
         total_sq += float(np.dot(dev, dev))
@@ -170,37 +147,28 @@ def tv_numeric_product(bands, samples: int = 10**6,
     return mean, ci
 
 
-def likelihood_ratio_delta(p: float, q: float, z, n: float,
-                           log_phi_p=None, log_phi_q=None) -> np.ndarray:
+def likelihood_ratio_delta(p: float, q: float, z, log_phi_p,
+                           log_phi_q) -> np.ndarray:
     """Psi(p, q, z) - 1 for the n-sample energy likelihood ratio.
 
     Psi = 1 + p/(q-p) (1 - Phi(p,z)/Phi(q,z)); the deviation is computed
     as -expm1(ln Phi_p - ln Phi_q) so that Psi near 1 keeps full precision.
-    ln Phi(p, z) and ln Phi(q, z) may be supplied as arrays matching z
-    (the H0 rule's stored values, the detector's splines); a missing one
-    is evaluated exactly.
+    ln Phi(p, z) and ln Phi(q, z) are arrays matching z: the exact values,
+    the H0 rule's stored ones, or the detector's splines.
     """
     if not 0.0 <= p < q:
         raise ValueError("requires 0 <= p < q")
-    z = np.asarray(z, dtype=float)
     if p == 0.0:
-        return np.zeros_like(z)
-
-    def resolve(pre, x):
-        if pre is None:
-            return log_phi_exact(x, z, n)
-        return np.asarray(pre, dtype=float)
-
-    lp = resolve(log_phi_p, p)
-    lq = resolve(log_phi_q, q)
-    delta = -(p / (q - p)) * np.expm1(lp - lq)
+        return np.zeros(np.shape(z))
+    delta = -(p / (q - p)) * np.expm1(log_phi_p - log_phi_q)
     # Psi is a likelihood ratio, hence positive; floor tiny numerical dips.
     return np.maximum(delta, -1.0 + 1e-300)
 
 
 def log_psi(p: float, q: float, z, n: float) -> np.ndarray:
     """ln Psi(p, q, z), the adversary's per-band log likelihood ratio."""
-    return np.log1p(likelihood_ratio_delta(p, q, z, n))
+    return np.log1p(likelihood_ratio_delta(
+        p, q, z, log_phi_exact(p, z, n), log_phi_exact(q, z, n)))
 
 
 def kl_divergence(p: float, q: float, n: float) -> float:
@@ -219,7 +187,8 @@ def kl_divergence(p: float, q: float, n: float) -> float:
     if p == 0.0:
         return 0.0
     r = h0_energy_rule(q, n)
-    delta = likelihood_ratio_delta(p, q, r.z, n, log_phi_q=r.log_phi_q)
+    delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
+                                   r.log_phi_q)
     return r.expectation(delta - np.log1p(delta))
 
 
@@ -275,7 +244,8 @@ def tv_exact_n(p: float, q: float, n: float) -> float:
     if p == 0.0:
         return 0.0
     r = h0_energy_rule(q, n)
-    delta = likelihood_ratio_delta(p, q, r.z, n, log_phi_q=r.log_phi_q)
+    delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
+                                   r.log_phi_q)
     return 0.5 * r.expectation(np.abs(delta))
 
 

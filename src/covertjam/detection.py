@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainccinv
 
-from .covertness import BandDistribution, likelihood_ratio_delta
+from .covertness import _require_chi, likelihood_ratio_delta
 from .quadrature import _WORK_BLOCK, LogPhiSpline, log_phi_exact
 from .scenario import ScenarioInstance, rng_stream
 
@@ -79,21 +79,21 @@ def _ci_half_width(fa_count: int, md_count: int, trials: int) -> float:
 class _BandLogPsi:
     """Spline-backed ln Psi(p, q, .) for one band at fixed sample count.
 
-    Splines cover the plausible range of the Gamma-mixture draws; the rare
+    p and q are the band's normalized signal and jamming powers. Splines
+    cover the plausible range of the Gamma-mixture draws; the rare
     exceedances (exponential draws beyond ~60) fall back to the exact
     panel integrator, so no sample is ever clamped. Both splines end at
     the same z_hi, hence share their knots, so each sample is located once
     and both are evaluated at that interval.
     """
 
-    def __init__(self, band: BandDistribution, n: float):
-        self.p = band.p_norm
-        self.q = band.q_norm
+    def __init__(self, p: float, q: float, n: float):
+        self.p = p
+        self.q = q
         self.n = n
-        z_hi = (1.0 + 60.0 * (self.p + self.q)) * float(gammainccinv(n, 1e-12))
-        self.z_hi = z_hi
-        self._spline_p = LogPhiSpline(self.p, n, z_hi)
-        self._spline_q = LogPhiSpline(self.q, n, z_hi)
+        self.z_hi = (1.0 + 60.0 * (p + q)) * float(gammainccinv(n, 1e-12))
+        self._spline_p = LogPhiSpline(p, n, self.z_hi)
+        self._spline_q = LogPhiSpline(q, n, self.z_hi)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -105,8 +105,7 @@ class _BandLogPsi:
         if high.any():
             lp[high] = log_phi_exact(self.p, flat[high], self.n)
             lq[high] = log_phi_exact(self.q, flat[high], self.n)
-        delta = likelihood_ratio_delta(self.p, self.q, flat, self.n,
-                                       log_phi_p=lp, log_phi_q=lq)
+        delta = likelihood_ratio_delta(self.p, self.q, flat, lp, lq)
         return np.log1p(delta).reshape(z.shape)
 
 
@@ -193,8 +192,10 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
                        detector_kind: str = "lrt") -> DetectionEstimate:
     """Empirical min-sum-error of the adversary's detector at the given chis.
 
-    Per trial and hypothesis, each of the L blocks draws fresh fading and
-    jamming scales per band and the normalized N_d-sample energy from the
+    chis holds one band ratio in [0, 1) per receiver; band k carries the
+    normalized signal power p_k = chis[k] * instance.q_norm[k]. Per trial
+    and hypothesis, each of the L blocks draws fresh fading and jamming
+    scales per band and the normalized N_d-sample energy from the
     conditional Gamma law. The LRT is thresholded at 0 in log form; the
     energy detector pools sum-energies and picks the empirically best
     threshold. Deterministic in (seed, trials): trials shard into
@@ -206,16 +207,17 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
         raise ValueError(f"need at least {_MIN_TRIALS} trials per hypothesis")
     if N_d < 1 or L < 1:
         raise ValueError("N_d and L must be >= 1")
-    bands = instance.bands_for_chi(chis)
-    for band in bands:
-        band.require_covert_domain()
-    p = np.array([b.p_norm for b in bands])
-    q = np.array([b.q_norm for b in bands])
+    q = instance.q_norm
+    chis = np.asarray(chis, dtype=float)
+    if chis.shape != q.shape:
+        raise ValueError("chi vector length must equal the receiver count")
+    _require_chi(chis)
+    p = chis * q
 
     evaluators = []
     if detector_kind == "lrt":
-        evaluators = [(k, _BandLogPsi(b, N_d))
-                      for k, b in enumerate(bands) if b.p_norm > 0.0]
+        evaluators = [(k, _BandLogPsi(float(p[k]), float(q[k]), N_d))
+                      for k in range(len(p)) if p[k] > 0.0]
 
     results = [_run_shard(i, m, seed, p, q, N_d, L, evaluators, detector_kind)
                for i, m in enumerate(_shard_sizes(trials))]

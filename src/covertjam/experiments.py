@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covertness import BandDistribution, band_affinity, hellinger_bound, \
+from .covertness import _require_chi, band_affinity, hellinger_bound, \
     limit_kl, pinsker_budget, tv_numeric_product, tv_upper_bound
 from .detection import _MIN_TRIALS, covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
@@ -141,6 +141,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown [scenario] key(s) {unknown} for {self.figure_id}; "
                 f"expected a ScenarioConfig field or one of {sorted(problem)}")
+        # A bad value fails here, once, rather than in every row of the run.
+        if self.sweep_param == "chi":
+            _require_chi(np.asarray(self.sweep, dtype=float))
+        for value in self.sweep:
+            _build_config(self, _point_inputs(self, value)[0]).validate()
 
     @property
     def sweep_param(self) -> str:
@@ -329,8 +334,7 @@ def _base_row(spec: ExperimentSpec, point_index: int, value,
 def _bound_value(method: str, chis, trials: int, seed: int):
     """(objective, ci) of one bound-comparison method at band ratios chis."""
     if method == "tv_numeric":
-        bands = [BandDistribution(p_norm=c, q_norm=1.0) for c in chis]
-        return tv_numeric_product(bands, samples=trials, seed=seed)
+        return tv_numeric_product(chis, samples=trials, seed=seed)
     if method == "proposed_bound":
         return tv_upper_bound(chis), None
     if method == "pinsker_bound":

@@ -75,6 +75,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("K", "M", "d_A", "d_J", "d_R", "r_c",
+                     "path_loss_exponent", "P_R_dBm", "noise_R_dBm",
+                     "noise_T_dBm"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValueError(f"{name} must be a scalar")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.M < 1:
@@ -87,8 +92,9 @@ class ScenarioConfig:
         if not self.r_c < self.d_R:
             raise ValueError("r_c must be smaller than d_R")
         dbm_fields = [self.P_R_dBm, self.noise_R_dBm, self.noise_T_dBm]
-        dbm_fields += list(np.atleast_1d(self.Q_dBm))
-        dbm_fields += list(np.atleast_1d(self.noise_A_dBm))
+        dbm_fields += list(_as_band_vector(self.Q_dBm, self.K, "Q_dBm"))
+        dbm_fields += list(_as_band_vector(self.noise_A_dBm, self.K,
+                                           "noise_A_dBm"))
         if not all(math.isfinite(float(v)) for v in dbm_fields):
             raise ValueError("dBm values must be finite")
 
@@ -100,7 +106,7 @@ class ScenarioInstance:
     The transmit powers P_k are decision variables and every solver works
     in the band ratio chi_k = p_k / q_k, so only the jamming side of the
     adversary's bands is stored, as q_norm = Q_k S_AJ / sigma2_A; the
-    signal side follows from chi (`bands_for_chi`). Besides the draw
+    signal side at band ratios chi is p_norm = chi * q_norm. Besides the draw
     itself (seed, receiver positions, channel norms), the fields are the
     link constants `derive_quasi_static` and `derive_fast_varying` read.
     All stored powers are linear milliwatts.
@@ -118,18 +124,6 @@ class ScenarioInstance:
     sigma2_R: float
     q_norm: np.ndarray                # Q_k * S_AJ / sigma2_A per band
     mu: np.ndarray                    # sigma2_T / (P_R * S_RT)
-
-    def bands_for_chi(self, chis):
-        """Per-band adversary-side distributions at the given chi vector."""
-        from .covertness import BandDistribution
-
-        chis = np.asarray(chis, float)
-        if chis.shape != self.q_norm.shape:
-            raise ValueError("chi vector length must equal the receiver count")
-        return [
-            BandDistribution(p_norm=c * q, q_norm=q)
-            for c, q in zip(chis, self.q_norm)
-        ]
 
 
 def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioInstance:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from covertjam.covertness import (
-    BandDistribution,
     eta,
     kl_divergence,
     limit_kl,
@@ -62,7 +61,7 @@ def test_criterion_01_tv_closed_form(report):
     start = time.perf_counter()
     worst = 0.0
     for chi in np.arange(0.1, 0.95, 0.1):
-        tv = tv_numeric_k1(BandDistribution(float(chi), 1.0))
+        tv = tv_numeric_k1(float(chi))
         worst = max(worst, abs(tv - float(eta(chi))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 1.0
@@ -80,8 +79,7 @@ def test_criterion_02_bound_soundness(report):
     worst_slack = np.inf
     for i, c1 in enumerate(grid):
         for j, c2 in enumerate(grid):
-            bands = [BandDistribution(c1, 1.0), BandDistribution(c2, 1.0)]
-            tv, ci = tv_numeric_product(bands, samples=10**6,
+            tv, ci = tv_numeric_product([c1, c2], samples=10**6,
                                         seed=17 + 5 * i + j)
             bound = float(eta(c1) + eta(c2))
             worst_slack = min(worst_slack, bound + 3.0 * ci - tv)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from covertjam.covertness import (
-    BandDistribution,
     band_affinity,
     eta,
     kl_divergence,
@@ -34,30 +33,33 @@ def test_eta_closed_values():
 
 def test_numeric_tv_matches_closed_form():
     for chi in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        band = BandDistribution(p_norm=chi, q_norm=1.0)
-        assert abs(tv_numeric_k1(band) - eta(chi)) < 1e-8
-
-
-def test_numeric_tv_scale_free():
-    # Same chi, wildly different absolute scales: identical TV.
-    a = tv_numeric_k1(BandDistribution(p_norm=0.3, q_norm=1.0))
-    b = tv_numeric_k1(BandDistribution(p_norm=0.3 * 316.0, q_norm=316.0))
-    assert abs(a - b) < 1e-10
+        assert abs(tv_numeric_k1(chi) - eta(chi)) < 1e-8
 
 
 def test_product_tv_single_band_within_ci():
     chi = 0.5
-    band = BandDistribution(p_norm=chi, q_norm=1.0)
-    est, ci = tv_numeric_product([band], samples=200000, seed=11)
+    est, ci = tv_numeric_product([chi], samples=200000, seed=11)
     assert abs(est - 0.25) < 3.0 * ci
     assert ci < 0.01
 
 
 def test_product_tv_bounded_by_eta_sum():
     chis = (0.2, 0.4)
-    bands = [BandDistribution(p_norm=c, q_norm=1.0) for c in chis]
-    est, ci = tv_numeric_product(bands, samples=200000, seed=4)
+    est, ci = tv_numeric_product(chis, samples=200000, seed=4)
     assert est <= tv_upper_bound(chis) + 3.0 * ci
+
+
+@pytest.mark.parametrize("chi", [1.0, 1.5, -0.1, float("nan")])
+def test_numeric_tv_rejects_chi_outside_unit_interval(chi):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        tv_numeric_k1(chi)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        tv_numeric_product([0.2, chi], samples=1000)
+
+
+def test_product_tv_needs_a_band():
+    with pytest.raises(ValueError, match="at least one band"):
+        tv_numeric_product([], samples=1000)
 
 
 def test_tv_upper_bound_is_sum_of_etas():
@@ -196,5 +198,5 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
 def test_single_band_tv_speed():
     start = time.perf_counter()
     for chi in np.arange(0.1, 0.95, 0.1):
-        tv_numeric_k1(BandDistribution(p_norm=chi, q_norm=1.0))
+        tv_numeric_k1(chi)
     assert time.perf_counter() - start < 1.0

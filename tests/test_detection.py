@@ -7,7 +7,6 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from covertjam.covertness import (
-    BandDistribution,
     eta,
     likelihood_ratio_delta,
     log_psi,
@@ -77,7 +76,7 @@ def test_band_log_psi_spline_matches_exact():
     # draws above z_hi, where it falls back to the exact evaluator.
     rng = np.random.default_rng(0)
     for p, q, n in ((0.3, 10.0, 20.0), (5.0, 316.0, 500.0), (0.5, 3.0, 5.0)):
-        psi = _BandLogPsi(BandDistribution(p_norm=p, q_norm=q), n)
+        psi = _BandLogPsi(p, q, n)
         scale = 1.0 + p * rng.exponential(size=20000) \
             + q * rng.exponential(size=20000)
         z = np.concatenate([rng.gamma(n, scale),
@@ -99,7 +98,7 @@ def test_band_log_psi_is_bit_identical_to_two_spline_composition():
     # One knot lookup shared by the p and q splines gives the same bits as
     # two CubicSpline evaluations composed through likelihood_ratio_delta.
     p, q, n = 0.3, 10.0, 20.0
-    psi = _BandLogPsi(BandDistribution(p_norm=p, q_norm=q), n)
+    psi = _BandLogPsi(p, q, n)
     assert np.array_equal(psi._spline_p.knots, psi._spline_q.knots)
     t = np.linspace(np.log(_SPLINE_Z_LO), np.log(psi.z_hi), _SPLINE_KNOTS)
     rng = np.random.default_rng(6)
@@ -115,8 +114,8 @@ def test_band_log_psi_is_bit_identical_to_two_spline_composition():
     lq = CubicSpline(t, log_phi_exact(q, np.exp(t), n))(clamped)
     lp[high] = log_phi_exact(p, flat[high], n)
     lq[high] = log_phi_exact(q, flat[high], n)
-    want = np.log1p(likelihood_ratio_delta(p, q, flat, n, log_phi_p=lp,
-                                           log_phi_q=lq)).reshape(z.shape)
+    want = np.log1p(likelihood_ratio_delta(p, q, flat, lp,
+                                           lq)).reshape(z.shape)
     assert np.array_equal(psi(z), want)
 
 
@@ -138,10 +137,10 @@ def test_detection_golden_values(kind, k, scenario_seed, chis, n_d, blocks,
 
 
 def _shard_inputs(k, scenario_seed, chis, n_d):
-    bands = _instance(k=k, seed=scenario_seed).bands_for_chi(chis)
-    p = np.array([b.p_norm for b in bands])
-    q = np.array([b.q_norm for b in bands])
-    return p, q, [(i, _BandLogPsi(b, n_d)) for i, b in enumerate(bands)]
+    q = _instance(k=k, seed=scenario_seed).q_norm
+    p = np.asarray(chis) * q
+    return p, q, [(i, _BandLogPsi(float(p[i]), float(q[i]), n_d))
+                  for i in range(k)]
 
 
 @pytest.mark.parametrize("k, scenario_seed, chis, n_d, blocks", [
@@ -192,6 +191,22 @@ def test_detector_kind_validated():
     with pytest.raises(ValueError):
         simulate_detection(inst, [0.1], N_d=10, L=1, trials=100,
                            detector_kind="matched")
+
+
+@pytest.mark.parametrize("kind", ["lrt", "energy"])
+@pytest.mark.parametrize("chis, match", [
+    ([1.0], r"outside \[0, 1\)"),
+    ([-0.1], r"outside \[0, 1\)"),
+    ([float("nan")], r"outside \[0, 1\)"),
+    ([0.1, 0.2], "receiver count"),
+    ([], "receiver count"),
+    (0.1, "receiver count"),
+])
+def test_chi_vector_validated(chis, match, kind):
+    # One band ratio in [0, 1) per receiver, checked before any draw.
+    with pytest.raises(ValueError, match=match):
+        simulate_detection(_instance(), chis, N_d=10, L=1, trials=1000,
+                           detector_kind=kind)
 
 
 def test_audit_passes_at_the_budget():

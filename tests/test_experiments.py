@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covertjam import cli
+from covertjam import cli, experiments
 from covertjam.experiments import (
     FIGURE_IDS,
     FIGURES,
@@ -70,6 +70,34 @@ def test_spec_rejects_scenario_seed(tmp_path):
                     "[scenario]\nseed = 5\n")
     with pytest.raises(ValueError, match=r"\[experiment\] seed"):
         load_spec(path)
+
+
+@pytest.mark.parametrize("figure, sweep, scenario, match", [
+    ("fig4_rate_vs_Q", "25", "P_R_dBm = 0, 5", "P_R_dBm must be a scalar"),
+    ("fig4_rate_vs_Q", "25", "M = 0", "M must be >= 1"),
+    ("fig7_rate_vs_PR", "0", "noise_T_dBm = -80, -70",
+     "noise_T_dBm must be a scalar"),
+    ("fig5_rate_vs_M", "10", "Q_dBm = 20, 25, 30",
+     "Q_dBm must be a scalar or length-4"),
+    ("fig5_rate_vs_M", "0", "K = 3", "M must be >= 1"),
+    ("fig2_tv_bounds", "0.5, 1.2", "K = 2", r"outside \[0, 1\)"),
+], ids=["P_R_vector", "M_zero", "noise_T_vector", "Q_length", "M_swept_to_0",
+        "chi_above_1"])
+def test_bad_scenario_rejected_before_any_row(tmp_path, capsys, figure,
+                                               sweep, scenario, match):
+    # A bad [scenario] value or sweep point is a spec error: load_spec
+    # raises, and `covertjam run` exits with status 2 and writes nothing,
+    # instead of recording the same failure in every row.
+    ini = tmp_path / "spec.ini"
+    ini.write_text(f"[experiment]\nfigure = {figure}\nsweep = {sweep}\n"
+                   f"scenarios_per_point = 1\n"
+                   f"output_dir = {tmp_path / 'runs'}\n"
+                   f"[scenario]\n{scenario}\n")
+    with pytest.raises(ValueError, match=match):
+        load_spec(ini)
+    assert cli.main(["run", str(ini)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / figure / "points.csv").exists()
 
 
 def test_default_sweeps_cover_every_figure():
@@ -237,16 +265,20 @@ def test_convergence_figures_emit_traces(tmp_path):
         assert all(b >= a - 1e-10 for a, b in zip(objs, objs[1:]))
 
 
-def test_partial_failures_recorded_not_raised(tmp_path):
-    # An impossible scenario override breaks sampling for every point;
-    # the run must still complete and record the reason per row.
+def test_partial_failures_recorded_not_raised(tmp_path, monkeypatch):
+    # A solver that fails on every scenario must not stop the run: it
+    # completes and records the reason per row.
+    def broken(params):
+        raise ArithmeticError("solver failed")
+
+    monkeypatch.setattr(experiments, "sca_solve", broken)
     spec = default_spec("fig5_rate_vs_M", sweep=(10,),
                         scenarios_per_point=2, seed=1,
-                        output_dir=str(tmp_path), scenario={"K": 0})
+                        output_dir=str(tmp_path))
     out = run_experiment(spec)
     rows = _read(out / "points.csv")
     assert len(rows) == 2
-    assert all(r["error"] for r in rows)
+    assert all(r["error"] == "ArithmeticError: solver failed" for r in rows)
     summary = _read(out / "summary.csv")
     assert summary[0]["n_failed"] == "2"
     assert summary[0]["mean_objective"] == ""
