@@ -22,8 +22,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "section and an optional [scenario] section")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the spec's seed")
-    run_p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads across sweep points")
     run_p.add_argument("--output-dir", dest="output_dir", default=None)
     run_p.add_argument("--scenarios-per-point", dest="scenarios_per_point",
                        type=int, default=None)
@@ -49,8 +47,7 @@ def _run(args) -> int:
     spec = experiments.load_spec(args.spec_file)
     overrides = {
         name: getattr(args, name)
-        for name in ("seed", "jobs", "output_dir",
-                     "scenarios_per_point", "trials")
+        for name in ("seed", "output_dir", "scenarios_per_point", "trials")
         if getattr(args, name) is not None
     }
     if overrides:

@@ -65,8 +65,7 @@ def eta(x):
     Evaluated as exp(ln x / (1-x)); eta(0) = 0 by continuity.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("eta is defined on [0, 1)")
+    _require_chi(arr)
     with np.errstate(divide="ignore"):
         out = np.exp(np.log(arr) / (1.0 - arr))
     out = np.where(arr == 0.0, 0.0, out)

@@ -109,16 +109,12 @@ class _BandLogPsi:
         return np.log1p(delta).reshape(z.shape)
 
 
-def _shard_sizes(trials: int):
-    sizes = [_SHARD] * (trials // _SHARD)
-    if trials % _SHARD:
-        sizes.append(trials % _SHARD)
-    return sizes
-
-
 def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
-               n_d: int, blocks: int, evaluators, kind: str):
-    """One deterministic slice of trials; returns per-shard counts/statistics.
+               n_d: int, blocks: int, statistic):
+    """One deterministic slice of m trials; returns (stat0, stat1).
+
+    `statistic(z)` reduces a (rows, blocks, k) energy block to one value
+    per row; stat0 and stat1 hold it for each trial under H0 and H1.
 
     One (m, blocks, k) array is live: the Gamma scale of the hypothesis at
     hand, 1 + q v0 under H0, then (1 + p u1) + q v1 under H1 in the same
@@ -134,22 +130,18 @@ def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
     rows = max(1, _WORK_BLOCK // (blocks * k))
     row_blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
 
-    def statistic(scale):
-        stat = np.zeros(m)
+    def draw_and_reduce(scale):
+        stat = np.empty(m)
         for r in row_blocks:
             z = rng.standard_gamma(n_d, size=scale[r].shape)
             z *= scale[r]
-            if kind == "lrt":
-                for band_idx, psi in evaluators:
-                    stat[r] += psi(z[:, :, band_idx]).sum(axis=1)
-            else:
-                stat[r] = z.sum(axis=(1, 2))
+            stat[r] = statistic(z)
         return stat
 
     scale = rng.standard_exponential(size=(m, blocks, k))
     scale *= q
     scale += 1.0
-    stat0 = statistic(scale)
+    stat0 = draw_and_reduce(scale)
     rng.standard_exponential(out=scale)
     scale *= p
     scale += 1.0
@@ -157,10 +149,7 @@ def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
         v1 = rng.standard_exponential(size=scale[r].shape)
         v1 *= q
         scale[r] += v1
-    stat1 = statistic(scale)
-    if kind == "lrt":
-        return int((stat0 > 0.0).sum()), int((stat1 <= 0.0).sum()), None, None
-    return None, None, stat0, stat1
+    return stat0, draw_and_reduce(scale)
 
 
 def _energy_threshold_errors(t0: np.ndarray, t1: np.ndarray):
@@ -214,22 +203,30 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
     _require_chi(chis)
     p = chis * q
 
-    evaluators = []
     if detector_kind == "lrt":
-        evaluators = [(k, _BandLogPsi(float(p[k]), float(q[k]), N_d))
-                      for k in range(len(p)) if p[k] > 0.0]
+        bands = [(k, _BandLogPsi(float(p[k]), float(q[k]), N_d))
+                 for k in range(len(p)) if p[k] > 0.0]
 
-    results = [_run_shard(i, m, seed, p, q, N_d, L, evaluators, detector_kind)
-               for i, m in enumerate(_shard_sizes(trials))]
+        def statistic(z):
+            return sum(psi(z[:, :, k]).sum(axis=1) for k, psi in bands)
+    else:
+        def statistic(z):
+            return z.sum(axis=(1, 2))
 
+    # Lazy: each LRT shard is reduced to counts and freed before the next.
+    shards = (_run_shard(i, min(_SHARD, trials - lo), seed, p, q, N_d, L,
+                         statistic)
+              for i, lo in enumerate(range(0, trials, _SHARD)))
     if detector_kind == "lrt":
-        fa_count = sum(r[0] for r in results)
-        md_count = sum(r[1] for r in results)
+        fa_count = md_count = 0
+        for stat0, stat1 in shards:
+            fa_count += int((stat0 > 0.0).sum())
+            md_count += int((stat1 <= 0.0).sum())
+            del stat0, stat1
         p_fa = fa_count / trials
         p_md = md_count / trials
     else:
-        t0 = np.concatenate([r[2] for r in results])
-        t1 = np.concatenate([r[3] for r in results])
+        t0, t1 = (np.concatenate(stats) for stats in zip(*shards))
         p_fa, p_md = _energy_threshold_errors(t0, t1)
         fa_count = int(round(p_fa * trials))
         md_count = int(round(p_md * trials))

@@ -24,10 +24,10 @@ Each run writes a self-contained directory ``<output_dir>/<figure_id>/``:
 
 Runs are deterministic byte for byte: scenario seeds derive from
 (spec.seed, point index, scenario index) through SeedSequence spawn keys,
-workers only compute (all writes happen serially in point order), and
-floats are written with round-trip precision. ``jobs`` threads across the
-sweep points of a run and across the rows of an audit; it is the only
-parallel level in the package.
+sweep points run serially in point order, and floats are written with
+round-trip precision. ``audit_run``'s ``jobs`` threads across the rows of
+an audit (its workers only compute; rows are written in order); it is the
+only parallel level in the package.
 
 For the quasi-static figures the audit columns record the finite-sample
 proxy adversary (N_d = 500 energies, L = 1 block); the fast figures record
@@ -114,7 +114,6 @@ class ExperimentSpec:
     seed: int = 0
     output_dir: str = "runs"
     trials: int = 10**5
-    jobs: int = 1
     scenario: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -128,13 +127,6 @@ class ExperimentSpec:
             raise ValueError("scenarios_per_point must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if "seed" in self.scenario:
-            # Every scenario is sampled from a seed derived from the run's
-            # seed, so a [scenario] seed would be recorded and never used.
-            raise ValueError("[scenario] seed is not used; scenario seeds "
-                             "derive from [experiment] seed, set that instead")
         problem = FIGURES[self.figure_id].problem
         unknown = sorted(set(self.scenario) - _CONFIG_FIELDS - set(problem))
         if unknown:
@@ -158,8 +150,14 @@ def default_sweep(figure_id: str) -> tuple:
     return FIGURES[figure_id].sweep
 
 
-def default_spec(figure_id: str, **kwargs) -> ExperimentSpec:
-    """Spec with the figure's stock sweep unless one is given."""
+def default_spec(figure_id: str, jobs: int = 1, **kwargs) -> ExperimentSpec:
+    """Spec with the figure's stock sweep unless one is given.
+
+    `jobs` must be 1: sweep points run serially. The keyword remains only
+    because the bench harness (`bench/workloads.py`) passes jobs=1 by name.
+    """
+    if jobs != 1:
+        raise TypeError("default_spec takes no jobs; sweeps run serially")
     kwargs.setdefault("sweep", default_sweep(figure_id))
     return ExperimentSpec(figure_id=figure_id, **kwargs)
 
@@ -209,7 +207,6 @@ def save_spec(spec: ExperimentSpec, path) -> None:
         "seed": str(spec.seed),
         "output_dir": spec.output_dir,
         "trials": str(spec.trials),
-        "jobs": str(spec.jobs),
     }
     if spec.scenario:
         parser["scenario"] = {k: _fmt(v) for k, v in spec.scenario.items()}
@@ -245,7 +242,8 @@ def load_spec(path) -> ExperimentSpec:
     if sweep_raw:
         given["sweep"] = tuple(_parse_number(tok.strip())
                                for tok in sweep_raw.split(",") if tok.strip())
-    for key in ("scenarios_per_point", "seed", "trials", "jobs"):
+    # An old jobs key is ignored: sweeps once ran on threads, same bytes.
+    for key in ("scenarios_per_point", "seed", "trials"):
         if key in sect:
             given[key] = sect.getint(key)
     if "output_dir" in sect:
@@ -530,15 +528,9 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     out_dir = Path(spec.output_dir) / spec.figure_id
     out_dir.mkdir(parents=True, exist_ok=True)
     fig = FIGURES[spec.figure_id]
-    indices = range(len(spec.sweep))
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(lambda i: fig.runner(spec, i), indices))
-    else:
-        results = [fig.runner(spec, i) for i in indices]
-
     points, traces = [], []
-    for point_rows, trace_rows in results:
+    for i in range(len(spec.sweep)):
+        point_rows, trace_rows = fig.runner(spec, i)
         points.extend(point_rows)
         traces.extend(trace_rows)
 

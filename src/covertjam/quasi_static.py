@@ -58,7 +58,6 @@ class QsSolveResult:
 
     chi: np.ndarray
     gamma: np.ndarray
-    rates: np.ndarray
     objective: float
     method: str
     trace: list
@@ -68,7 +67,6 @@ class QsSolveResult:
     def __post_init__(self):
         self.chi = np.asarray(self.chi, float)
         self.gamma = np.asarray(self.gamma, float)
-        self.rates = np.asarray(self.rates, float)
         if np.any(self.chi < 0.0) or np.any(self.gamma < 0.0):
             raise ValueError("chi and gamma must be nonnegative")
         if self.constraint_slack < -1e-9:
@@ -151,7 +149,6 @@ def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
     return QsSolveResult(
         chi=chi,
         gamma=gamma,
-        rates=np.log1p(gamma),
         objective=obj,
         method="closed_form",
         trace=[{"iteration": 0, "objective": obj}],
@@ -256,7 +253,6 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     return QsSolveResult(
         chi=best_point,
         gamma=gammas,
-        rates=np.log1p(gammas),
         objective=float(np.sum(rates)),
         method="poa",
         trace=trace,
@@ -493,7 +489,6 @@ def sca_solve(params: QuasiStaticParams) -> QsSolveResult:
     return QsSolveResult(
         chi=chi,
         gamma=state.gamma.copy(),
-        rates=np.log1p(state.gamma),
         objective=obj,
         method="sca",
         trace=trace,

@@ -72,7 +72,6 @@ class ScenarioConfig:
     noise_A_dBm: object = -80.0
     noise_R_dBm: float = -80.0
     noise_T_dBm: float = -80.0
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("K", "M", "d_A", "d_J", "d_R", "r_c",
@@ -107,13 +106,12 @@ class ScenarioInstance:
     in the band ratio chi_k = p_k / q_k, so only the jamming side of the
     adversary's bands is stored, as q_norm = Q_k S_AJ / sigma2_A; the
     signal side at band ratios chi is p_norm = chi * q_norm. Besides the draw
-    itself (seed, receiver positions, channel norms), the fields are the
-    link constants `derive_quasi_static` and `derive_fast_varying` read.
+    itself (receiver positions, channel norms), the fields are the link
+    constants `derive_quasi_static` and `derive_fast_varying` read.
     All stored powers are linear milliwatts.
     """
 
     config: ScenarioConfig
-    seed: int
     receiver_pos: np.ndarray          # (K, 2)
     S_AT: float                       # transmitter -> adversary
     S_AJ: float                       # jammer -> adversary
@@ -126,7 +124,7 @@ class ScenarioInstance:
     mu: np.ndarray                    # sigma2_T / (P_R * S_RT)
 
 
-def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioInstance:
+def sample_scenario(config: ScenarioConfig, seed: int) -> ScenarioInstance:
     """Draw receiver positions and channel gains, then derive all constants.
 
     Receiver positions are uniform on the disc of radius r_c around
@@ -134,8 +132,6 @@ def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario
     Deterministic given (config, seed).
     """
     config.validate()
-    if seed is None:
-        seed = config.seed
     rng = rng_stream(seed, 0)
 
     k, alpha = config.K, config.path_loss_exponent
@@ -163,7 +159,6 @@ def sample_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario
 
     return ScenarioInstance(
         config=config,
-        seed=seed,
         receiver_pos=receiver_pos,
         S_AT=s_at,
         S_AJ=s_aj,

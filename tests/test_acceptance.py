@@ -96,7 +96,7 @@ def test_criterion_02_bound_soundness(report):
 
 
 def test_criterion_03_detection_oracle(report):
-    inst = sample_scenario(ScenarioConfig(K=1, seed=0))
+    inst = sample_scenario(ScenarioConfig(K=1), 0)
     start = time.perf_counter()
     est = simulate_detection(inst, [0.9], 500, 1, trials=10**5, seed=1,
                              detector_kind="lrt")
@@ -111,7 +111,7 @@ def test_criterion_03_detection_oracle(report):
 
 
 def test_criterion_04_lrt_optimality(report):
-    inst = sample_scenario(ScenarioConfig(K=2, seed=4))
+    inst = sample_scenario(ScenarioConfig(K=2), 4)
     lrt = simulate_detection(inst, [0.2, 0.6], 20, 1, trials=10**5, seed=2,
                              detector_kind="lrt")
     energy = simulate_detection(inst, [0.2, 0.6], 20, 1, trials=10**5,
@@ -167,7 +167,7 @@ def _projected_gradient_powers(g, e, f, zetas, budget, iters=4000):
 def test_criterion_05_stationary_oracles(report):
     # a) closed-form SINR threshold against a dense gamma grid
     start = time.perf_counter()
-    qp = derive_quasi_static(sample_scenario(ScenarioConfig(K=1, seed=2)),
+    qp = derive_quasi_static(sample_scenario(ScenarioConfig(K=1), 2),
                              0.005)
     a1, b1 = float(qp.A[0]), float(qp.B[0])
     cap = solve_chi_star(0.005)
@@ -181,7 +181,7 @@ def test_criterion_05_stationary_oracles(report):
 
     # b) dual-bisection powers against a projected-gradient solve
     start = time.perf_counter()
-    fp = derive_fast_varying(sample_scenario(ScenarioConfig(K=4, seed=11)),
+    fp = derive_fast_varying(sample_scenario(ScenarioConfig(K=4), 11),
                              100, 1, 0.005)
     tau = 0.3
     zetas = zeta_vector(fp, 70.0)
@@ -259,7 +259,7 @@ def test_criterion_07_es_ao_gap(report):
     converged_fast = 0
     for seed in range(100, 120):
         fp = derive_fast_varying(
-            sample_scenario(ScenarioConfig(K=4, seed=seed)), 100, 1, 0.005)
+            sample_scenario(ScenarioConfig(K=4), seed), 100, 1, 0.005)
         exhaustive = es_solve(fp)
         alt = ao_solve(fp)
         worst_ratio = min(worst_ratio, alt.objective / exhaustive.objective)
@@ -305,8 +305,7 @@ def test_criterion_09_figure_trends(report, tmp_path):
     runs = {}
     for fig in ("fig4_rate_vs_Q", "fig5_rate_vs_M", "fig8_rate_vs_Q_fast",
                 "fig9_rate_vs_eps"):
-        spec = default_spec(fig, seed=0, jobs=4,
-                            output_dir=str(tmp_path / fig))
+        spec = default_spec(fig, seed=0, output_dir=str(tmp_path / fig))
         runs[fig] = run_experiment(spec)
     q_means = _summary_means(runs["fig4_rate_vs_Q"], "poa")
     m_means = _summary_means(runs["fig5_rate_vs_M"], "sca")
@@ -335,14 +334,14 @@ def test_criterion_10_property_suites(report, tmp_path):
     ok_eta = bool(np.all(ys <= xs) and np.all(ys >= 0.0)
                   and np.all(ys[:-2] - 2.0 * ys[1:-1] + ys[2:] <= 1e-12))
 
-    qp = derive_quasi_static(sample_scenario(ScenarioConfig(K=2, seed=3)),
+    qp = derive_quasi_static(sample_scenario(ScenarioConfig(K=2), 3),
                              0.005)
     res_poa = poa_solve(qp, delta=1e-3)
     res_cf = closed_form_solve(
-        derive_quasi_static(sample_scenario(ScenarioConfig(K=1, seed=2)),
+        derive_quasi_static(sample_scenario(ScenarioConfig(K=1), 2),
                             0.005))
     res_ao = ao_solve(derive_fast_varying(
-        sample_scenario(ScenarioConfig(K=4, seed=5)), 100, 100, 0.05))
+        sample_scenario(ScenarioConfig(K=4), 5), 100, 100, 0.05))
     residuals = (
         abs(0.005 - tv_upper_bound(res_poa.chi)) / 0.005,
         abs(0.005 - tv_upper_bound(res_cf.chi)) / 0.005,
@@ -354,7 +353,7 @@ def test_criterion_10_property_suites(report, tmp_path):
     first = run_experiment(default_spec(
         "fig4_rate_vs_Q", output_dir=str(tmp_path / "a"), **kwargs))
     second = run_experiment(default_spec(
-        "fig4_rate_vs_Q", jobs=2, output_dir=str(tmp_path / "b"), **kwargs))
+        "fig4_rate_vs_Q", output_dir=str(tmp_path / "b"), **kwargs))
     ok_bytes = all(
         (first / name).read_bytes() == (second / name).read_bytes()
         for name in ("points.csv", "summary.csv"))
@@ -362,7 +361,7 @@ def test_criterion_10_property_suites(report, tmp_path):
     worst_split = 0.0
     for m in (1, 2, 5, 20, 40, 400):
         fp = derive_fast_varying(
-            sample_scenario(ScenarioConfig(K=1, M=m, seed=1)), 20, 10, 0.05)
+            sample_scenario(ScenarioConfig(K=1, M=m), 1), 20, 10, 0.05)
         worst_split = max(worst_split,
                           abs(fp.G_const + fp.E_const - m) / m)
     ok_split = worst_split <= 1e-12

@@ -57,6 +57,15 @@ def test_numeric_tv_rejects_chi_outside_unit_interval(chi):
         tv_numeric_product([0.2, chi], samples=1000)
 
 
+@pytest.mark.parametrize("chi", [1.0, 1.5, -0.1, float("nan")])
+def test_eta_rejects_chi_outside_unit_interval(chi):
+    # NaN fails every comparison, so it must be caught by the check's form.
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        eta(chi)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        tv_upper_bound([0.1, chi])
+
+
 def test_product_tv_needs_a_band():
     with pytest.raises(ValueError, match="at least one band"):
         tv_numeric_product([], samples=1000)

@@ -24,7 +24,7 @@ from covertjam.scenario import ScenarioConfig, rng_stream, sample_scenario
 
 
 def _instance(k=1, seed=2):
-    return sample_scenario(ScenarioConfig(K=k, seed=seed))
+    return sample_scenario(ScenarioConfig(K=k), seed)
 
 
 def test_simulation_deterministic():
@@ -139,8 +139,12 @@ def test_detection_golden_values(kind, k, scenario_seed, chis, n_d, blocks,
 def _shard_inputs(k, scenario_seed, chis, n_d):
     q = _instance(k=k, seed=scenario_seed).q_norm
     p = np.asarray(chis) * q
-    return p, q, [(i, _BandLogPsi(float(p[i]), float(q[i]), n_d))
+    evaluators = [(i, _BandLogPsi(float(p[i]), float(q[i]), n_d))
                   for i in range(k)]
+
+    def lrt(z):
+        return sum(psi(z[:, :, i]).sum(axis=1) for i, psi in evaluators)
+    return p, q, lrt
 
 
 @pytest.mark.parametrize("k, scenario_seed, chis, n_d, blocks", [
@@ -150,9 +154,9 @@ def _shard_inputs(k, scenario_seed, chis, n_d):
 def test_shard_draws_match_whole_array_draws(k, scenario_seed, chis, n_d,
                                              blocks):
     # A shard draws its energies a row block at a time; the variates, and
-    # so the LRT counts and energy sums, are those of drawing every array
-    # whole with rng.gamma from the same stream.
-    p, q, evaluators = _shard_inputs(k, scenario_seed, chis, n_d)
+    # so the LRT statistics and energy sums, are those of drawing every
+    # array whole with rng.gamma from the same stream.
+    p, q, lrt = _shard_inputs(k, scenario_seed, chis, n_d)
     idx, m, seed = 3, 1 << 14, 21
     rng = rng_stream(seed, _STREAM_KEY, idx)
     shape = (m, blocks, k)
@@ -161,12 +165,11 @@ def test_shard_draws_match_whole_array_draws(k, scenario_seed, chis, n_d,
     u1 = rng.exponential(size=shape)
     v1 = rng.exponential(size=shape)
     z1 = rng.gamma(shape=n_d, scale=(1.0 + p * u1) + q * v1)
-    stat0 = sum(psi(z0[:, :, i]).sum(axis=1) for i, psi in evaluators)
-    stat1 = sum(psi(z1[:, :, i]).sum(axis=1) for i, psi in evaluators)
-    want = (int((stat0 > 0.0).sum()), int((stat1 <= 0.0).sum()))
     args = (idx, m, seed, p, q, n_d, blocks)
-    assert _run_shard(*args, evaluators, "lrt")[:2] == want
-    _, _, e0, e1 = _run_shard(*args, [], "energy")
+    stat0, stat1 = _run_shard(*args, lrt)
+    assert np.array_equal(stat0, lrt(z0))
+    assert np.array_equal(stat1, lrt(z1))
+    e0, e1 = _run_shard(*args, lambda z: z.sum(axis=(1, 2)))
     assert np.array_equal(e0, z0.sum(axis=(1, 2)))
     assert np.array_equal(e1, z1.sum(axis=(1, 2)))
 
@@ -176,10 +179,10 @@ def test_shard_holds_one_draw_array():
     # 2^14 trials) stays below two (m, L, K) float64 arrays; drawing each
     # array whole took about four of them. The splines are built beforehand.
     m, k, blocks = 1 << 14, 4, 15
-    p, q, evaluators = _shard_inputs(k, 5, [0.03, 0.06, 0.02, 0.05], 90)
+    p, q, lrt = _shard_inputs(k, 5, [0.03, 0.06, 0.02, 0.05], 90)
     tracemalloc.start()
     try:
-        _run_shard(0, m, 11, p, q, 90, blocks, evaluators, "lrt")
+        _run_shard(0, m, 11, p, q, 90, blocks, lrt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -38,8 +38,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(figure_id="fig4_rate_vs_Q", sweep=(25.0,),
                        scenarios_per_point=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(figure_id="fig4_rate_vs_Q", sweep=(25.0,), jobs=0)
+    # Sweeps run serially; jobs=1 is the one value default_spec takes.
+    assert default_spec("fig4_rate_vs_Q", jobs=1) == \
+        default_spec("fig4_rate_vs_Q")
+    with pytest.raises(TypeError, match="jobs"):
+        default_spec("fig4_rate_vs_Q", jobs=2)
 
 
 def test_spec_rejects_unknown_scenario_keys(tmp_path):
@@ -61,14 +64,14 @@ def test_spec_rejects_unknown_scenario_keys(tmp_path):
 
 
 def test_spec_rejects_scenario_seed(tmp_path):
-    # Scenario seeds derive from the run's seed, so a [scenario] seed would
-    # be written to spec.ini and never used.
-    with pytest.raises(ValueError, match=r"\[experiment\] seed"):
+    # Scenario seeds derive from the run's [experiment] seed, so a
+    # [scenario] seed is an unknown key that would never be used.
+    with pytest.raises(ValueError, match=r"unknown \[scenario\].*'seed'"):
         default_spec("fig4_rate_vs_Q", scenario={"seed": 5})
     path = tmp_path / "spec.ini"
     path.write_text("[experiment]\nfigure = fig4_rate_vs_Q\n"
                     "[scenario]\nseed = 5\n")
-    with pytest.raises(ValueError, match=r"\[experiment\] seed"):
+    with pytest.raises(ValueError, match=r"unknown \[scenario\].*'seed'"):
         load_spec(path)
 
 
@@ -109,7 +112,7 @@ def test_default_sweeps_cover_every_figure():
 
 
 def test_spec_roundtrip_through_ini(tmp_path):
-    spec = default_spec("fig8_rate_vs_Q_fast", seed=5, jobs=2,
+    spec = default_spec("fig8_rate_vs_Q_fast", seed=5,
                         scenario={"M": 10, "P_R_dBm": 7.5})
     path = tmp_path / "spec.ini"
     save_spec(spec, path)
@@ -213,7 +216,7 @@ def test_runs_are_byte_identical(tmp_path):
     kwargs = dict(sweep=(20.0, 30.0), scenarios_per_point=2, seed=3)
     a = run_experiment(default_spec("fig4_rate_vs_Q",
                                     output_dir=str(tmp_path / "a"), **kwargs))
-    b = run_experiment(default_spec("fig4_rate_vs_Q", jobs=3,
+    b = run_experiment(default_spec("fig4_rate_vs_Q",
                                     output_dir=str(tmp_path / "b"), **kwargs))
     for name in ("points.csv", "summary.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -360,6 +363,23 @@ def test_audit_replays_legacy_quad_order_key(tmp_path):
         audit_run(out, trials=5000, max_rows=1)
 
 
+def test_audit_replays_legacy_jobs_key(tmp_path):
+    # Runs written when sweep points ran on threads carry jobs = N in
+    # spec.ini. jobs never changed a run's bytes, so the key is ignored:
+    # the spec loads unchanged and audit.csv is the same.
+    spec = default_spec("fig4_rate_vs_Q", sweep=(25.0,),
+                        scenarios_per_point=1, seed=6,
+                        output_dir=str(tmp_path))
+    out = run_experiment(spec)
+    ini = out / "spec.ini"
+    text = ini.read_text()
+    assert "\njobs = " not in text
+    current = audit_run(out, trials=5000).read_bytes()
+    ini.write_text(text.replace("[experiment]\n", "[experiment]\njobs = 4\n"))
+    assert load_spec(ini) == spec
+    assert audit_run(out, trials=5000).read_bytes() == current
+
+
 def test_audit_validates_max_rows_and_jobs(tmp_path, capsys):
     out = run_experiment(default_spec(
         "fig4_rate_vs_Q", sweep=(25.0,), scenarios_per_point=1, seed=6,
@@ -423,7 +443,11 @@ def test_cli_run_audit_defaults(tmp_path, capsys):
     ini.write_text("[experiment]\nfigure = fig9_rate_vs_eps\n"
                    "sweep = 0.05,0.2\nscenarios_per_point = 1\nseed = 1\n"
                    f"output_dir = {tmp_path / 'runs'}\n")
-    assert cli.main(["run", str(ini), "--jobs", "2"]) == 0
+    assert cli.main(["run", str(ini)]) == 0
+    # run has no --jobs: sweep points run serially.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(ini), "--jobs", "2"])
+    assert exc.value.code == 2
     run_dir = tmp_path / "runs" / "fig9_rate_vs_eps"
     assert (run_dir / "points.csv").exists()
     assert cli.main(["audit", str(run_dir), "--trials", "5000",

@@ -29,7 +29,7 @@ def _unit_params():
 
 
 def _scenario_params(seed=11, k=4, n=100, blocks=1, eps=0.005):
-    inst = sample_scenario(ScenarioConfig(K=k, seed=seed))
+    inst = sample_scenario(ScenarioConfig(K=k), seed)
     return derive_fast_varying(inst, n, blocks, eps)
 
 
@@ -146,7 +146,7 @@ def test_batched_failure_names_the_pilot_fraction():
 
 
 def test_budget_scales_quadratically_with_epsilon():
-    inst = sample_scenario(ScenarioConfig(K=2, seed=0))
+    inst = sample_scenario(ScenarioConfig(K=2), 0)
     full = derive_fast_varying(inst, 50, 1, 0.01)
     half = derive_fast_varying(inst, 50, 1, 0.005)
     assert abs(half.budget / full.budget - 0.25) < 1e-14

@@ -99,7 +99,7 @@ def test_threshold_stationarity_residual(log_a, log_bm1, log_chi):
        st.integers(min_value=5, max_value=200))
 def test_power_budget_activity(seed, k, tau, epsilon, n_d):
     params = derive_fast_varying(
-        sample_scenario(ScenarioConfig(K=k, seed=seed)), 100, 100, epsilon)
+        sample_scenario(ScenarioConfig(K=k), seed), 100, 100, epsilon)
     zetas = zeta_vector(params, float(n_d))
     budget = 2.0 * epsilon ** 2 / params.L
     chis, lam = chi_given_tau(tau, params, zetas, budget)
@@ -114,7 +114,7 @@ def test_power_budget_activity(seed, k, tau, epsilon, n_d):
        st.integers(min_value=1, max_value=4))
 def test_pilot_fraction_local_optimality(seed, k):
     params = derive_fast_varying(
-        sample_scenario(ScenarioConfig(K=k, seed=seed)), 50, 20, 0.05)
+        sample_scenario(ScenarioConfig(K=k), seed), 50, 20, 0.05)
     rng = np.random.default_rng(seed + 1)
     chis = rng.uniform(1e-6, 1e-3, k)
     tau = tau_given_chi(chis, params)
@@ -129,11 +129,11 @@ def test_pilot_fraction_local_optimality(seed, k):
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_covertness_activity_at_optima(seed):
-    inst = sample_scenario(ScenarioConfig(K=2, seed=seed))
+    inst = sample_scenario(ScenarioConfig(K=2), seed)
     params = derive_quasi_static(inst, 0.005)
     res = poa_solve(params, delta=1e-3)
     assert 0.0 <= params.epsilon - tv_upper_bound(res.chi) <= 1e-10 * params.epsilon
-    single = sample_scenario(ScenarioConfig(K=1, seed=seed))
+    single = sample_scenario(ScenarioConfig(K=1), seed)
     closed = closed_form_solve(derive_quasi_static(single, 0.005))
     assert abs(tv_upper_bound(closed.chi) - 0.005) <= 1e-10 * 0.005
 

@@ -19,12 +19,12 @@ from covertjam.scenario import QuasiStaticParams, ScenarioConfig, \
 
 
 def _params_k1():
-    inst = sample_scenario(ScenarioConfig(K=1, seed=2))
+    inst = sample_scenario(ScenarioConfig(K=1), 2)
     return derive_quasi_static(inst, 0.005)
 
 
 def _params_k2():
-    inst = sample_scenario(ScenarioConfig(K=2, seed=3))
+    inst = sample_scenario(ScenarioConfig(K=2), 3)
     return derive_quasi_static(inst, 0.005)
 
 
@@ -139,7 +139,7 @@ def test_poa_certifies_three_bands():
     # Three bands at the fig4 settings: the certificate needs a share grid
     # of 8192 steps (bound 4.355098).
     params = derive_quasi_static(
-        sample_scenario(ScenarioConfig(K=3, seed=3)), 0.005)
+        sample_scenario(ScenarioConfig(K=3), 3), 0.005)
     res = poa_solve(params, delta=1e-3)
     assert res.converged
     assert res.objective >= 4.35459 - 1e-3
@@ -215,9 +215,9 @@ def test_sca_handles_dead_band():
 def test_solver_result_validation():
     with pytest.raises(ValueError):
         QsSolveResult(chi=np.array([-0.1]), gamma=np.array([1.0]),
-                      rates=np.array([0.5]), objective=0.5, method="sca",
+                      objective=0.5, method="sca",
                       trace=[], constraint_slack=0.0)
     with pytest.raises(ValueError):
         QsSolveResult(chi=np.array([0.001]), gamma=np.array([1.0]),
-                      rates=np.array([0.5]), objective=0.5, method="sca",
+                      objective=0.5, method="sca",
                       trace=[], constraint_slack=-1.0)
