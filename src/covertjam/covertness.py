@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import quad
 from scipy.special import beta, digamma, lambertw
 from scipy.special import zeta as riemann_zeta
 
@@ -89,8 +88,12 @@ def tv_numeric_k1(chi: float) -> float:
     Integrates in the scale-free variable t = (x - noise floor)/q_hat, in
     which the TV depends on chi alone, and splits at the crossover
     t0 = chi ln(1/chi)/(1-chi) where the densities meet, so each piece has
-    a single sign. Absolute tolerance 1e-8.
+    a single sign. Absolute tolerance 1e-8. scipy.integrate (which pulls in
+    most of SciPy) is imported here, by its one user, and not with the
+    package.
     """
+    from scipy.integrate import quad
+
     _require_chi(chi)
     if chi == 0.0:
         return 0.0

@@ -221,6 +221,12 @@ def _parse_number(token: str):
         return float(token)
 
 
+# The [experiment] keys save_spec writes, then the legacy ones load_spec
+# still accepts from old run directories.
+_SPEC_KEYS = ("figure", "sweep", "scenarios_per_point", "seed", "output_dir",
+              "trials", "jobs", "quad_order")
+
+
 def load_spec(path) -> ExperimentSpec:
     """Read an INI experiment spec (same file format ``save_spec`` emits)."""
     parser = configparser.ConfigParser()
@@ -229,7 +235,16 @@ def load_spec(path) -> ExperimentSpec:
         raise FileNotFoundError(f"cannot read spec file {path}")
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
+    unknown = [name for name in parser.sections()
+               if name not in ("experiment", "scenario")]
+    if unknown:
+        raise ValueError(f"{path}: unknown section [{unknown[0]}]; only "
+                         "[experiment] and [scenario] are read")
     sect = parser["experiment"]
+    unknown = [key for key in sect if key not in _SPEC_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown [experiment] key {unknown[0]!r}; "
+                         f"known keys are {', '.join(_SPEC_KEYS)}")
     # Run directories written before ln Phi had a single evaluator record
     # quad_order = 0 (the default rule); any other order no longer exists.
     if sect.getint("quad_order", 0) != 0:

@@ -18,10 +18,12 @@ whatever block it falls in. The one known gap is a
 flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
 off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
-for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z;
-scipy fits the coefficients, and the spline evaluates them itself (one
-knot lookup, then the cubic in scipy's summation order), which gives
-scipy's bits and lets splines on the same knots share the lookup.
+for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z.
+The spline fits its own not-a-knot coefficients with one tridiagonal
+`solve_banded`, in the operation order of scipy's `CubicSpline`, and
+evaluates them itself (one knot lookup, then the cubic in scipy's
+summation order), which gives `CubicSpline`'s bits without importing
+scipy.interpolate and lets splines on the same knots share the lookup.
 `h0_energy_rule` integrates against the H0 energy law; `gamma_rule`
 integrates against Gamma(n, 1).
 """
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import gammainccinv, gammaln
 
 from .roots import increasing_roots
@@ -153,6 +155,41 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     return phi_star + np.log(integral) - np.log(x)
 
 
+def _not_a_knot_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, m - 1) of the not-a-knot cubic spline through (t, y).
+
+    The knot slopes s solve the tridiagonal system of continuous second
+    derivatives, closed by continuous third derivatives at t_1 and t_{m-2};
+    each interval is then the Hermite cubic through its end values and
+    slopes. Every array operation is the one scipy's `CubicSpline.__init__`
+    and `CubicHermiteSpline.__init__` perform for 1-D data of at least
+    four knots, so the result equals `CubicSpline(t, y).c` bit for bit.
+    """
+    m = t.size
+    dt = np.diff(t)
+    slope = np.diff(y) / dt
+    ab = np.zeros((3, m))
+    ab[1, 1:-1] = 2 * (dt[:-1] + dt[1:])
+    ab[0, 2:] = dt[:-1]
+    ab[-1, :-2] = dt[1:]
+    rhs = np.empty(m)
+    rhs[1:-1] = 3 * (dt[1:] * slope[:-1] + dt[:-1] * slope[1:])
+    d = t[2] - t[0]
+    ab[1, 0] = dt[1]
+    ab[0, 1] = d
+    rhs[0] = ((dt[0] + 2 * d) * dt[1] * slope[0] + dt[0] ** 2 * slope[1]) / d
+    d = t[-1] - t[-3]
+    ab[1, -1] = dt[-2]
+    ab[-1, -2] = d
+    rhs[-1] = (dt[-1] ** 2 * slope[-2]
+               + (2 * d + dt[-1]) * dt[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    cubic = (s[:-1] + s[1:] - 2 * slope) / dt
+    return np.stack((cubic / dt, (slope - s[:-1]) / dt - cubic, s[:-1],
+                     y[:-1]))
+
+
 class LogPhiSpline:
     """Vectorized ln Phi(x, ., n) for bulk evaluation at fixed (x, n).
 
@@ -164,7 +201,8 @@ class LogPhiSpline:
     against the exact panel integrator on held-out points. Used by the
     detection oracle, which needs millions of evaluations per run.
 
-    scipy's `CubicSpline` only computes the coefficients; evaluation is
+    `_not_a_knot_coeffs` fits the coefficients with the same operations,
+    and so the same bits, as scipy's `CubicSpline(t, y).c`; evaluation is
     direct on the uniform knots in two steps, so that splines sharing
     their knots can share the first. `locate` finds the knot interval i
     and the offset d = t - t_i; `evaluate` sums the cubic at (i, d). The
@@ -176,15 +214,13 @@ class LogPhiSpline:
     """
 
     def __init__(self, x: float, n: float, z_max: float):
-        from scipy.interpolate import CubicSpline
-
         if z_max <= _SPLINE_Z_LO:
             raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
         self.z_max = z_max
         t_lo = np.log(_SPLINE_Z_LO)
         t = np.linspace(t_lo, np.log(z_max), _SPLINE_KNOTS)
         self.knots = t
-        self.coeffs = CubicSpline(t, log_phi_exact(x, np.exp(t), n)).c
+        self.coeffs = _not_a_knot_coeffs(t, log_phi_exact(x, np.exp(t), n))
         self._inv_step = (_SPLINE_KNOTS - 1) / (t[-1] - t[0])
         # Right end of each interval; the last one also holds t = t[-1].
         self._upper = np.append(t[1:-1], np.inf)

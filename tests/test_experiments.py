@@ -103,6 +103,23 @@ def test_bad_scenario_rejected_before_any_row(tmp_path, capsys, figure,
     assert not (tmp_path / "runs" / figure / "points.csv").exists()
 
 
+@pytest.mark.parametrize("extra, match", [
+    ("trails = 50\n", r"unknown \[experiment\] key 'trails'"),
+    ("[scenaro]\nK = 9\n", r"unknown section \[scenaro\]"),
+], ids=["experiment_key", "section"])
+def test_unknown_spec_key_or_section_rejected(tmp_path, capsys, extra, match):
+    # A misspelt [experiment] key or section would otherwise run the stock
+    # value without a word; it is a spec error like a bad [scenario] key.
+    ini = tmp_path / "spec.ini"
+    ini.write_text("[experiment]\nfigure = fig2_tv_bounds\nsweep = 0.2\n"
+                   f"output_dir = {tmp_path / 'runs'}\n{extra}")
+    with pytest.raises(ValueError, match=match):
+        load_spec(ini)
+    assert cli.main(["run", str(ini)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "fig2_tv_bounds" / "points.csv").exists()
+
+
 def test_default_sweeps_cover_every_figure():
     for figure_id in FIGURE_IDS:
         sweep = default_sweep(figure_id)

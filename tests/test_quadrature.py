@@ -18,6 +18,7 @@ from covertjam.quadrature import (
     _SPLINE_Z_LO,
     H0EnergyRule,
     LogPhiSpline,
+    _not_a_knot_coeffs,
     gamma_rule,
     h0_energy_rule,
     log_phi_exact,
@@ -206,13 +207,51 @@ def test_log_phi_spline_is_bit_identical_to_cubic_spline():
 
 
 def test_package_import_loads_no_spline_module():
-    # scipy.interpolate is imported only when a LogPhiSpline is built, so
-    # runs that never audit do not pay for it.
-    code = ("import sys, covertjam, covertjam.cli, covertjam.experiments; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.interpolate')))")
+    # The package loads only the SciPy it runs: scipy.special and
+    # scipy.linalg. scipy.integrate (which pulls in scipy.optimize and
+    # scipy.sparse) is imported by tv_numeric_k1 alone, and LogPhiSpline
+    # fits its own coefficients, so building one and running the
+    # Monte-Carlo adversary loads no scipy.interpolate either.
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.sparse")
+    code = (
+        "import sys, covertjam, covertjam.cli, covertjam.experiments\n"
+        f"heavy = {heavy!r}\n"
+        "def loaded(names):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(names))\n"
+        "print(loaded(heavy))\n"
+        "from covertjam.quadrature import LogPhiSpline\n"
+        "LogPhiSpline(0.3, 90.0, 2.9e3)\n"
+        "inst = covertjam.sample_scenario(covertjam.ScenarioConfig(K=2), 3)\n"
+        "covertjam.simulate_detection(inst, [0.2, 0.4], N_d=20, L=2,"
+        " trials=2000, seed=1)\n"
+        "print(loaded('scipy.interpolate'))\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(covertjam.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_spline_coefficients_are_cubic_spline_bits_over_audit_range():
+    # The in-house not-a-knot fit gives CubicSpline(t, y).c bit for bit
+    # across the (x, n, z_max) the detection oracle can ask for. Where
+    # the spline does not certify (tiny x with a far z_max), the fit
+    # itself is still compared.
+    rng = np.random.default_rng(20)
+    built = 0
+    for _ in range(40):
+        x = math.exp(rng.uniform(math.log(1e-6), math.log(1e8)))
+        n = float(rng.integers(1, 3163))
+        z_max = math.exp(rng.uniform(0.0, math.log(1e9)))
+        t = np.linspace(np.log(_SPLINE_Z_LO), np.log(z_max), _SPLINE_KNOTS)
+        y = log_phi_exact(x, np.exp(t), n)
+        want = CubicSpline(t, y).c
+        assert np.array_equal(_not_a_knot_coeffs(t, y), want), (x, n, z_max)
+        try:
+            coeffs = LogPhiSpline(x, n, z_max).coeffs
+        except ArithmeticError:
+            continue
+        built += 1
+        assert np.array_equal(coeffs, want), (x, n, z_max)
+    assert built >= 30
