@@ -16,14 +16,19 @@ the TV functions take chi; the n-sample ones take the floats p and q.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import beta, digamma, lambertw
 from scipy.special import zeta as riemann_zeta
 
-from .quadrature import gamma_rule, h0_energy_rule, log_phi_exact
+from .quadrature import (
+    gamma_rule,
+    h0_energy_finish,
+    h0_energy_layout,
+    h0_energy_rule,
+    log_phi_exact,
+)
 from .roots import increasing_roots
 from .scenario import rng_stream
 
@@ -36,6 +41,7 @@ __all__ = [
     "likelihood_ratio_delta",
     "kl_divergence",
     "zeta",
+    "zeta_pairs",
     "tv_exact_n",
     "pinsker_budget",
     "limit_kl",
@@ -49,6 +55,10 @@ __all__ = [
 # rule, whose support grows with q, and zeta >> 1 there makes its
 # subtraction harmless (see zeta docstring).
 _ZETA_DIRECT_SWITCH = 50.0
+
+# zeta_pairs keeps at most this many values, dropping the oldest first.
+_ZETA_CACHE_SIZE = 4096
+_ZETA_CACHE: dict = {}
 
 # zeta(m + 1) - 1/m, m = 1..16: limit_kl's series coefficients for small x.
 _LIMIT_KL_SERIES = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
@@ -203,7 +213,8 @@ def zeta(q: float, n: float, rule=None) -> float:
     q the direct single integral
     zeta = E_{s~Gamma(n)}[e^{-s}/Phi(q,s)] - 1 is cheaper and exact; there
     zeta >> 1, so the subtraction is harmless. Both equal the defining
-    variance because E_{H0}[e^{-z}/Phi(q,z)] = 1 identically.
+    variance because E_{H0}[e^{-z}/Phi(q,z)] = 1 identically. This is
+    `zeta_pairs` on the one pair, and shares its cache.
 
     `rule` selects nothing and must stay None: ln Phi has a single
     evaluator. The keyword remains only because the bench harness
@@ -212,23 +223,50 @@ def zeta(q: float, n: float, rule=None) -> float:
     """
     if rule is not None:
         raise TypeError("zeta takes no quadrature rule; pass rule=None")
-    if q <= 0.0:
+    return float(zeta_pairs([(q, n)])[0])
+
+
+def zeta_pairs(pairs) -> np.ndarray:
+    """zeta(q, n) for each (q, n) pair, in one ln Phi call for all misses.
+
+    Pilot-grid sweeps hit the same pairs across scenarios, so values are
+    cached. For the pairs not cached yet, the quadrature nodes, which do
+    not depend on Phi, are collected first: the Gamma(n) rule's above
+    _ZETA_DIRECT_SWITCH, the H0 energy rule's below. One `log_phi_exact`
+    call then covers them all, and each value is finished on its own with
+    the arithmetic and checks of a single pair, so it has the same bits.
+    """
+    keys = [(float(q), float(n)) for q, n in pairs]
+    if not all(q > 0.0 for q, _ in keys):
         raise ValueError("q must be positive")
-    if n < 1:
+    if not all(n >= 1 for _, n in keys):
         raise ValueError("n must be >= 1")
-    # Pilot-grid sweeps hit the same (q, n) pairs across scenarios.
-    return _zeta_cached(float(q), float(n))
+    values = {k: _ZETA_CACHE[k] for k in keys if k in _ZETA_CACHE}
+    todo = [k for k in dict.fromkeys(keys) if k not in values]
+    if todo:
+        nodes = [h0_energy_layout(q, n) if q <= _ZETA_DIRECT_SWITCH
+                 else gamma_rule(n) for q, n in todo]
+        sizes = [len(z) for z, _ in nodes]
+        log_phi = log_phi_exact(np.repeat([q for q, _ in todo], sizes),
+                                np.concatenate([z for z, _ in nodes]),
+                                np.repeat([n for _, n in todo], sizes))
+        for (q, n), (z, w), lp in zip(
+                todo, nodes, np.split(log_phi, np.cumsum(sizes)[:-1])):
+            values[q, n] = _zeta_finish(q, n, z, w, lp)
+        _ZETA_CACHE.update((k, values[k]) for k in todo)
+        while len(_ZETA_CACHE) > _ZETA_CACHE_SIZE:
+            del _ZETA_CACHE[next(iter(_ZETA_CACHE))]
+    return np.array([values[k] for k in keys])
 
 
-@lru_cache(maxsize=4096)
-def _zeta_cached(q: float, n: float) -> float:
+def _zeta_finish(q: float, n: float, z, w, log_phi_q) -> float:
+    """zeta from the nodes, weights and ln Phi of its route."""
     if q <= _ZETA_DIRECT_SWITCH:
-        r = h0_energy_rule(q, n)
+        r = h0_energy_finish(q, n, z, w, log_phi_q)
         resid = -np.expm1(-r.z - r.log_phi_q)
         val = r.expectation(resid * resid)
     else:
-        s, w = gamma_rule(n)
-        val = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
+        val = float(np.dot(w, np.exp(-z - log_phi_q))) - 1.0
     if not np.isfinite(val) or val < 0.0:
         raise ArithmeticError(f"zeta({q}, {n}) evaluation failed: {val!r}")
     return val

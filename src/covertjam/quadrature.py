@@ -10,11 +10,13 @@ ln Phi has one evaluator, `log_phi_exact`: a panel integrator in
 y = ln(1+xv), where the log-integrand -(n-1)y - z e^{-y} - (e^y - 1)/x is
 strictly concave, so the peak is unique, the tails are certified, and fixed
 Gauss-Legendre panels between the two 60-nat drop-off points (Newton roots
-from `covertjam.roots`) give near-machine accuracy. The drop points are
-found for all z at once; the 12-panel, 240-node tensor is then integrated
-136 points at a time, so its temporaries stay within one working block of
-2^15 doubles for any number of points, and each value has the same bits
-whatever block it falls in. The one known gap is a
+from `covertjam.roots`) give near-machine accuracy. x, z and n are given
+per point and broadcast, so one call can cover many (x, n) pairs, such as
+the nodes of a whole pilot grid of covertness coefficients. The kernel runs
+4096 points at a time (peak, drop points, then the 12-panel, 240-node
+tensor 136 points at a time inside), so its temporaries stay within a few
+working blocks of 2^15 doubles for any number of points, and each value
+has the same bits whatever block or call it falls in. The one known gap is a
 flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
 off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
@@ -54,10 +56,13 @@ _FRAC = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
 
 # Doubles in one working block of a bulk evaluation (256 KiB, so a block's
 # temporaries stay in cache). `log_phi_exact` takes _PANEL_POINTS points
-# per panel tensor; the detection oracle draws about this many energies
-# at a time.
+# per panel tensor, and _KERNEL_POINTS points per block of its whole
+# kernel (peak, drop-point root finds, panels), so that eight arrays of a
+# block's points fill one working block; the detection oracle draws about
+# this many energies at a time.
 _WORK_BLOCK = 1 << 15
 _PANEL_POINTS = _WORK_BLOCK // (2 * (len(_FRAC) - 1) * len(_LEG_NODES))
+_KERNEL_POINTS = _WORK_BLOCK // 8
 
 # LogPhiSpline's lower z end and knot count.
 _SPLINE_Z_LO = 1e-6
@@ -86,13 +91,31 @@ def gamma_rule(n: float, order: int = 128):
 
 
 def _phi_log_integrand(y, x, z_col, b):
-    """Concave exponent of Phi's integrand in y = ln(1+xv); z_col broadcasts."""
+    """Concave exponent of Phi's integrand in y = ln(1+xv).
+
+    -b y - z e^{-y} - (e^y - 1)/x, with x, z_col and b broadcasting
+    against y. The terms are formed in place in two arrays of y's shape,
+    in the operation order of the expression, so the bits are the
+    expression's.
+    """
     with np.errstate(over="ignore"):
-        return -b * y - z_col * np.exp(-y) - np.expm1(y) / x
+        out = -b * y
+        term = np.negative(y)
+        np.exp(term, out=term)
+        term *= z_col
+        out -= term
+        np.expm1(y, out=term)
+        term /= x
+        out -= term
+    return out
 
 
-def log_phi_exact(x: float, z, n: float) -> np.ndarray:
-    """ln Phi(x, z, n) by certified panel quadrature; vectorized over z.
+def log_phi_exact(x, z, n) -> np.ndarray:
+    """ln Phi(x, z, n) by certified panel quadrature, point by point.
+
+    x, z and n broadcast against each other; the result has their broadcast
+    shape, at least 1-D, so a scalar x and n with an array of z is simply
+    the broadcast case. Points with x = 0 give -z.
 
     Writes Phi = (1/x) int_0^inf exp(phi(y)) dy with phi strictly concave,
     locates the unique peak from the quadratic u^2/x + (n-1)u - z = 0 in
@@ -100,19 +123,32 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     Newton (from y = 0 on the left, from the closed-form bound
     y_hi = ln(1 + x |target|) on the right), and lays geometrically refined
     Gauss-Legendre panels between them. Concavity bounds every panel's
-    log-range, so 20-point panels are effectively exact. The root finds
-    run over all of z; the panel tensor runs over blocks of _PANEL_POINTS
-    points, so memory stays flat in z.size and a point's value does not
-    depend on the other points of the call.
+    log-range, so 20-point panels are effectively exact. The whole kernel
+    runs over blocks of _KERNEL_POINTS points (peak, root finds, and the
+    panel tensor _PANEL_POINTS points at a time inside each), so memory
+    stays flat in the number of points. Every step is element-wise, so a
+    point's value does not depend on the other points of the call.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    x, z, n = (np.asarray(v, dtype=float) for v in (x, z, n))
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
         raise ValueError("z must be finite and nonnegative")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return -z
-    b = n - 1.0
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite and nonnegative")
+    if not np.all(np.isfinite(n)):
+        raise ValueError("n must be finite")
+    x, z, n = np.broadcast_arrays(x, np.atleast_1d(z), n)
+    shape = z.shape
+    x, z, n = (v.reshape(-1) for v in (x, z, n))
+    out = -z
+    todo = np.flatnonzero(x > 0.0)
+    for lo in range(0, todo.size, _KERNEL_POINTS):
+        i = todo[lo:lo + _KERNEL_POINTS]
+        out[i] = _log_phi_block(x[i], z[i], n[i] - 1.0)
+    return out.reshape(shape)
+
+
+def _log_phi_block(x, z, b):
+    """ln Phi at one block of points with x > 0 and b = n - 1."""
     with np.errstate(invalid="ignore", divide="ignore"):
         u_star = 2.0 * z / (b + np.sqrt(b * b + 4.0 * z / x))
     u_star = np.where(z == 0.0, 0.0, u_star)
@@ -125,9 +161,9 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
         # sign = 1, convex and increasing right of it for sign = -1, so
         # Newton from the outer end of each bracket converges monotonically.
         def fn(y, rows):
-            zr = z[rows]
-            f = _phi_log_integrand(y, x, zr, b) - target[rows]
-            df = -b + zr * np.exp(-y) - np.exp(y) / x
+            xr, zr, br = x[rows], z[rows], b[rows]
+            f = _phi_log_integrand(y, xr, zr, br) - target[rows]
+            df = -br + zr * np.exp(-y) - np.exp(y) / xr
             return sign * f, sign * df, _DROP_FLOOR
         return fn
 
@@ -136,22 +172,24 @@ def log_phi_exact(x: float, z, n: float) -> np.ndarray:
     y_l = increasing_roots(drop(1.0), 0.0, 0.0, y_star)
     y_r = increasing_roots(drop(-1.0), y_hi, y_star, y_hi)
 
-    left_bp = y_star[:, None] - (y_star - y_l)[:, None] * _FRAC[::-1][None, :]
-    right_bp = y_star[:, None] + (y_r - y_star)[:, None] * _FRAC[None, :]
-    breakpoints = np.concatenate([left_bp[:, :-1], right_bp], axis=1)
+    left, right = y_star - y_l, y_r - y_star
 
-    lo_edge = breakpoints[:, :-1]
-    half = 0.5 * (breakpoints[:, 1:] - lo_edge)
-    mid = lo_edge + half
-
-    # The panel tensor, a block of points at a time.
+    # The panels and their tensor, _PANEL_POINTS points at a time.
     integral = np.empty_like(z)
     for lo in range(0, z.size, _PANEL_POINTS):
         s = slice(lo, lo + _PANEL_POINTS)
-        nodes = mid[s, :, None] + half[s, :, None] * _LEG_NODES[None, None, :]
-        vals = np.exp(_phi_log_integrand(nodes, x, z[s, None, None], b)
-                      - phi_star[s, None, None])
-        integral[s] = np.einsum("ijk,ij,k->i", vals, half[s], _LEG_WEIGHTS)
+        peak = y_star[s, None]
+        breakpoints = np.concatenate([peak - left[s, None] * _FRAC[:0:-1],
+                                      peak + right[s, None] * _FRAC], axis=1)
+        half = 0.5 * (breakpoints[:, 1:] - breakpoints[:, :-1])
+        mid = breakpoints[:, :-1] + half
+        nodes = half[:, :, None] * _LEG_NODES
+        nodes += mid[:, :, None]
+        vals = _phi_log_integrand(nodes, x[s, None, None], z[s, None, None],
+                                  b[s, None, None])
+        vals -= phi_star[s, None, None]
+        integral[s] = np.einsum("ijk,ij,k->i", np.exp(vals, out=vals), half,
+                                _LEG_WEIGHTS)
     return phi_star + np.log(integral) - np.log(x)
 
 
@@ -293,6 +331,16 @@ def h0_energy_rule(q: float, n: float) -> H0EnergyRule:
 
 @lru_cache(maxsize=128)
 def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
+    z, panel_w = h0_energy_layout(q, n)
+    return h0_energy_finish(q, n, z, panel_w, log_phi_exact(q, z, n))
+
+
+def h0_energy_layout(q: float, n: float) -> tuple:
+    """Nodes z and panel weights of the H0 energy rule, which need no Phi.
+
+    `h0_energy_finish` turns them into the rule once ln Phi(q, z, n) is
+    known, so a caller can evaluate ln Phi for many rules in one call.
+    """
     if q <= 0.0:
         raise ValueError("q must be positive")
     if n < 1:
@@ -311,11 +359,16 @@ def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
     mid = edges[:-1] + half
     z = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
     panel_w = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-    lpq = log_phi_exact(q, z, n)
-    w = panel_w * np.exp((n - 1.0) * np.log(z) - gammaln(n) + lpq)
+    return z, panel_w
+
+
+def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,
+                     log_phi_q: np.ndarray) -> H0EnergyRule:
+    """The H0 energy rule from its layout and ln Phi(q, z, n): the weights
+    absorb the mixture density, and their sum is the mass certificate."""
+    w = panel_w * np.exp((n - 1.0) * np.log(z) - gammaln(n) + log_phi_q)
     mass = float(w.sum())
     if abs(mass - 1.0) > 1e-8:
         raise ArithmeticError(
             f"H0 energy rule mass certificate failed: {mass!r} (q={q}, n={n})")
-    return H0EnergyRule(z=z, w=w, log_phi_q=lpq, mass=mass)
-
+    return H0EnergyRule(z=z, w=w, log_phi_q=log_phi_q, mass=mass)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from covertjam import covertness
 from covertjam.fast_varying import (
     FvSolveResult,
     ao_solve,
@@ -14,6 +15,7 @@ from covertjam.fast_varying import (
     tau_given_chi,
     zeta_vector,
 )
+from covertjam.quadrature import log_phi_exact
 from covertjam.scenario import FastVaryingParams, ScenarioConfig, \
     derive_fast_varying, sample_scenario
 
@@ -229,19 +231,56 @@ def test_ao_rounding_prefers_more_pilots_on_ties():
     assert res.N_t == expected
 
 
-def test_zeta_vector_cache():
-    from covertjam.covertness import _zeta_cached, zeta
+def _cold_zeta_cache_counting_log_phi(monkeypatch) -> list:
+    """Empty zeta's cache; return the list of sizes of its ln Phi calls."""
+    calls = []
+
+    def counted(x, z, n):
+        calls.append(np.size(z))
+        return log_phi_exact(x, z, n)
+
+    monkeypatch.setattr(covertness, "log_phi_exact", counted)
+    monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
+    return calls
+
+
+def test_zeta_vector_cache(monkeypatch):
+    calls = _cold_zeta_cache_counting_log_phi(monkeypatch)
     params = _scenario_params(seed=3, k=2, n=20)
     a = zeta_vector(params, 15)
-    hits = _zeta_cached.cache_info().hits
+    # A cold vector is one ln Phi call, with one cached zeta per distinct
+    # jamming spread.
+    assert len(calls) == 1
+    assert len(covertness._ZETA_CACHE) == len(set(map(float, params.q_norm)))
     b = zeta_vector(params, 15)
     assert np.array_equal(a, b)
-    # One cached zeta per distinct jamming spread.
-    assert _zeta_cached.cache_info().hits - hits == \
-        len(set(map(float, params.q_norm)))
+    # A repeated vector evaluates no ln Phi.
+    assert len(calls) == 1
     # ln Phi has one evaluator, so zeta's leftover keyword selects nothing.
     with pytest.raises(TypeError):
-        zeta(float(params.q_norm[0]), 15, rule=128)
+        covertness.zeta(float(params.q_norm[0]), 15, rule=128)
+
+
+@pytest.mark.parametrize("q_dbm", [15.0, 25.0, (15.0, 25.0, 15.0, 25.0)])
+def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
+    # Q = 15 dBm (fig8's low point, q ~ 31.6) takes the H0 rule route, the
+    # stock 25 dBm (q ~ 316) the Gamma rule route, and the mixed bands
+    # take both in one call. ES's (N - 1, K) pilot-grid matrix is one
+    # ln Phi call, and each value has the bits of a single-pair zeta
+    # evaluated on its own cold cache.
+    inst = sample_scenario(ScenarioConfig(K=4, Q_dBm=q_dbm), 5)
+    params = derive_fast_varying(inst, 100, 1, 0.05)
+    n_d = np.arange(99, 0, -1)
+    calls = _cold_zeta_cache_counting_log_phi(monkeypatch)
+    grid = zeta_vector(params, n_d)
+    assert grid.shape == (99, 4) and len(calls) == 1
+    single = []
+    for n in n_d:
+        for q in params.q_norm:
+            monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
+            single.append(covertness.zeta(q, n))
+    assert np.array_equal(grid, np.reshape(single, grid.shape))
+    assert len(calls) == 1 + grid.size
 
 
 def test_result_validation():

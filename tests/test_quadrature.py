@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.special import gammaincinv, gammaln
 
 import covertjam
 from covertjam.quadrature import (
+    _KERNEL_POINTS,
     _PANEL_POINTS,
     _SPLINE_KNOTS,
     _SPLINE_Z_LO,
@@ -175,6 +177,59 @@ def test_log_phi_exact_is_independent_of_block_boundaries():
         cuts = np.cumsum(sizes + list(rng.integers(1, 300, 8)))
         parts = [log_phi_exact(x, part, n) for part in np.split(z, cuts)]
         assert np.array_equal(whole, np.concatenate(parts)), (x, n)
+
+
+def test_log_phi_exact_per_point_calls_are_bit_identical_to_scalar_calls():
+    # x, z and n broadcast point by point; one call over a set of points
+    # gives each point the bits of its own scalar call, for sets smaller
+    # and larger than one kernel block, with x = 0 and z = 0 mixed in.
+    rng = np.random.default_rng(17)
+    size = _KERNEL_POINTS + 50
+    x = np.exp(rng.uniform(np.log(1e-8), np.log(1e9), size))
+    x[rng.random(size) < 0.05] = 0.0
+    n = np.exp(rng.uniform(0.0, np.log(5000.0), size))
+    n[::7] = rng.integers(1, 200, n[::7].size)
+    z = n * np.exp(rng.uniform(np.log(1e-8), np.log(1e4), size))
+    z[rng.random(size) < 0.05] = 0.0
+    single = np.array([log_phi_exact(*point)[0] for point in zip(x, z, n)])
+    assert isinstance(log_phi_exact(x[0], z[0], n[0]), np.ndarray)
+    for m in (1, 2, 137, _KERNEL_POINTS - 1, size):
+        i = rng.permutation(size)[:m]
+        assert np.array_equal(log_phi_exact(x[i], z[i], n[i]), single[i]), m
+    # Broadcasting: a column of x against a row of z.
+    grid = log_phi_exact(x[:5, None], z[None, :40], n[:5, None])
+    assert grid.shape == (5, 40)
+    assert np.array_equal(grid, np.array(
+        [log_phi_exact(x[i], z[:40], n[i]) for i in range(5)]))
+
+
+@pytest.mark.parametrize("x, z, n", [
+    (np.nan, [1.0], 5.0), (np.inf, [1.0], 5.0), (-1.0, [1.0], 5.0),
+    (3.0, [1.0], np.nan), (3.0, [1.0], np.inf), (3.0, [1.0], -np.inf),
+    ([3.0, np.nan], [1.0, 2.0], 5.0), (3.0, [1.0, 2.0], [5.0, np.nan]),
+    (3.0, [1.0, np.nan], 5.0), (3.0, [-1.0], 5.0), (3.0, [np.inf], 5.0),
+])
+def test_log_phi_exact_rejects_bad_points(x, z, n):
+    with pytest.raises(ValueError):
+        log_phi_exact(x, z, n)
+
+
+def test_log_phi_exact_memory_is_flat_in_the_number_of_points():
+    # The whole kernel runs a block of points at a time, so 40,000 points,
+    # at one (x, n) or with mixed ones, need a few MiB, not the panel
+    # breakpoints of every point at once.
+    rng = np.random.default_rng(3)
+    x = rng.choice([0.3, 3.0, 316.0], 40000)
+    n = rng.choice([1.0, 7.0, 90.0], 40000)
+    z = n * np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 40000))
+    for args in ((3.0, z, 90.0), (x, z, n)):
+        tracemalloc.start()
+        try:
+            log_phi_exact(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
 
 
 def test_log_phi_spline_is_bit_identical_to_cubic_spline():
