@@ -183,24 +183,25 @@ def log_psi(p: float, q: float, z, n: float) -> np.ndarray:
         p, q, z, log_phi_exact(p, z, n), log_phi_exact(q, z, n)))
 
 
+def _band_delta(p: float, q: float, n: float):
+    """A band's n-sample law: the H0 energy rule of (q, n) and delta =
+    Psi - 1 at its nodes, from the exact ln Phi(p, ., n). These three
+    calls check q and n, then p, then p < q; at p = 0, delta is 0."""
+    r = h0_energy_rule(q, n)
+    return r, likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
+                                     r.log_phi_q)
+
+
 def kl_divergence(p: float, q: float, n: float) -> float:
     """KL divergence D(H0 || H1) of the n-sample normalized band energy.
 
     Since E_{H0}[Psi] = 1 exactly, D = -E_{H0}[ln Psi] equals
     E_{H0}[Psi - 1 - ln Psi], whose integrand delta - log1p(delta) is
     nonnegative and immune to the cancellation that kills the naive form
-    when Psi ~ 1. The H0 expectation is the certified 1-D energy rule
-    (the mixture density is z^{n-1} Phi(q, z, n) / Gamma(n) exactly).
+    when Psi ~ 1. It is a reduction of the band law `_band_delta`, on the
+    certified H0 energy rule (density z^{n-1} Phi(q, z, n) / Gamma(n)).
     """
-    if not 0.0 <= p < q:
-        raise ValueError("requires 0 <= p < q")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p == 0.0:
-        return 0.0
-    r = h0_energy_rule(q, n)
-    delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
-                                   r.log_phi_q)
+    r, delta = _band_delta(p, q, n)
     return r.expectation(delta - np.log1p(delta))
 
 
@@ -237,10 +238,10 @@ def zeta_pairs(pairs) -> np.ndarray:
     the arithmetic and checks of a single pair, so it has the same bits.
     """
     keys = [(float(q), float(n)) for q, n in pairs]
-    if not all(q > 0.0 for q, _ in keys):
-        raise ValueError("q must be positive")
-    if not all(n >= 1 for _, n in keys):
-        raise ValueError("n must be >= 1")
+    if not all(0.0 < q < math.inf for q, _ in keys):
+        raise ValueError("q must be positive and finite")
+    if not all(1.0 <= n < math.inf for _, n in keys):
+        raise ValueError("n must be finite and >= 1")
     values = {k: _ZETA_CACHE[k] for k in keys if k in _ZETA_CACHE}
     todo = [k for k in dict.fromkeys(keys) if k not in values]
     if todo:
@@ -275,25 +276,20 @@ def _zeta_finish(q: float, n: float, z, w, log_phi_q) -> float:
 def tv_exact_n(p: float, q: float, n: float) -> float:
     """Exact TV between the n-sample energy laws: (1/2) E_{H0}|Psi - 1|.
 
+    The same band law as `kl_divergence`, reduced to (1/2) E_{H0}|delta|.
     This is the finite-sample analogue of the single-band TV eta(chi)
     (which it approaches as n -> inf) and the analytic reference for the
     simulated detector's minimum error sum, 1 - TV.
     """
-    if not 0.0 <= p < q:
-        raise ValueError("requires 0 <= p < q")
-    if p == 0.0:
-        return 0.0
-    r = h0_energy_rule(q, n)
-    delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
-                                   r.log_phi_q)
+    r, delta = _band_delta(p, q, n)
     return 0.5 * r.expectation(np.abs(delta))
 
 
 def pinsker_budget(kls, L: int) -> float:
     """Multi-block Pinsker bound sqrt(L/2 sum_k D_k) on the detector's TV."""
     kls = np.asarray(kls, dtype=float)
-    if np.any(kls < 0.0):
-        raise ValueError("KL divergences must be nonnegative")
+    if not np.all(kls >= 0.0):
+        raise ValueError("KL divergences must be nonnegative numbers")
     if L < 1:
         raise ValueError("L must be >= 1")
     return math.sqrt(0.5 * L * float(kls.sum()))
@@ -310,8 +306,7 @@ def limit_kl(chi: float) -> float:
     D = sum_m (-1)^(m+1) (zeta(m+1) - 1/m) x^m is used instead; both agree
     to about 1e-15 relative at the switch.
     """
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must lie in [0, 1)")
+    _require_chi(chi)
     x = chi / (1.0 - chi)
     if x < 0.05:
         return x * float(polyval(-x, _LIMIT_KL_SERIES))
@@ -326,8 +321,7 @@ def band_affinity(chi: float) -> float:
     x = chi/(1 - chi); substituting u = e^{-t/x} gives
     x B(x, 3/2) / sqrt(1 - chi), with rho(0) = 1.
     """
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must lie in [0, 1)")
+    _require_chi(chi)
     if chi == 0.0:
         return 1.0
     x = chi / (1.0 - chi)

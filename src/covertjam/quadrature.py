@@ -134,8 +134,9 @@ def log_phi_exact(x, z, n) -> np.ndarray:
         raise ValueError("z must be finite and nonnegative")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("x must be finite and nonnegative")
-    if not np.all(np.isfinite(n)):
-        raise ValueError("n must be finite")
+    # The z = 0 peak u* = 0 below is the integrand's peak only for n >= 1.
+    if not np.all((n >= 1.0) & (n < np.inf)):
+        raise ValueError("n must be finite and >= 1")
     x, z, n = np.broadcast_arrays(x, np.atleast_1d(z), n)
     shape = z.shape
     x, z, n = (v.reshape(-1) for v in (x, z, n))
@@ -341,10 +342,10 @@ def h0_energy_layout(q: float, n: float) -> tuple:
     `h0_energy_finish` turns them into the rule once ln Phi(q, z, n) is
     known, so a caller can evaluate ln Phi for many rules in one call.
     """
-    if q <= 0.0:
-        raise ValueError("q must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 0.0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
+    if not 1.0 <= n < np.inf:
+        raise ValueError("n must be finite and >= 1")
     # Support window: z >= s stochastically, so the lower Gamma quantile
     # bounds the left tail; on the right P(z > (1+200q) S) <= e^-200 + P(s>S).
     z_lo = max(gammainccinv(n, 1.0 - 1e-15), 1e-300)

@@ -22,6 +22,8 @@ from covertjam.covertness import (
 )
 from covertjam.quadrature import gamma_rule, log_phi_exact
 
+_NAN, _INF = float("nan"), float("inf")
+
 
 def test_eta_closed_values():
     assert eta(0.0) == 0.0
@@ -64,6 +66,9 @@ def test_eta_rejects_chi_outside_unit_interval(chi):
         eta(chi)
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
         tv_upper_bound([0.1, chi])
+    for fn in (limit_kl, band_affinity):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            fn(chi)
 
 
 def test_product_tv_needs_a_band():
@@ -100,6 +105,38 @@ def test_kl_divergence_frozen_value():
     # against dense trapezoid mixing; frozen here to pin regressions.
     val = kl_divergence(1e-3, 1.0, 10.0)
     assert abs(val - 8.927644942425152e-07) < 1e-12
+
+
+@pytest.mark.parametrize("p, q, n, kl, tv", [
+    (0.0, 20.0, 7.5, "0.0", "0.0"),
+    (5e-07, 0.5, 1.0, "5.126219090789494e-14", "1.2950630716527587e-07"),
+    (32.0, 32000.0, 90.0, "0.0006352188236202176", "0.000992867520631712"),
+    (3200.0, 32000.0, 7.5, "0.057292158409894545", "0.07405569696942055"),
+    (158.0, 316.0, 90.0, "0.30363100218593225", "0.248691748060578"),
+    (18.0, 20.0, 500.0, "0.5229428465106994", "0.3482530077126239"),
+])
+def test_band_law_values_are_frozen(p, q, n, kl, tv):
+    # Both are reductions of one band law; their bits are pinned by repr.
+    assert repr(kl_divergence(p, q, n)) == kl
+    assert repr(tv_exact_n(p, q, n)) == tv
+
+
+@pytest.mark.parametrize("p, q, n, match", [
+    (-0.1, 1.0, 10.0, "x must"), (1.0, 1.0, 10.0, "requires"),
+    (2.0, 1.0, 10.0, "requires"), (0.0, 0.0, 10.0, "q must"),
+    (0.0, -1.0, 10.0, "q must"), (_NAN, 1.0, 10.0, "x must"),
+    (_INF, 1.0, 10.0, "x must"), (0.5, _NAN, 10.0, "q must"),
+    (0.0, _NAN, 10.0, "q must"), (0.5, _INF, 10.0, "q must"),
+    (0.5, 1.0, _NAN, "n must"), (0.5, 1.0, _INF, "n must"),
+    (0.5, 1.0, 0.5, "n must"), (0.0, 1.0, 0.5, "n must"),
+])
+def test_band_law_rejects_bad_bands(p, q, n, match):
+    # p is checked as ln Phi's x or against q, q and n by the H0 rule.
+    for fn in (kl_divergence, tv_exact_n):
+        with pytest.raises(ValueError, match=match):
+            fn(p, q, n)
+    with pytest.raises(ValueError):
+        log_psi(p, q, [1.0], n)
 
 
 def test_kl_divergence_increases_with_signal():
@@ -142,10 +179,12 @@ def test_zeta_vanishes_quadratically_for_small_q():
 
 
 def test_zeta_validates_inputs():
-    with pytest.raises(ValueError):
-        zeta(-1.0, 10.0)
-    with pytest.raises(ValueError):
-        zeta(1.0, 0.5)
+    for q in (-1.0, 0.0, _NAN, _INF):
+        with pytest.raises(ValueError, match="q must"):
+            zeta(q, 10.0)
+    for n in (0.5, _NAN, _INF):
+        with pytest.raises(ValueError, match="n must"):
+            zeta(1.0, n)
 
 
 def test_kl_quadratic_coefficient_is_zeta():
@@ -179,8 +218,9 @@ def test_log_psi_centering():
 def test_pinsker_budget_formula():
     assert abs(pinsker_budget([0.02, 0.06], 1) - math.sqrt(0.04)) < 1e-15
     assert abs(pinsker_budget([0.02], 4) - math.sqrt(0.04)) < 1e-15
-    with pytest.raises(ValueError):
-        pinsker_budget([-0.1], 1)
+    for kls in ([-0.1], [0.1, _NAN]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pinsker_budget(kls, 1)
 
 
 def test_limit_density_closed_forms_match_mpmath_quadrature():

@@ -151,6 +151,15 @@ def test_h0_energy_rule_matches_known_moments():
         assert abs(unit - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("q, n, match", [
+    (0.0, 10.0, "q must"), (np.nan, 10.0, "q must"), (np.inf, 10.0, "q must"),
+    (1.0, 0.5, "n must"), (1.0, np.nan, "n must"), (1.0, np.inf, "n must"),
+])
+def test_h0_energy_rule_rejects_bad_bands(q, n, match):
+    with pytest.raises(ValueError, match=match):
+        h0_energy_rule(q, n)
+
+
 def test_h0_expectation_callable_form():
     rule = h0_energy_rule(5.0, 10.0)
     assert abs(rule.expectation(np.ones_like(rule.z)) - 1.0) < 1e-8
@@ -208,6 +217,7 @@ def test_log_phi_exact_per_point_calls_are_bit_identical_to_scalar_calls():
     (3.0, [1.0], np.nan), (3.0, [1.0], np.inf), (3.0, [1.0], -np.inf),
     ([3.0, np.nan], [1.0, 2.0], 5.0), (3.0, [1.0, 2.0], [5.0, np.nan]),
     (3.0, [1.0, np.nan], 5.0), (3.0, [-1.0], 5.0), (3.0, [np.inf], 5.0),
+    (3.0, [1.0], 0.5), (1e4, [0.0], 0.2), (3.0, [1.0, 2.0], [5.0, 0.9]),
 ])
 def test_log_phi_exact_rejects_bad_points(x, z, n):
     with pytest.raises(ValueError):
