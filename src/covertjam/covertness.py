@@ -23,6 +23,7 @@ from scipy.special import beta, digamma, lambertw
 from scipy.special import zeta as riemann_zeta
 
 from .quadrature import (
+    _require_h0_law,
     gamma_rule,
     h0_energy_finish,
     h0_energy_layout,
@@ -159,6 +160,12 @@ def tv_numeric_product(chis, samples: int = 10**6,
     return mean, ci
 
 
+def _require_p_below_q(p: float, q: float) -> None:
+    """Psi's band condition 0 <= p < q, which a NaN p or q fails."""
+    if not 0.0 <= p < q:
+        raise ValueError("requires 0 <= p < q")
+
+
 def likelihood_ratio_delta(p: float, q: float, z, log_phi_p,
                            log_phi_q) -> np.ndarray:
     """Psi(p, q, z) - 1 for the n-sample energy likelihood ratio.
@@ -168,8 +175,7 @@ def likelihood_ratio_delta(p: float, q: float, z, log_phi_p,
     ln Phi(p, z) and ln Phi(q, z) are arrays matching z: the exact values,
     the H0 rule's stored ones, or the detector's splines.
     """
-    if not 0.0 <= p < q:
-        raise ValueError("requires 0 <= p < q")
+    _require_p_below_q(p, q)
     if p == 0.0:
         return np.zeros(np.shape(z))
     delta = -(p / (q - p)) * np.expm1(log_phi_p - log_phi_q)
@@ -179,14 +185,18 @@ def likelihood_ratio_delta(p: float, q: float, z, log_phi_p,
 
 def log_psi(p: float, q: float, z, n: float) -> np.ndarray:
     """ln Psi(p, q, z), the adversary's per-band log likelihood ratio."""
+    _require_h0_law(q, n)
+    _require_p_below_q(p, q)
     return np.log1p(likelihood_ratio_delta(
         p, q, z, log_phi_exact(p, z, n), log_phi_exact(q, z, n)))
 
 
 def _band_delta(p: float, q: float, n: float):
     """A band's n-sample law: the H0 energy rule of (q, n) and delta =
-    Psi - 1 at its nodes, from the exact ln Phi(p, ., n). These three
-    calls check q and n, then p, then p < q; at p = 0, delta is 0."""
+    Psi - 1 at its nodes, from the exact ln Phi(p, ., n); at p = 0,
+    delta is 0. q, n and p are checked before any ln Phi or rule work."""
+    _require_h0_law(q, n)
+    _require_p_below_q(p, q)
     r = h0_energy_rule(q, n)
     return r, likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
                                      r.log_phi_q)
@@ -238,10 +248,8 @@ def zeta_pairs(pairs) -> np.ndarray:
     the arithmetic and checks of a single pair, so it has the same bits.
     """
     keys = [(float(q), float(n)) for q, n in pairs]
-    if not all(0.0 < q < math.inf for q, _ in keys):
-        raise ValueError("q must be positive and finite")
-    if not all(1.0 <= n < math.inf for _, n in keys):
-        raise ValueError("n must be finite and >= 1")
+    for q, n in keys:
+        _require_h0_law(q, n)
     values = {k: _ZETA_CACHE[k] for k in keys if k in _ZETA_CACHE}
     todo = [k for k in dict.fromkeys(keys) if k not in values]
     if todo:

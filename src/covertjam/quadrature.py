@@ -79,8 +79,8 @@ def gamma_rule(n: float, order: int = 128):
     for the normalized measure. Unlike the scipy polynomial-root route this
     stays finite for large shapes (alpha = n - 1 of several hundred).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1.0 <= n < np.inf:
+        raise ValueError("n must be finite and >= 1")
     alpha = n - 1.0
     k = np.arange(order, dtype=float)
     diag = 2.0 * k + alpha + 1.0
@@ -336,16 +336,21 @@ def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
     return h0_energy_finish(q, n, z, panel_w, log_phi_exact(q, z, n))
 
 
+def _require_h0_law(q: float, n: float) -> None:
+    """The H0 energy law's parameters: 0 < q < inf and 1 <= n < inf."""
+    if not 0.0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
+    if not 1.0 <= n < np.inf:
+        raise ValueError("n must be finite and >= 1")
+
+
 def h0_energy_layout(q: float, n: float) -> tuple:
     """Nodes z and panel weights of the H0 energy rule, which need no Phi.
 
     `h0_energy_finish` turns them into the rule once ln Phi(q, z, n) is
     known, so a caller can evaluate ln Phi for many rules in one call.
     """
-    if not 0.0 < q < np.inf:
-        raise ValueError("q must be positive and finite")
-    if not 1.0 <= n < np.inf:
-        raise ValueError("n must be finite and >= 1")
+    _require_h0_law(q, n)
     # Support window: z >= s stochastically, so the lower Gamma quantile
     # bounds the left tail; on the right P(z > (1+200q) S) <= e^-200 + P(s>S).
     z_lo = max(gammainccinv(n, 1.0 - 1e-15), 1e-300)

@@ -43,8 +43,12 @@ __all__ = [
     "default_sca_state",
 ]
 
-# Largest share grid of the budget-split search (it starts at 64 steps).
+# First and largest share grid of the budget-split search, in steps.
+_GRID_START = 64
 _GRID_CAP = 2**16
+# {epsilon: finest share grid solved so far}, for the most recent epsilon
+# only, so it holds at most _GRID_CAP + 1 floats (0.5 MB).
+_SHARE_GRID: dict = {}
 # Cap on the SCA outage variable x, which keeps t(x) finite.
 _X_HI = 1.0 - 1e-12
 # SCA stops once the relative objective change is below _SCA_TOL.
@@ -165,6 +169,38 @@ def _best_response(A, B, chi):
     return gamma, effective_rate(chi, gamma, a, b)
 
 
+def _refine(coarse: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Values on a doubled grid: `coarse` at its even points, `odd` between."""
+    fine = np.empty(coarse.shape[:-1] + (2 * coarse.shape[-1] - 1,))
+    fine[..., ::2] = coarse
+    fine[..., 1::2] = odd
+    return fine
+
+
+def _share_grid(epsilon: float, grid: int) -> np.ndarray:
+    """Read-only chi_j = solve_chi_star(j epsilon / grid), j = 0 .. grid.
+
+    `grid` is `_GRID_START` times a power of two. linspace(0, eps, 2G + 1)
+    has exactly half the step of linspace(0, eps, G + 1) and the same end
+    points, so its even points are the coarser grid's bit for bit, and
+    solve_chi_star works element by element: grid 2G keeps grid G as its
+    even points and solves only the odd ones. The finest grid is cached
+    (`_SHARE_GRID`); a coarser one is a strided view of it.
+    """
+    chi = _SHARE_GRID.pop(epsilon, None)
+    _SHARE_GRID.clear()
+    if chi is None:
+        chi = np.zeros(_GRID_START + 1)
+        chi[1:] = solve_chi_star(
+            np.linspace(0.0, epsilon, _GRID_START + 1)[1:])
+    while chi.size - 1 < grid:
+        odd = np.linspace(0.0, epsilon, 2 * chi.size - 1)[1::2]
+        chi = _refine(chi, solve_chi_star(odd))
+    chi.flags.writeable = False
+    _SHARE_GRID[epsilon] = chi
+    return chi[::(chi.size - 1) // grid]
+
+
 def _split_dp(table: np.ndarray, budgets):
     """Best sum_k table[k, j_k] over integer shares with sum_k j_k <= budget.
 
@@ -213,6 +249,10 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     above. G doubles until bound - incumbent <= delta (`converged`); past
     `_GRID_CAP` the incumbent is returned with `converged` False.
 
+    The share grid depends on (epsilon, G) only and is cached across
+    solves (`_share_grid`); each doubling solves only its new, odd grid
+    points and table columns, with the bits of a rebuilt table.
+
     The name and the "poa" method label predate this search: they were
     kept for the polyblock outer approximation it replaced, because run
     directories, traces and benchmarks refer to them.
@@ -231,12 +271,15 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
             raise ValueError("warm_start violates the covertness budget")
         best_point = ws
         best_value = float(np.sum(_best_response(params.A, params.B, ws)[1]))
+    a, b = params.A[:, None], params.B[:, None]
     trace = []
-    converged, grid = False, 64
+    converged, grid = False, _GRID_START
     while not converged and grid <= _GRID_CAP:
-        chi = np.zeros(grid + 1)
-        chi[1:] = solve_chi_star(np.linspace(0.0, params.epsilon, grid + 1)[1:])
-        table = _best_response(params.A[:, None], params.B[:, None], chi)[1]
+        chi = _share_grid(params.epsilon, grid)
+        if grid == _GRID_START:
+            table = _best_response(a, b, chi)[1]
+        else:  # the previous round's table holds the even columns
+            table = _refine(table, _best_response(a, b, chi[1::2])[1])
         (_, shares), (bound, _) = _split_dp(table, (grid, grid + k - 1))
         low = float(np.sum(table[np.arange(k), shares]))
         if low > best_value:

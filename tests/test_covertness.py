@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from covertjam import covertness
 from covertjam.covertness import (
     band_affinity,
     eta,
@@ -122,20 +123,26 @@ def test_band_law_values_are_frozen(p, q, n, kl, tv):
 
 
 @pytest.mark.parametrize("p, q, n, match", [
-    (-0.1, 1.0, 10.0, "x must"), (1.0, 1.0, 10.0, "requires"),
+    (-0.1, 1.0, 10.0, "requires"), (1.0, 1.0, 10.0, "requires"),
     (2.0, 1.0, 10.0, "requires"), (0.0, 0.0, 10.0, "q must"),
-    (0.0, -1.0, 10.0, "q must"), (_NAN, 1.0, 10.0, "x must"),
-    (_INF, 1.0, 10.0, "x must"), (0.5, _NAN, 10.0, "q must"),
+    (0.0, -1.0, 10.0, "q must"), (_NAN, 1.0, 10.0, "requires"),
+    (_INF, 1.0, 10.0, "requires"), (0.5, _NAN, 10.0, "q must"),
     (0.0, _NAN, 10.0, "q must"), (0.5, _INF, 10.0, "q must"),
     (0.5, 1.0, _NAN, "n must"), (0.5, 1.0, _INF, "n must"),
     (0.5, 1.0, 0.5, "n must"), (0.0, 1.0, 0.5, "n must"),
 ])
-def test_band_law_rejects_bad_bands(p, q, n, match):
-    # p is checked as ln Phi's x or against q, q and n by the H0 rule.
+def test_band_law_rejects_bad_bands(p, q, n, match, monkeypatch):
+    # q and n are checked as the H0 law's, then p against q, all before
+    # any H0 rule is built or ln Phi evaluated.
+    def no_work(*args):
+        raise AssertionError("a bad band reached ln Phi or the H0 rule")
+
+    monkeypatch.setattr(covertness, "h0_energy_rule", no_work)
+    monkeypatch.setattr(covertness, "log_phi_exact", no_work)
     for fn in (kl_divergence, tv_exact_n):
         with pytest.raises(ValueError, match=match):
             fn(p, q, n)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         log_psi(p, q, [1.0], n)
 
 

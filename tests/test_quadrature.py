@@ -47,6 +47,10 @@ def test_gamma_rule_matches_gamma_moments():
 def test_gamma_rule_rejects_bad_shape():
     with pytest.raises(ValueError):
         gamma_rule(0.5)
+    # NaN and inf pass an `n < 1` check and once failed inside SciPy.
+    for n in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n must be finite and >= 1"):
+            gamma_rule(n, 8)
 
 
 def test_phi_small_q_limit():

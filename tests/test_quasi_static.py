@@ -1,8 +1,13 @@
 """Power/rate allocation under slow fading: closed form, budget split, SCA."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covertjam import quasi_static
 from covertjam.covertness import eta, solve_chi_star, tv_upper_bound
 from covertjam.quasi_static import (
     QsSolveResult,
@@ -155,6 +160,111 @@ def test_poa_unreachable_delta_is_flagged():
     assert res.trace[-1]["bound"] - res.objective > 1e-9
     assert res.constraint_slack >= 0.0
     assert res.objective >= 3.2496921493220308 - 1e-6
+
+
+@pytest.mark.parametrize(
+    "k, delta, warm, objective, chi, gamma, converged, rounds, trace_sha", [
+        (2, 1e-4, False, 3.249692150634238,
+         [0.002436987907738822, 0.0026397276012061245],
+         [4.430557042502383, 6.977219334138967],
+         True, 9, "718b4b7624a9c1f0"),
+        (2, 1e-3, True, 3.2496920601041603,
+         [0.0024379285585609724, 0.0026387852245480527],
+         [4.432078355577889, 6.975031710915501],
+         True, 6, "e38c517b9e945d54"),
+        (3, 1e-3, False, 4.354587651198122,
+         [0.0017254126096233505, 0.0015704329375625192,
+          0.0017584308723946097],
+         [5.0467939555991, 3.3970977610783324, 5.540130293983794],
+         True, 8, "43be4a11456381fd"),
+        (3, 1e-3, True, 4.354587651198122,
+         [0.0017254126096233505, 0.0015704329375625192,
+          0.0017584308723946097],
+         [5.0467939555991, 3.3970977610783324, 5.540130293983794],
+         True, 8, "43be4a11456381fd"),
+        (2, 1e-9, False, 3.249692151047638,
+         [0.00243690952053618, 0.002639806132955427],
+         [4.4304302642584545, 6.97740163325484],
+         False, 11, "c9bd63170e7dd6d0"),
+    ], ids=["k2", "k2-warm-start", "k3", "k3-warm-start", "k2-grid-cap"])
+def test_poa_results_are_frozen(k, delta, warm, objective, chi, gamma,
+                                converged, rounds, trace_sha, monkeypatch):
+    # Recorded when every round rebuilt its share grid and rate table from
+    # scratch; the cached grid and the reused columns keep every bit.
+    monkeypatch.setattr(quasi_static, "_SHARE_GRID", {})
+    params = derive_quasi_static(sample_scenario(ScenarioConfig(K=k), 3),
+                                 0.005)
+    start = sca_solve(params).chi if warm else None
+    for _ in ("cold", "warm"):
+        res = poa_solve(params, delta=delta, warm_start=start)
+        assert res.objective == objective
+        assert res.chi.tolist() == chi
+        assert res.gamma.tolist() == gamma
+        assert res.converged is converged
+        assert len(res.trace) == rounds
+        assert hashlib.sha256(repr(res.trace).encode()).hexdigest()[:16] \
+            == trace_sha
+    assert list(quasi_static._SHARE_GRID) == [params.epsilon]
+
+
+def test_poa_solves_only_new_grid_points(monkeypatch):
+    chi_sizes, gamma_sizes = [], []
+
+    def counted(fn, sizes):
+        def wrapper(*args):
+            sizes.append(np.size(args[-1]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(quasi_static, "_SHARE_GRID", {})
+    monkeypatch.setattr(quasi_static, "solve_chi_star",
+                        counted(solve_chi_star, chi_sizes))
+    monkeypatch.setattr(quasi_static, "single_receiver_gamma",
+                        counted(single_receiver_gamma, gamma_sizes))
+    params = derive_quasi_static(
+        sample_scenario(ScenarioConfig(K=3), 3), 0.005)
+    res = poa_solve(params, delta=1e-3)
+    grids = [64 * 2**i for i in range(len(res.trace))]
+    # Round 1 solves the 64 nonzero shares, round 2G only the G odd ones;
+    # the last call is the returned point's.
+    assert chi_sizes == [64] + [g // 2 for g in grids[1:]]
+    assert gamma_sizes == [3 * 64] + [3 * g // 2 for g in grids[1:]] + [3]
+    chi_sizes.clear()
+    gamma_sizes.clear()
+    again = poa_solve(params, delta=1e-3)
+    assert chi_sizes == []
+    assert gamma_sizes == [3 * 64] + [3 * g // 2 for g in grids[1:]] + [3]
+    assert again.objective == res.objective
+    # A new epsilon replaces the cached grid rather than adding to it.
+    quasi_static._share_grid(0.004, 64)
+    assert list(quasi_static._SHARE_GRID) == [0.004]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=1e-6, max_value=0.3678794),
+       st.integers(min_value=6, max_value=10),
+       st.floats(min_value=0.5, max_value=3.5),
+       st.floats(min_value=-3.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2**10 - 1),
+       st.integers(min_value=2, max_value=9))
+def test_grid_kernels_work_element_by_element(epsilon, log_grid, log_a,
+                                              log_bm1, point, stride):
+    # The share-grid cache rests on these: a kernel call on any subset of
+    # a grid has the bits of the whole-grid call at those points.
+    grid = 2**log_grid
+    shares = np.linspace(0.0, epsilon, 2 * grid + 1)
+    assert np.array_equal(shares[::2], np.linspace(0.0, epsilon, grid + 1))
+    chi = solve_chi_star(shares[1:])
+    gamma = single_receiver_gamma(10.0**log_a, 1.0 + 10.0**log_bm1, chi)
+    j = point % chi.size
+    for part in (slice(j, j + 1), slice(0, None, 2), slice(1, None, 2),
+                 slice(j, None, stride)):
+        assert np.array_equal(solve_chi_star(shares[1:][part]), chi[part])
+        assert np.array_equal(single_receiver_gamma(
+            10.0**log_a, 1.0 + 10.0**log_bm1, chi[part]), gamma[part])
+    assert solve_chi_star(float(shares[1:][j])) == chi[j]
+    assert single_receiver_gamma(10.0**log_a, 1.0 + 10.0**log_bm1,
+                                 float(chi[j])) == gamma[j]
 
 
 def test_poa_warm_start_never_hurts():
