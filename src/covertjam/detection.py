@@ -11,6 +11,12 @@ vector is isotropic Gaussian, so the total energy is a sufficient statistic
 and is drawn directly from the matching Gamma law instead of materializing
 N_d complex samples per band.
 
+The likelihood ratio reads ln Phi from two cubic splines per band, sized
+to the energies' support under both hypotheses. That range depends on the
+jamming power q and N_d only, so every band at one (q, N_d), as in a sweep
+point of a stock figure, shares one q-spline, and splines are memoised
+per process.
+
 Trials run in fixed-size shards, each on its own RNG stream. A shard
 keeps one (trials, L, K) array alive, the Gamma scales of the hypothesis
 at hand, and draws and reduces the energies a row block of about 2^15
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainccinv
@@ -79,21 +86,27 @@ def _ci_half_width(fa_count: int, md_count: int, trials: int) -> float:
 class _BandLogPsi:
     """Spline-backed ln Psi(p, q, .) for one band at fixed sample count.
 
-    p and q are the band's normalized signal and jamming powers. Splines
-    cover the plausible range of the Gamma-mixture draws; the rare
-    exceedances (exponential draws beyond ~60) fall back to the exact
-    panel integrator, so no sample is ever clamped. Both splines end at
-    the same z_hi, hence share their knots, so each sample is located once
-    and both are evaluated at that interval.
+    p and q are the band's normalized signal and jamming powers. Under
+    both hypotheses the energy is z = s * scale with s ~ Gamma(n) and
+    scale >= 1, which is 1 + p u + q v <= 1 + 120 q under H1 for u, v
+    <= 60. So the splines cover [z_lo, z_hi] with z_lo the Gamma(n)
+    quantile at 1e-12 and z_hi = (1 + 120 q) times the one at 1 - 1e-12;
+    the rare draws outside (probability about 1e-12 below, exponential
+    draws beyond ~60 above) fall back to the exact panel integrator, so
+    no sample is ever clamped. The range depends on (q, n) alone, so the
+    q-spline of every band at (q, n) is one memoised spline. Both splines
+    share their knots, so each sample is located once and both are
+    evaluated at that interval.
     """
 
     def __init__(self, p: float, q: float, n: float):
         self.p = p
         self.q = q
         self.n = n
-        self.z_hi = (1.0 + 60.0 * (p + q)) * float(gammainccinv(n, 1e-12))
-        self._spline_p = LogPhiSpline(p, n, self.z_hi)
-        self._spline_q = LogPhiSpline(q, n, self.z_hi)
+        self.z_lo = float(gammainccinv(n, 1.0 - 1e-12))
+        self.z_hi = (1.0 + 120.0 * q) * float(gammainccinv(n, 1e-12))
+        self._spline_p = _spline(p, n, self.z_lo, self.z_hi)
+        self._spline_q = _spline(q, n, self.z_lo, self.z_hi)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -101,12 +114,23 @@ class _BandLogPsi:
         at = self._spline_p.locate(flat)
         lp = self._spline_p.evaluate(*at)
         lq = self._spline_q.evaluate(*at)
-        high = flat > self.z_hi
-        if high.any():
-            lp[high] = log_phi_exact(self.p, flat[high], self.n)
-            lq[high] = log_phi_exact(self.q, flat[high], self.n)
+        outside = (flat > self.z_hi) | (flat < self.z_lo)
+        if outside.any():
+            lp[outside] = log_phi_exact(self.p, flat[outside], self.n)
+            lq[outside] = log_phi_exact(self.q, flat[outside], self.n)
         delta = likelihood_ratio_delta(self.p, self.q, flat, lp, lq)
         return np.log1p(delta).reshape(z.shape)
+
+
+@lru_cache(maxsize=32)
+def _spline(x: float, n: float, z_lo: float, z_hi: float) -> LogPhiSpline:
+    """The ln Phi(x, ., n) spline over [z_lo, z_hi], built once per process.
+
+    Looked up through the module name `LogPhiSpline` at each build. The
+    cache holds at most 32 splines of under 200 KB each; audit threads
+    share it, and a concurrent miss builds the same spline twice.
+    """
+    return LogPhiSpline(x, n, z_hi, z_lo)
 
 
 def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,

@@ -20,7 +20,10 @@ has the same bits whatever block or call it falls in. The one known gap is a
 flat integrand with a far cliff (x above ~1e6 with n near 1 and small z),
 off by up to ~5e-9 relative. A Gauss-Laguerre rule in v would miss the
 integrand's spike at v ~ 1/(xn) for large x. `LogPhiSpline` tabulates it
-for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z.
+for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z,
+over [z_min, z_max]: the knots are a fixed grid's from a margin below
+z_min on, so a lower end drops the knots where no sample lands without
+changing the spacing or, from the margin on, the coefficients' bits.
 The spline fits its own not-a-knot coefficients with one tridiagonal
 `solve_banded`, in the operation order of scipy's `CubicSpline`, and
 evaluates them itself (one knot lookup, then the cubic in scipy's
@@ -64,9 +67,14 @@ _WORK_BLOCK = 1 << 15
 _PANEL_POINTS = _WORK_BLOCK // (2 * (len(_FRAC) - 1) * len(_LEG_NODES))
 _KERNEL_POINTS = _WORK_BLOCK // 8
 
-# LogPhiSpline's lower z end and knot count.
+# LogPhiSpline's knots: _SPLINE_KNOTS uniform in ln z over [_SPLINE_Z_LO,
+# z_max], of which a spline with a lower end z_min keeps those from
+# _SPLINE_TRIM intervals below ln z_min on. A not-a-knot end condition's
+# effect fades by 2 - sqrt(3) per knot, so from about 20 intervals in, the
+# trimmed coefficients are the full grid's, bit for bit.
 _SPLINE_Z_LO = 1e-6
 _SPLINE_KNOTS = 4000
+_SPLINE_TRIM = 48
 
 
 @lru_cache(maxsize=512)
@@ -232,38 +240,52 @@ def _not_a_knot_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 class LogPhiSpline:
     """Vectorized ln Phi(x, ., n) for bulk evaluation at fixed (x, n).
 
-    A cubic spline in t = ln z over [_SPLINE_Z_LO, z_max]. In t the
-    function is smooth at every scale: flat (slope z d ln Phi/dz -> 0) on
-    the left, growing like -2 e^{t/2}/sqrt(x) on the right, with bounded
-    low-order derivatives throughout, so a few thousand knots reach ~1e-6
-    absolute accuracy even when z_max is 1e9. Construction certifies itself
-    against the exact panel integrator on held-out points. Used by the
+    A cubic spline in t = ln z on the grid of _SPLINE_KNOTS uniform knots
+    over [_SPLINE_Z_LO, z_max]. In t the function is smooth at every
+    scale: flat (slope z d ln Phi/dz -> 0) on the left, growing like
+    -2 e^{t/2}/sqrt(x) on the right, with bounded low-order derivatives
+    throughout, so a few thousand knots reach ~1e-6 absolute accuracy even
+    when z_max is 1e9. Construction certifies itself against the exact
+    panel integrator on held-out points of its range. Used by the
     detection oracle, which needs millions of evaluations per run.
+
+    A lower end z_min keeps the grid's knots from _SPLINE_TRIM intervals
+    below ln z_min on, so interval _SPLINE_TRIM holds z_min, and from that
+    interval on the coefficients and values are the full grid's, bit for
+    bit. A trimmed spline refuses z below its first knot (`z_min` is
+    that knot's z), as every spline refuses z above z_max; an untrimmed
+    one (z_min within _SPLINE_TRIM intervals of _SPLINE_Z_LO) has
+    `z_min` = 0 and clamps z below _SPLINE_Z_LO to its flat left end.
 
     `_not_a_knot_coeffs` fits the coefficients with the same operations,
     and so the same bits, as scipy's `CubicSpline(t, y).c`; evaluation is
     direct on the uniform knots in two steps, so that splines sharing
     their knots can share the first. `locate` finds the knot interval i
-    and the offset d = t - t_i; `evaluate` sums the cubic at (i, d). The
-    values are bit-identical to `CubicSpline.__call__`, because both steps
-    reproduce scipy's piecewise-polynomial evaluation: the interval is the
-    one its search returns (t_i <= t < t_{i+1}, the last interval closed
-    on the right), and the sum keeps its power-sum order
-    c3 + c2 d + c1 d^2 + c0 (d^2 d), which nested Horner does not.
+    and the offset d = t - t_i; `evaluate` sums the cubic at (i, d),
+    gathering from the 1-D coefficient rows. The values are bit-identical
+    to `CubicSpline.__call__`, because both steps reproduce scipy's
+    piecewise-polynomial evaluation: the interval is the one its search
+    returns (t_i <= t < t_{i+1}, the last interval closed on the right),
+    and the sum keeps its power-sum order c3 + c2 d + c1 d^2 + c0 (d^2 d),
+    which nested Horner does not.
     """
 
-    def __init__(self, x: float, n: float, z_max: float):
+    def __init__(self, x: float, n: float, z_max: float,
+                 z_min: float = _SPLINE_Z_LO):
         if z_max <= _SPLINE_Z_LO:
             raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
         self.z_max = z_max
-        t_lo = np.log(_SPLINE_Z_LO)
-        t = np.linspace(t_lo, np.log(z_max), _SPLINE_KNOTS)
+        t = np.linspace(np.log(_SPLINE_Z_LO), np.log(z_max), _SPLINE_KNOTS)
+        first = max(int(np.searchsorted(t, np.log(z_min), side="right")) - 1
+                    - _SPLINE_TRIM, 0)
+        t = t[first:]
+        self.z_min = float(np.exp(t[0])) if first else 0.0
         self.knots = t
         self.coeffs = _not_a_knot_coeffs(t, log_phi_exact(x, np.exp(t), n))
-        self._inv_step = (_SPLINE_KNOTS - 1) / (t[-1] - t[0])
+        self._inv_step = (t.size - 1) / (t[-1] - t[0])
         # Right end of each interval; the last one also holds t = t[-1].
         self._upper = np.append(t[1:-1], np.inf)
-        probe = np.exp(np.linspace(t_lo, np.log(z_max), 257)[1:] -
+        probe = np.exp(np.linspace(t[0], t[-1], 257)[1:] -
                        0.5 * (t[1] - t[0]))
         err = np.max(np.abs(self(probe) - log_phi_exact(x, probe, n)))
         self.max_abs_err = float(err)
@@ -272,29 +294,31 @@ class LogPhiSpline:
                 f"ln Phi spline certification failed: max err {err:.2e}")
 
     def locate(self, z) -> tuple:
-        """Knot interval and offset in t of each z, clamped to the range.
+        """Knot interval and offset in t of each z, clamped to the knots.
 
-        Below the first knot ln Phi is flat to within it, so clamping there
-        is exact enough; above z_max the caller decides.
+        Below an untrimmed spline's first knot ln Phi is flat to within it,
+        so clamping there is exact enough; below a trimmed one, and above
+        z_max, the caller decides.
         """
-        t = np.log(np.clip(z, _SPLINE_Z_LO, self.z_max))
+        t = np.maximum(np.log(np.clip(z, _SPLINE_Z_LO, self.z_max)),
+                       self.knots[0])
         # linspace knots sit within a few ulps of t_lo + i h, so the
         # floor is at most one interval off: step back or forward once.
         i = np.minimum(((t - self.knots[0]) * self._inv_step).astype(np.intp),
-                       _SPLINE_KNOTS - 2)
+                       self.knots.size - 2)
         i -= t < self.knots[i]
         i += t >= self._upper[i]
         return i, t - self.knots[i]
 
     def evaluate(self, i, d) -> np.ndarray:
         """The spline at the intervals and offsets from `locate`."""
-        c = self.coeffs
+        c0, c1, c2, c3 = self.coeffs
         d2 = d * d
-        return c[3, i] + c[2, i] * d + c[1, i] * d2 + c[0, i] * (d2 * d)
+        return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if not np.all(z <= self.z_max * (1.0 + 1e-9)):
+        if not np.all((z >= self.z_min) & (z <= self.z_max * (1.0 + 1e-9))):
             raise ValueError("z is NaN or beyond the spline's construction "
                              "range")
         return self.evaluate(*self.locate(z))

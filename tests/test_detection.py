@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from covertjam import detection
 from covertjam.covertness import (
     eta,
     likelihood_ratio_delta,
@@ -19,7 +20,7 @@ from covertjam.detection import (
     covertness_audit,
     simulate_detection,
 )
-from covertjam.quadrature import _SPLINE_KNOTS, _SPLINE_Z_LO, log_phi_exact
+from covertjam.quadrature import _SPLINE_Z_LO, log_phi_exact
 from covertjam.scenario import ScenarioConfig, rng_stream, sample_scenario
 
 
@@ -96,27 +97,64 @@ def test_band_log_psi_spline_matches_exact():
 
 def test_band_log_psi_is_bit_identical_to_two_spline_composition():
     # One knot lookup shared by the p and q splines gives the same bits as
-    # two CubicSpline evaluations composed through likelihood_ratio_delta.
+    # two CubicSpline evaluations on the band's knots composed through
+    # likelihood_ratio_delta; draws outside [z_lo, z_hi] take the exact
+    # evaluator.
     p, q, n = 0.3, 10.0, 20.0
     psi = _BandLogPsi(p, q, n)
-    assert np.array_equal(psi._spline_p.knots, psi._spline_q.knots)
-    t = np.linspace(np.log(_SPLINE_Z_LO), np.log(psi.z_hi), _SPLINE_KNOTS)
+    t = psi._spline_p.knots
+    assert np.array_equal(t, psi._spline_q.knots)
     rng = np.random.default_rng(6)
     scale = 1.0 + p * rng.exponential(size=(4000, 3)) \
         + q * rng.exponential(size=(4000, 3))
     z = rng.gamma(n, scale)
     z[0] = psi.z_hi * np.array([1.01, 2.0, 10.0])
     z[1] = [psi.z_hi, _SPLINE_Z_LO * 0.5, np.exp(t[-2])]
+    z[2] = [psi.z_lo, np.nextafter(psi.z_lo, 0.0), 0.5 * psi.z_lo]
     flat = z.ravel()
-    high = flat > psi.z_hi
-    clamped = np.log(np.clip(flat, _SPLINE_Z_LO, psi.z_hi))
+    outside = (flat > psi.z_hi) | (flat < psi.z_lo)
+    assert outside.sum() == 6
+    clamped = np.log(np.clip(flat, psi.z_lo, psi.z_hi))
     lp = CubicSpline(t, log_phi_exact(p, np.exp(t), n))(clamped)
     lq = CubicSpline(t, log_phi_exact(q, np.exp(t), n))(clamped)
-    lp[high] = log_phi_exact(p, flat[high], n)
-    lq[high] = log_phi_exact(q, flat[high], n)
+    lp[outside] = log_phi_exact(p, flat[outside], n)
+    lq[outside] = log_phi_exact(q, flat[outside], n)
     want = np.log1p(likelihood_ratio_delta(p, q, flat, lp,
                                            lq)).reshape(z.shape)
     assert np.array_equal(psi(z), want)
+
+
+def test_band_log_psi_below_z_lo_is_exact():
+    # Energies below the band's lower end, which the trimmed splines do
+    # not cover, get log_psi's exact value.
+    p, q, n = 5.0, 316.0, 90.0
+    psi = _BandLogPsi(p, q, n)
+    assert psi._spline_p.z_min < psi.z_lo
+    z = psi.z_lo * np.array([1e-9, 0.01, 0.5, 0.999])
+    assert np.array_equal(psi(z), log_psi(p, q, z, n))
+
+
+def test_band_splines_are_built_once_per_x_and_n(monkeypatch):
+    # The spline range depends on (q, n) only, so K = 4 bands at one q and
+    # four distinct p build 4 + 1 splines; a second run builds none and
+    # gives the same estimate.
+    builds = []
+    real = detection.LogPhiSpline
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detection, "LogPhiSpline", counting)
+    detection._spline.cache_clear()
+    inst = _instance(k=4, seed=5)
+    assert np.all(inst.q_norm == inst.q_norm[0])
+    chis = [0.03, 0.06, 0.02, 0.05]
+    cold = simulate_detection(inst, chis, N_d=90, L=2, trials=2000, seed=3)
+    assert len(builds) == 5
+    warm = simulate_detection(inst, chis, N_d=90, L=2, trials=2000, seed=3)
+    assert len(builds) == 5
+    assert warm == cold
 
 
 # p_fa and p_md recorded before the spline evaluation moved off scipy's

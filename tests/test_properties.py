@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
-from covertjam.covertness import eta, solve_chi_star, tv_upper_bound
+from covertjam.covertness import (
+    eta,
+    kl_divergence,
+    solve_chi_star,
+    tv_upper_bound,
+    zeta,
+)
 from covertjam.fast_varying import (
     chi_given_tau,
     ergodic_sum_rate,
@@ -228,3 +234,14 @@ def test_band_optimum_matches_nested_reference(log_rho, log_l1, log_l2,
         assert gx <= tol
     else:
         assert abs(gx) <= tol
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(min_value=math.log10(3.0), max_value=math.log10(3e4)),
+       st.floats(min_value=1.0, max_value=500.0),
+       st.floats(min_value=-5.0, max_value=math.log10(0.5)))
+def test_kl_is_below_its_quadratic_term(log_q, n, log_chi):
+    # The fast-varying covertness budget bounds each band's KL by the
+    # quadratic term zeta chi^2 / 2; it is tight only as chi -> 0.
+    q, chi = 10.0 ** log_q, 10.0 ** log_chi
+    assert kl_divergence(chi * q, q, n) <= 0.5 * zeta(q, n) * chi * chi

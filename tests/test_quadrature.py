@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaincinv, gammaln
+from scipy.special import gammainccinv, gammaincinv, gammaln
 
 import covertjam
 from covertjam.quadrature import (
@@ -273,6 +273,54 @@ def test_log_phi_spline_is_bit_identical_to_cubic_spline():
             spline(np.array([1.0, z_max * (1.0 + 2e-9)]))
         with pytest.raises(ValueError):
             spline(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("x, n, q", [
+    (0.3, 20.0, 10.0),
+    (5.0, 90.0, 316.0),
+    (300.0, 500.0, 316.0),
+    (0.5, 1.0, 3.0),  # z_lo ~ 1e-12 < _SPLINE_Z_LO: nothing is trimmed
+])
+def test_trimmed_spline_equals_the_full_grid_from_the_48th_interval(x, n, q):
+    # A spline with a lower end keeps the full grid's knots from 48
+    # intervals below ln z_min on; from the 48th interval, which holds
+    # z_min, its coefficients and values are the full grid's bit for bit.
+    z_min = gammainccinv(n, 1.0 - 1e-12)
+    z_max = (1.0 + 120.0 * q) * gammainccinv(n, 1e-12)
+    full = LogPhiSpline(x, n, z_max)
+    trimmed = LogPhiSpline(x, n, z_max, z_min)
+    first = full.knots.size - trimmed.knots.size
+    assert np.array_equal(trimmed.knots, full.knots[first:])
+    if first == 0:
+        assert trimmed.z_min == 0.0
+        assert np.array_equal(trimmed.coeffs, full.coeffs)
+        assert np.array_equal(trimmed(np.array([0.0, z_min])),
+                              full(np.array([0.0, z_min])))
+        return
+    assert first > 1000
+    assert trimmed.knots[48] <= np.log(z_min) < trimmed.knots[49]
+    assert np.array_equal(trimmed.coeffs[:, 48:], full.coeffs[:, first + 48:])
+    rng = np.random.default_rng(8)
+    z = np.concatenate([np.exp(rng.uniform(np.log(z_min), np.log(z_max),
+                                           20000)),
+                        np.exp(trimmed.knots[48:]), [z_min, z_max]])
+    assert np.array_equal(trimmed(z), full(z))
+    assert trimmed.max_abs_err <= 1e-6
+
+
+def test_trimmed_spline_rejects_z_below_its_first_knot():
+    # A trimmed spline refuses z below its first knot, as any spline
+    # refuses z above z_max; an untrimmed one clamps to its flat left end.
+    spline = LogPhiSpline(0.3, 90.0, 2.9e3, 40.0)
+    assert 1e-6 < spline.z_min < 40.0
+    spline(np.array([spline.z_min, 40.0, 2.9e3]))
+    for z in (np.nextafter(spline.z_min, 0.0), 1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            spline(np.array([40.0, z]))
+    untrimmed = LogPhiSpline(0.3, 90.0, 2.9e3)
+    assert untrimmed(0.0) == untrimmed(_SPLINE_Z_LO)
+    with pytest.raises(ValueError):
+        untrimmed(np.array([1.0, -1.0]))
 
 
 def test_package_import_loads_no_spline_module():
