@@ -96,7 +96,9 @@ class _BandLogPsi:
     no sample is ever clamped. The range depends on (q, n) alone, so the
     q-spline of every band at (q, n) is one memoised spline. Both splines
     share their knots, so each sample is located once and both are
-    evaluated at that interval.
+    evaluated at that interval. A p-spline that fails its certificate,
+    as at a tiny p = chi q, is not used: the band then reads its p side
+    from the exact panel integrator at every sample.
     """
 
     def __init__(self, p: float, q: float, n: float):
@@ -105,15 +107,19 @@ class _BandLogPsi:
         self.n = n
         self.z_lo = float(gammainccinv(n, 1.0 - 1e-12))
         self.z_hi = (1.0 + 120.0 * q) * float(gammainccinv(n, 1e-12))
-        self._spline_p = _spline(p, n, self.z_lo, self.z_hi)
+        try:
+            self._spline_p = _spline(p, n, self.z_lo, self.z_hi)
+        except ArithmeticError:
+            self._spline_p = None
         self._spline_q = _spline(q, n, self.z_lo, self.z_hi)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
-        at = self._spline_p.locate(flat)
-        lp = self._spline_p.evaluate(*at)
+        at = self._spline_q.locate(flat)
         lq = self._spline_q.evaluate(*at)
+        lp = (log_phi_exact(self.p, flat, self.n) if self._spline_p is None
+              else self._spline_p.evaluate(*at))
         outside = (flat > self.z_hi) | (flat < self.z_lo)
         if outside.any():
             lp[outside] = log_phi_exact(self.p, flat[outside], self.n)

@@ -2,13 +2,15 @@
 
 A figure is one row of ``FIGURES``: the parameter it sweeps and its stock
 sweep, scenario and problem defaults, the methods it runs, whether it
-records convergence traces, and its axis labels. Three point runners serve
-all eight figures: the limiting-density bounds (fig2), the quasi-static
-solvers (fig3-5) and the fast-varying solvers (fig6-9). A swept value that
-names a ``ScenarioConfig`` field overrides the scenario, one that names a
-problem default (epsilon) overrides the problem, and ``instance`` only
-labels the point. A trace figure solves scenario 0 of each point and
-writes ``traces.csv``.
+records convergence traces, and its axis labels. A method is an entry of
+one of two tables, ``_BOUNDS`` (the limiting-density bounds of fig2) and
+``_SOLVERS``, and each table has one point runner. ``_point`` resolves a
+sweep value to its scenario config and problem: a swept value that names a
+``ScenarioConfig`` field overrides the scenario, one that names a problem
+default (epsilon) overrides the problem, and ``instance`` only labels the
+point. The problem decides the solver family: one with N (fig6-9) is
+fast-varying, one without (fig3-5) quasi-static. A trace figure solves
+scenario 0 of each point and writes ``traces.csv``.
 
 Each run writes a self-contained directory ``<output_dir>/<figure_id>/``:
 
@@ -51,8 +53,8 @@ from .covertness import _require_chi, band_affinity, hellinger_bound, \
 from .detection import _MIN_TRIALS, covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
 from .quasi_static import effective_rate, poa_solve, sca_solve
-from .scenario import ScenarioConfig, derive_fast_varying, derive_quasi_static, \
-    sample_scenario
+from .scenario import ScenarioConfig, _require_problem, derive_fast_varying, \
+    derive_quasi_static, sample_scenario
 
 __all__ = [
     "FIGURE_IDS",
@@ -67,13 +69,9 @@ __all__ = [
     "list_defaults",
 ]
 
-# Baseline covertness levels and block geometry per figure family. The
-# slow-fading figures audit against a 500-sample single-block adversary;
-# the fast-fading ones default to 100-symbol blocks over 100 coherence
-# intervals, except the epsilon sweep which fixes N*L = 1500.
-_QS_EPSILON = 0.005
+# The slow-fading figures audit against a 500-sample single-block
+# adversary.
 _QS_AUDIT_N_D = 500
-_FAST_DEFAULTS = {"N": 100, "L": 100, "epsilon": 0.05}
 
 POINT_COLUMNS = (
     "figure", "point_index", "sweep_param", "sweep_value", "scenario_index",
@@ -98,10 +96,6 @@ AUDIT_COLUMNS = (
 )
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_CONFIG_INT_FIELDS = {"K", "M"}
-_STOCK_CONFIG = ScenarioConfig()
-_QS_METHODS = ("sca", "poa")
-_FAST_METHODS = ("es", "ao")
 
 
 @dataclass
@@ -137,7 +131,10 @@ class ExperimentSpec:
         if self.sweep_param == "chi":
             _require_chi(np.asarray(self.sweep, dtype=float))
         for value in self.sweep:
-            _build_config(self, _point_inputs(self, value)[0]).validate()
+            config, problem = _point(self, value)
+            config.validate()
+            if problem:
+                _require_problem(**problem)
 
     @property
     def sweep_param(self) -> str:
@@ -266,13 +263,10 @@ def load_spec(path) -> ExperimentSpec:
     if "scenario" in parser:
         scenario = given["scenario"] = {}
         for key, raw in parser["scenario"].items():
-            raw = raw.strip()
-            if key in _CONFIG_INT_FIELDS:
-                scenario[key] = int(raw)
-            elif "," in raw:
-                scenario[key] = tuple(float(t) for t in raw.split(","))
-            else:
-                scenario[key] = float(raw)
+            # save_spec writes a vector as a CSV cell, ";"-separated.
+            values = tuple(_parse_number(t.strip())
+                           for t in raw.replace(";", ",").split(","))
+            scenario[key] = values if len(values) > 1 else values[0]
     return default_spec(**given)
 
 
@@ -288,38 +282,22 @@ def _scenario_seed(seed: int, point_index: int, scenario_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0] >> 1)
 
 
-def _split_overrides(overrides: dict):
-    config = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
-    problem = {k: v for k, v in overrides.items() if k not in _CONFIG_FIELDS}
-    return config, problem
+def _point(spec: ExperimentSpec, value):
+    """(config, problem) of one sweep value, unchecked.
 
-
-def _build_config(spec: ExperimentSpec, sweep_override: dict) -> ScenarioConfig:
-    merged = dict(FIGURES[spec.figure_id].scenario)
-    user_config, _ = _split_overrides(spec.scenario)
-    merged.update(user_config)
-    merged.update(sweep_override)
-    return ScenarioConfig(**merged)
-
-
-def _point_inputs(spec: ExperimentSpec, value):
-    """(config override, problem) of one sweep value.
-
-    The problem is the figure's defaults under the spec's overrides. The
-    swept value then wins: a ScenarioConfig field is cast to the type of
-    its stock value and overrides the config, a problem key (epsilon)
-    overrides the problem, and anything else (instance) overrides nothing.
+    Both start from the figure's defaults. The spec's [scenario] overrides
+    and then the swept value replace them: a ScenarioConfig field in the
+    config, a problem key (epsilon) in the problem; anything else
+    (instance) replaces nothing.
     """
     fig = FIGURES[spec.figure_id]
-    _, user_problem = _split_overrides(spec.scenario)
-    problem = {**fig.problem, **user_problem}
-    override = {}
-    name = fig.sweep_param
-    if name in _CONFIG_FIELDS:
-        override[name] = type(getattr(_STOCK_CONFIG, name))(value)
-    elif name in fig.problem:
-        problem[name] = value
-    return override, problem
+    config, problem = dict(fig.scenario), dict(fig.problem)
+    for key, v in [*spec.scenario.items(), (fig.sweep_param, value)]:
+        if key in _CONFIG_FIELDS:
+            config[key] = v
+        elif key in problem:
+            problem[key] = v
+    return ScenarioConfig(**config), problem
 
 
 def _base_row(spec: ExperimentSpec, point_index: int, value,
@@ -339,23 +317,31 @@ def _base_row(spec: ExperimentSpec, point_index: int, value,
 
 
 # ---------------------------------------------------------------------------
-# point runners; each returns (point_rows, trace_rows) for one sweep index.
-# Solvers are looked up as module globals at call time, never stored, so
-# patching e.g. `experiments.sca_solve` reaches every figure.
+# method tables and point runners; a runner returns (point_rows, trace_rows)
+# for one sweep index. The table entries look their function up as a module
+# global at call time, so patching e.g. `experiments.sca_solve` reaches every
+# figure.
 
+# Solvers: (derived params, result of the figure's previous method) -> result.
+_SOLVERS = {
+    "sca": lambda params, previous: sca_solve(params),
+    "poa": lambda params, previous: poa_solve(
+        params, delta=1e-3,
+        warm_start=None if previous is None else previous.chi),
+    "es": lambda params, previous: es_solve(params),
+    "ao": lambda params, previous: ao_solve(params),
+}
 
-def _bound_value(method: str, chis, trials: int, seed: int):
-    """(objective, ci) of one bound-comparison method at band ratios chis."""
-    if method == "tv_numeric":
-        return tv_numeric_product(chis, samples=trials, seed=seed)
-    if method == "proposed_bound":
-        return tv_upper_bound(chis), None
-    if method == "pinsker_bound":
-        return pinsker_budget([limit_kl(float(c)) for c in chis], 1), None
-    if method == "hellinger_bound":
-        affinity = float(np.prod([band_affinity(float(c)) for c in chis]))
-        return hellinger_bound(affinity), None
-    raise ValueError(f"cannot recompute objective for method {method!r}")
+# Bound-comparison methods: (band ratios, trials, seed) -> (objective, ci).
+_BOUNDS = {
+    "tv_numeric": lambda chis, trials, seed: tv_numeric_product(
+        chis, samples=trials, seed=seed),
+    "proposed_bound": lambda chis, trials, seed: (tv_upper_bound(chis), None),
+    "pinsker_bound": lambda chis, trials, seed: (
+        pinsker_budget([limit_kl(float(c)) for c in chis], 1), None),
+    "hellinger_bound": lambda chis, trials, seed: (hellinger_bound(
+        float(np.prod([band_affinity(float(c)) for c in chis]))), None),
+}
 
 
 def _bounds_point(spec: ExperimentSpec, i: int):
@@ -366,8 +352,7 @@ def _bounds_point(spec: ExperimentSpec, i: int):
     rows = []
     try:
         for method in FIGURES[spec.figure_id].methods:
-            objective, ci = _bound_value(method, base["chi"], spec.trials,
-                                         seed)
+            objective, ci = _BOUNDS[method](base["chi"], spec.trials, seed)
             rows.append({**base, "method": method, "objective": objective,
                          "ci": ci})
     except Exception as exc:
@@ -375,75 +360,53 @@ def _bounds_point(spec: ExperimentSpec, i: int):
     return rows, []
 
 
-def _solver_point(spec: ExperimentSpec, i: int, override: dict,
-                  problem_cells: dict, derive, solve):
+def _derive(instance, problem: dict):
+    """Solver inputs of an instance: the fast-varying problem if it has N."""
+    if "N" in problem:
+        return derive_fast_varying(instance, problem["N"], problem["L"],
+                                   problem["epsilon"])
+    return derive_quasi_static(instance, problem["epsilon"])
+
+
+def _solver_point(spec: ExperimentSpec, i: int):
     """Rows of sweep point i: each scenario, then each of the figure's methods.
 
-    A trace figure runs scenario 0 only. `derive` turns a sampled instance
-    into solver inputs; `solve(method, params, previous)` returns the
-    result and its row cells, `previous` being the result of the method
-    before it.
+    A trace figure runs scenario 0 only. A row records its problem; a
+    quasi-static one also records the proxy adversary, N_d = 500 and L = 1.
     """
     fig = FIGURES[spec.figure_id]
     value = spec.sweep[i]
-    config = _build_config(spec, override)
+    config, problem = _point(spec, value)
+    fast = "N" in problem
+    recorded = problem if fast else {**problem, "N_d": _QS_AUDIT_N_D, "L": 1}
     rows, traces = [], []
     for j in range(1 if fig.trace else spec.scenarios_per_point):
         seed = _scenario_seed(spec.seed, i, j)
-        base = {**_base_row(spec, i, value, j, seed, config), **problem_cells}
+        base = {**_base_row(spec, i, value, j, seed, config), **recorded}
         try:
-            params = derive(sample_scenario(config, seed))
+            params = _derive(sample_scenario(config, seed), problem)
         except Exception as exc:
             rows.append({**base, "method": "scenario", "error": _err(exc)})
             continue
         res = None
         for method in fig.methods:
             try:
-                res, cells = solve(method, params, res)
+                res = _SOLVERS[method](params, res)
             except Exception as exc:
                 rows.append({**base, "method": method, "error": _err(exc)})
                 continue
-            rows.append({**base, "method": method,
-                         "objective": res.objective, **cells})
+            if fast:
+                cells = {"tau": res.tau, "N_t": res.N_t,
+                         "N_d": problem["N"] - res.N_t, "lam": res.lam}
+            else:
+                cells = {"gamma": res.gamma}
+            rows.append({**base, "method": method, "objective": res.objective,
+                         "chi": res.chi, **cells})
             if fig.trace:
                 traces.extend({"figure": spec.figure_id, "point_index": i,
                                "sweep_value": value, "method": method, **t}
                               for t in res.trace)
     return rows, traces
-
-
-def _qs_point(spec: ExperimentSpec, i: int):
-    override, problem = _point_inputs(spec, spec.sweep[i])
-    epsilon = float(problem["epsilon"])
-
-    def solve(method, params, previous):
-        if method == "sca":
-            res = sca_solve(params)
-        else:
-            res = poa_solve(params, delta=1e-3,
-                            warm_start=None if previous is None
-                            else previous.chi)
-        return res, {"chi": res.chi, "gamma": res.gamma}
-
-    return _solver_point(
-        spec, i, override, {"epsilon": epsilon, "N_d": _QS_AUDIT_N_D, "L": 1},
-        lambda instance: derive_quasi_static(instance, epsilon), solve)
-
-
-def _fast_point(spec: ExperimentSpec, i: int):
-    override, problem = _point_inputs(spec, spec.sweep[i])
-    n, blocks = int(problem["N"]), int(problem["L"])
-    epsilon = float(problem["epsilon"])
-
-    def solve(method, params, previous):
-        res = (es_solve if method == "es" else ao_solve)(params)
-        return res, {"chi": res.chi, "tau": res.tau, "N_t": res.N_t,
-                     "N_d": n - res.N_t, "lam": res.lam}
-
-    return _solver_point(
-        spec, i, override, {"epsilon": epsilon, "N": n, "L": blocks},
-        lambda instance: derive_fast_varying(instance, n, blocks, epsilon),
-        solve)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +434,11 @@ class Figure:
     trace: bool = False
 
 
-_QS_PROBLEM = {"epsilon": _QS_EPSILON}
+# Stock covertness levels and block geometry per solver family: the
+# fast-fading figures use 100-symbol blocks over 100 coherence intervals,
+# except the epsilon sweep, which fixes N*L = 1500.
+_QS_PROBLEM = {"epsilon": 0.005}
+_FAST_PROBLEM = {"N": 100, "L": 100, "epsilon": 0.05}
 _QS_RATE = "effective sum rate [nats]"
 _FAST_RATE = "ergodic sum rate [nats/symbol]"
 
@@ -482,28 +449,28 @@ FIGURES = {
         ("tv_numeric", "proposed_bound", "pinsker_bound", "hellinger_bound"),
         "chi", "total variation"),
     "fig3_sca_convergence": Figure(
-        "instance", (0, 1, 2, 3), _qs_point, ("sca",), "instance", _QS_RATE,
-        scenario={"K": 3}, problem=_QS_PROBLEM, trace=True),
+        "instance", (0, 1, 2, 3), _solver_point, ("sca",), "instance",
+        _QS_RATE, scenario={"K": 3}, problem=_QS_PROBLEM, trace=True),
     "fig4_rate_vs_Q": Figure(
-        "Q_dBm", (15.0, 20.0, 25.0, 30.0, 35.0), _qs_point, ("sca", "poa"),
-        "jammer power Q [dBm]", _QS_RATE,
+        "Q_dBm", (15.0, 20.0, 25.0, 30.0, 35.0), _solver_point,
+        ("sca", "poa"), "jammer power Q [dBm]", _QS_RATE,
         scenario={"K": 2}, problem=_QS_PROBLEM),
     "fig5_rate_vs_M": Figure(
-        "M", (5, 10, 20, 40), _qs_point, ("sca",), "transmit antennas M",
+        "M", (5, 10, 20, 40), _solver_point, ("sca",), "transmit antennas M",
         _QS_RATE, scenario={"K": 4}, problem=_QS_PROBLEM),
     "fig6_ao_convergence": Figure(
-        "instance", (0, 1, 2, 3), _fast_point, ("ao",), "instance",
-        _FAST_RATE, scenario={"K": 4}, problem=_FAST_DEFAULTS, trace=True),
+        "instance", (0, 1, 2, 3), _solver_point, ("ao",), "instance",
+        _FAST_RATE, scenario={"K": 4}, problem=_FAST_PROBLEM, trace=True),
     "fig7_rate_vs_PR": Figure(
-        "P_R_dBm", (0.0, 5.0, 10.0), _fast_point, ("es", "ao"),
+        "P_R_dBm", (0.0, 5.0, 10.0), _solver_point, ("es", "ao"),
         "receiver jamming power P_R [dBm]", _FAST_RATE,
-        scenario={"K": 4}, problem=_FAST_DEFAULTS),
+        scenario={"K": 4}, problem=_FAST_PROBLEM),
     "fig8_rate_vs_Q_fast": Figure(
-        "Q_dBm", (15.0, 25.0, 45.0), _fast_point, ("ao",),
+        "Q_dBm", (15.0, 25.0, 45.0), _solver_point, ("ao",),
         "jammer power Q [dBm]", _FAST_RATE,
-        scenario={"K": 4}, problem=_FAST_DEFAULTS),
+        scenario={"K": 4}, problem=_FAST_PROBLEM),
     "fig9_rate_vs_eps": Figure(
-        "epsilon", (0.01, 0.02, 0.05, 0.1, 0.2), _fast_point, ("ao",),
+        "epsilon", (0.01, 0.02, 0.05, 0.1, 0.2), _solver_point, ("ao",),
         "covertness level epsilon", _FAST_RATE,
         scenario={"K": 4}, problem={"N": 100, "L": 15, "epsilon": None}),
 }
@@ -563,8 +530,9 @@ def run_experiment(spec: ExperimentSpec) -> Path:
 # audit and recomputation
 
 
-def _row_config(spec: ExperimentSpec, row: dict) -> ScenarioConfig:
-    """The config of a points.csv row: the spec's, under the row's cells."""
+def _row_instance(spec: ExperimentSpec, row: dict):
+    """The instance of a points.csv row: the spec's config under the row's
+    cells, which hold every field a sweep sets, at the row's seed."""
     cells = {"K": int(row["K"]), "M": int(row["M"])}
     for name in ("Q_dBm", "P_R_dBm"):
         cell = row[name]
@@ -572,28 +540,25 @@ def _row_config(spec: ExperimentSpec, row: dict) -> ScenarioConfig:
             cells[name] = tuple(float(t) for t in cell.split(";"))
         else:
             cells[name] = float(cell)
-    return _build_config(spec, cells)
+    config = dataclasses.replace(_point(spec, spec.sweep[0])[0], **cells)
+    return sample_scenario(config, int(row["scenario_seed"]))
 
 
 def recompute_objective(spec: ExperimentSpec, row: dict) -> float:
     """Rebuild the scenario named by a points.csv row and re-evaluate it."""
-    method = row["method"]
-    chis = _parse_vector(row["chi"])
-    if method in _QS_METHODS:
-        config = _row_config(spec, row)
-        instance = sample_scenario(config, int(row["scenario_seed"]))
-        params = derive_quasi_static(instance, float(row["epsilon"]))
-        gammas = _parse_vector(row["gamma"])
-        return float(np.sum(effective_rate(chis, gammas,
-                                           params.A, params.B)))
-    if method in _FAST_METHODS:
-        config = _row_config(spec, row)
-        instance = sample_scenario(config, int(row["scenario_seed"]))
-        params = derive_fast_varying(instance, int(row["N"]), int(row["L"]),
-                                     float(row["epsilon"]))
+    method, chis = row["method"], _parse_vector(row["chi"])
+    if method in _BOUNDS:
+        return _BOUNDS[method](chis, spec.trials, int(row["scenario_seed"]))[0]
+    if method not in _SOLVERS:
+        raise ValueError(f"cannot recompute objective for method {method!r}")
+    problem = {"epsilon": float(row["epsilon"])}
+    if row["N"]:
+        problem.update(N=int(row["N"]), L=int(row["L"]))
+    params = _derive(_row_instance(spec, row), problem)
+    if row["N"]:
         return ergodic_sum_rate(chis, float(row["tau"]), params)
-    return _bound_value(method, chis, spec.trials,
-                        int(row["scenario_seed"]))[0]
+    gammas = _parse_vector(row["gamma"])
+    return float(np.sum(effective_rate(chis, gammas, params.A, params.B)))
 
 
 def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
@@ -621,7 +586,7 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
     candidates = [
         (idx, row) for idx, row in enumerate(rows)
         if not row["error"] and row["chi"] and row["N_d"]
-        and row["scenario_seed"] and row["method"] in _QS_METHODS + _FAST_METHODS
+        and row["scenario_seed"] and row["method"] in _SOLVERS
     ]
     if not candidates:
         raise ValueError(f"{run_dir} has no solver row to audit")
@@ -630,12 +595,10 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
 
     def replay(item):
         idx, row = item
-        config = _row_config(spec, row)
-        instance = sample_scenario(config, int(row["scenario_seed"]))
         audit = covertness_audit(
-            instance, _parse_vector(row["chi"]), int(row["N_d"]),
-            int(row["L"]), float(row["epsilon"]), trials=trials,
-            seed=_scenario_seed(seed, idx, 0))
+            _row_instance(spec, row), _parse_vector(row["chi"]),
+            int(row["N_d"]), int(row["L"]), float(row["epsilon"]),
+            trials=trials, seed=_scenario_seed(seed, idx, 0))
         return {
             "figure": row["figure"],
             "point_index": int(row["point_index"]),
@@ -668,35 +631,19 @@ def audit_run(run_dir, trials: int = 10**5, seed: int = 0, jobs: int = 1,
 
 def list_defaults() -> str:
     """Human-readable table of the stock scenario and figure defaults."""
-    config = ScenarioConfig()
-    lines = [
-        "scenario defaults",
-        f"  d_A (adversary distance)      {config.d_A:g} m",
-        f"  d_J (jammer distance)         {config.d_J:g} m",
-        f"  d_R (receiver cluster)        {config.d_R:g} m",
-        f"  r_c (cluster radius)          {config.r_c:g} m",
-        f"  path loss exponent            {config.path_loss_exponent:g}",
-        f"  P_R (receiver jamming power)  {config.P_R_dBm:g} dBm",
-        f"  Q (jammer power)              {config.Q_dBm:g} dBm",
-        f"  noise floors                  {config.noise_R_dBm:g} dBm",
-        f"  M (transmit antennas)         {config.M}",
-        "",
-        "slow-fading problem defaults",
-        f"  epsilon                       {_QS_EPSILON:g}",
-        f"  audit adversary               N_d = {_QS_AUDIT_N_D}, L = 1",
-        "",
-        "fast-fading problem defaults",
-        f"  N (symbols per block)         {_FAST_DEFAULTS['N']}",
-        f"  L (blocks)                    {_FAST_DEFAULTS['L']}",
-        f"  epsilon                       {_FAST_DEFAULTS['epsilon']:g}",
-        "",
-        "figure sweeps",
-    ]
+    lines = ["scenario defaults (distances in m, powers in dBm)"]
+    lines += [f"  {f.name:20s} {f.default:g}"
+              for f in dataclasses.fields(ScenarioConfig)]
+    lines += ["", "figures: [scenario] and problem defaults, then the sweep",
+              f"  (quasi-static rows audit at N_d = {_QS_AUDIT_N_D}, L = 1)"]
     for figure_id, fig in FIGURES.items():
+        defaults = {**fig.scenario, **fig.problem}
+        defaults.pop(fig.sweep_param, None)
         # str of a Python float is its shortest round-trip form.
-        sweep = ",".join(str(v) for v in fig.sweep)
-        k = fig.scenario.get("K", config.K)
-        lines.append(f"  {figure_id:22s} K = {k}, {fig.sweep_param} = {sweep}")
+        cells = [f"{k} = {v}" for k, v in defaults.items()]
+        cells.append(f"{fig.sweep_param} = "
+                     + ",".join(str(v) for v in fig.sweep))
+        lines.append(f"  {figure_id:22s} " + ", ".join(cells))
     return "\n".join(lines)
 
 

@@ -246,8 +246,10 @@ class LogPhiSpline:
     -2 e^{t/2}/sqrt(x) on the right, with bounded low-order derivatives
     throughout, so a few thousand knots reach ~1e-6 absolute accuracy even
     when z_max is 1e9. Construction certifies itself against the exact
-    panel integrator on held-out points of its range. Used by the
-    detection oracle, which needs millions of evaluations per run.
+    panel integrator on held-out points of its range, and in the middle
+    of every knot interval on [1/x, 1.1/x], where ln Phi bends sharply
+    once x is small. Used by the detection oracle, which needs millions of
+    evaluations per run.
 
     A lower end z_min keeps the grid's knots from _SPLINE_TRIM intervals
     below ln z_min on, so interval _SPLINE_TRIM holds z_min, and from that
@@ -287,6 +289,13 @@ class LogPhiSpline:
         self._upper = np.append(t[1:-1], np.inf)
         probe = np.exp(np.linspace(t[0], t[-1], 257)[1:] -
                        0.5 * (t[1] - t[0]))
+        # Once x is small, ln Phi bends sharply just above z = 1/x, within
+        # a few knot intervals the probes above can miss: probe the middle
+        # of every knot interval on [1/x, 1.1/x] too.
+        if x > 0.0:
+            mid = t[:-1] + 0.5 * (t[1] - t[0])
+            bend = (mid >= -np.log(x)) & (mid <= np.log(1.1 / x))
+            probe = np.append(probe, np.exp(mid[bend]))
         err = np.max(np.abs(self(probe) - log_phi_exact(x, probe, n)))
         self.max_abs_err = float(err)
         if err > 1e-4:

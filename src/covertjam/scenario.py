@@ -12,6 +12,7 @@ are drawn uniformly from a disc of radius r_c centred at (d_R, 0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,9 @@ class ScenarioConfig:
                      "noise_T_dBm"):
             if np.ndim(getattr(self, name)) != 0:
                 raise ValueError(f"{name} must be a scalar")
+        for name in ("K", "M"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.M < 1:
@@ -172,6 +176,24 @@ def sample_scenario(config: ScenarioConfig, seed: int) -> ScenarioInstance:
     )
 
 
+def _require_problem(epsilon, N=None, L=None) -> None:
+    """The problem constants of a solver: epsilon in (0, 1) and, for the
+    fast-varying problem, integers N >= 2 and L >= 1.
+
+    Both parameter classes run it, and an experiment spec runs it on every
+    sweep point before anything is solved.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if N is None and L is None:
+        return
+    for name, value, least in (("N", N, 2), ("L", L, 1)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass
 class QuasiStaticParams:
     """Inputs of the quasi-static rate problem: per-receiver A_k, B_k and eps.
@@ -193,8 +215,7 @@ class QuasiStaticParams:
             raise ValueError("A_k must be positive")
         if np.any(self.B <= 1.0):
             raise ValueError("B_k must exceed 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        _require_problem(self.epsilon)
 
     @property
     def K(self) -> int:
@@ -254,10 +275,7 @@ class FastVaryingParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        _require_problem(self.epsilon, self.N, self.L)
         if not 0.0 < self.G_const < 1e300 or self.E_const < 0.0:
             raise ValueError("invalid beamforming constants")
         for name in ("Gk", "Ek", "mu_tilde", "F1", "F2", "q_norm"):
@@ -267,8 +285,6 @@ class FastVaryingParams:
                 raise ValueError(f"{name} must be a nonnegative vector")
         if np.any(self.Gk <= 0.0) or np.any(self.F1 <= 0.0) or np.any(self.q_norm <= 0.0):
             raise ValueError("Gk, F1 and q_norm must be strictly positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
 
     @property
     def K(self) -> int:

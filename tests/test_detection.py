@@ -134,6 +134,24 @@ def test_band_log_psi_below_z_lo_is_exact():
     assert np.array_equal(psi(z), log_psi(p, q, z, n))
 
 
+def test_band_with_an_uncertified_p_spline_reads_p_exactly():
+    # At q = 316, n = 500 and chi = 1e-7 the p-spline fails its
+    # certificate; the band reads ln Phi(p, ., n) from the exact evaluator
+    # instead of raising, and only the q side is a spline.
+    p, q, n = 316e-7, 316.0, 500.0
+    psi = _BandLogPsi(p, q, n)
+    assert psi._spline_p is None
+    rng = np.random.default_rng(9)
+    scale = 1.0 + p * rng.exponential(size=2000) \
+        + q * rng.exponential(size=2000)
+    z = np.concatenate([rng.gamma(n, scale), np.linspace(0.9, 1.2, 31) / p,
+                        psi.z_lo * np.array([0.5, 1.0]), [psi.z_hi]])
+    want = log_psi(p, q, z, n)
+    r = 1.0 - np.expm1(want) * (q - p) / p
+    bound = p * r / (q - p * r) * psi._spline_q.max_abs_err + 1e-13
+    assert np.all(np.abs(psi(z) - want) <= bound)
+
+
 def test_band_splines_are_built_once_per_x_and_n(monkeypatch):
     # The spline range depends on (q, n) only, so K = 4 bands at one q and
     # four distinct p build 4 + 1 splines; a second run builds none and

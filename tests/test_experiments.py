@@ -84,8 +84,15 @@ def test_spec_rejects_scenario_seed(tmp_path):
      "Q_dBm must be a scalar or length-4"),
     ("fig5_rate_vs_M", "0", "K = 3", "M must be >= 1"),
     ("fig2_tv_bounds", "0.5, 1.2", "K = 2", r"outside \[0, 1\)"),
+    ("fig7_rate_vs_PR", "0", "N = 2.5", "N must be an integer"),
+    ("fig9_rate_vs_eps", "0.05", "N = 1", "N must be >= 2"),
+    ("fig9_rate_vs_eps", "0.05", "L = 0", "L must be >= 1"),
+    ("fig4_rate_vs_Q", "25", "epsilon = 2", r"epsilon must lie in \(0, 1\)"),
+    ("fig4_rate_vs_Q", "25", "M = 10.5", "M must be an integer"),
+    ("fig7_rate_vs_PR", "0", "K = 2.5", "K must be an integer"),
 ], ids=["P_R_vector", "M_zero", "noise_T_vector", "Q_length", "M_swept_to_0",
-        "chi_above_1"])
+        "chi_above_1", "N_fraction", "N_one", "L_zero", "epsilon_two",
+        "M_fraction", "K_fraction"])
 def test_bad_scenario_rejected_before_any_row(tmp_path, capsys, figure,
                                                sweep, scenario, match):
     # A bad [scenario] value or sweep point is a spec error: load_spec
@@ -130,7 +137,8 @@ def test_default_sweeps_cover_every_figure():
 
 def test_spec_roundtrip_through_ini(tmp_path):
     spec = default_spec("fig8_rate_vs_Q_fast", seed=5,
-                        scenario={"M": 10, "P_R_dBm": 7.5})
+                        scenario={"M": 10, "P_R_dBm": 7.5,
+                                  "noise_A_dBm": (-80.0, -79.5, -81, -80)})
     path = tmp_path / "spec.ini"
     save_spec(spec, path)
     back = load_spec(path)
@@ -139,6 +147,9 @@ def test_spec_roundtrip_through_ini(tmp_path):
     assert back.seed == 5
     assert back.scenario["M"] == 10
     assert abs(back.scenario["P_R_dBm"] - 7.5) < 1e-12
+    # A per-band vector is saved as a CSV cell (";"-separated) and reads
+    # back, as the comma-separated form does.
+    assert back.scenario["noise_A_dBm"] == (-80, -79.5, -81, -80)
 
 
 def test_load_spec_fills_default_sweep(tmp_path):
@@ -446,6 +457,8 @@ def test_audit_csv_is_byte_identical_across_jobs(tmp_path):
 
 def test_defaults_listing_mentions_stock_values():
     text = list_defaults()
+    for f in dataclasses.fields(experiments.ScenarioConfig):
+        assert f"  {f.name} " in text, f.name
     assert "150" in text       # adversary distance
     assert "25" in text        # jammer power dBm
     assert "0.005" in text     # slow-fading epsilon

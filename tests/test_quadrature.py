@@ -323,6 +323,29 @@ def test_trimmed_spline_rejects_z_below_its_first_knot():
         untrimmed(np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("chi, certifies", [(3e-5 / 316.0, False),
+                                             (1e-4 / 316.0, True),
+                                             (3e-4 / 316.0, True)],
+                         ids=["p_3e-5", "p_1e-4", "p_3e-4"])
+def test_spline_certificate_covers_the_bend_above_one_over_x(chi, certifies):
+    # At small x, ln Phi(x, ., n) bends sharply just above z = 1/x, within
+    # a few knot intervals. The certificate probes every interval there,
+    # so a spline off by more than 1e-4 in the bend is refused, and a
+    # certified one reports at least the error a dense scan finds there.
+    q, n = 316.0, 90.0
+    x = chi * q
+    z_min = gammainccinv(n, 1.0 - 1e-12)
+    z_max = (1.0 + 120.0 * q) * gammainccinv(n, 1e-12)
+    if not certifies:
+        with pytest.raises(ArithmeticError, match="certification failed"):
+            LogPhiSpline(x, n, z_max, z_min)
+        return
+    spline = LogPhiSpline(x, n, z_max, z_min)
+    z = np.linspace(0.8, 1.5, 2001) / x
+    dense = np.max(np.abs(spline(z) - log_phi_exact(x, z, n)))
+    assert dense <= spline.max_abs_err * (1.0 + 1e-3) <= 1e-4
+
+
 def test_package_import_loads_no_spline_module():
     # The package loads only the SciPy it runs: scipy.special and
     # scipy.linalg. scipy.integrate (which pulls in scipy.optimize and
