@@ -24,7 +24,7 @@ from scipy.special import zeta as riemann_zeta
 
 from .quadrature import (
     _require_h0_law,
-    gamma_rule,
+    gamma_rules,
     h0_energy_finish,
     h0_energy_layout,
     h0_energy_rule,
@@ -243,7 +243,8 @@ def zeta_pairs(pairs) -> np.ndarray:
     Pilot-grid sweeps hit the same pairs across scenarios, so values are
     cached. For the pairs not cached yet, the quadrature nodes, which do
     not depend on Phi, are collected first: the Gamma(n) rule's above
-    _ZETA_DIRECT_SWITCH, the H0 energy rule's below. One `log_phi_exact`
+    _ZETA_DIRECT_SWITCH, whose missing rules are built in one batch, the
+    H0 energy rule's below. One `log_phi_exact`
     call then covers them all, and each value is finished on its own with
     the arithmetic and checks of a single pair, so it has the same bits.
     """
@@ -253,8 +254,10 @@ def zeta_pairs(pairs) -> np.ndarray:
     values = {k: _ZETA_CACHE[k] for k in keys if k in _ZETA_CACHE}
     todo = [k for k in dict.fromkeys(keys) if k not in values]
     if todo:
+        rules = iter(gamma_rules([n for q, n in todo
+                                  if q > _ZETA_DIRECT_SWITCH]))
         nodes = [h0_energy_layout(q, n) if q <= _ZETA_DIRECT_SWITCH
-                 else gamma_rule(n) for q, n in todo]
+                 else next(rules) for q, n in todo]
         sizes = [len(z) for z, _ in nodes]
         log_phi = log_phi_exact(np.repeat([q for q, _ in todo], sizes),
                                 np.concatenate([z for z, _ in nodes]),

@@ -29,18 +29,21 @@ The spline fits its own not-a-knot coefficients with one tridiagonal
 evaluates them itself (one knot lookup, then the cubic in scipy's
 summation order), which gives `CubicSpline`'s bits without importing
 scipy.interpolate and lets splines on the same knots share the lookup.
-`h0_energy_rule` integrates against the H0 energy law; `gamma_rule`
-integrates against Gamma(n, 1).
+`h0_energy_rule` integrates against the H0 energy law; `gamma_rules`
+integrate against Gamma(n, 1), built in one batch per call from the Jacobi
+matrices' eigenvalues and the Christoffel weights of the three-term
+recurrence, with no eigenvectors.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 from scipy.special import gammainccinv, gammaln
 
 from .roots import increasing_roots
@@ -76,26 +79,93 @@ _SPLINE_Z_LO = 1e-6
 _SPLINE_KNOTS = 4000
 _SPLINE_TRIM = 48
 
+# gamma_rules keeps at most this many rules, dropping the oldest first.
+_GAMMA_RULE_CACHE_SIZE = 512
+_GAMMA_RULES: dict = {}
+# The Christoffel recurrence scales a node down by 2^-_RESCALE_BITS once
+# its sum of squares passes 2^(2 _RESCALE_BITS); one more step then grows
+# it by far less than the 2^(1024 - 2 _RESCALE_BITS) left to overflow.
+_RESCALE_BITS = 256
+_RESCALE_DOWN = 2.0 ** -_RESCALE_BITS
+_RESCALE_TOTAL = 2.0 ** (2 * _RESCALE_BITS)
 
-@lru_cache(maxsize=512)
+
 def gamma_rule(n: float, order: int = 128):
     """Nodes/weights for expectations against the Gamma(n, 1) density.
 
-    Generalized Gauss-Laguerre built by Golub-Welsch on the known Jacobi
-    recurrence (diagonal 2k + n, off-diagonal sqrt(k(k + n - 1))); weights
-    are the squared first eigenvector components, which sum to exactly 1
-    for the normalized measure. Unlike the scipy polynomial-root route this
-    stays finite for large shapes (alpha = n - 1 of several hundred).
+    The one-rule case of `gamma_rules`, and cached with it.
     """
-    if not 1.0 <= n < np.inf:
-        raise ValueError("n must be finite and >= 1")
-    alpha = n - 1.0
-    k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes, vecs = eigh_tridiagonal(diag, off)
-    weights = vecs[0, :] ** 2
-    return nodes, weights / weights.sum()
+    return gamma_rules([n], order)[0]
+
+
+def gamma_rules(ns, order: int = 128) -> list:
+    """Gamma(n, 1) rules of one order, one (nodes, weights) pair per n.
+
+    Generalized Gauss-Laguerre on the known Jacobi recurrence: diagonal
+    a_k = 2k + n, off-diagonal sqrt(b_k) = sqrt(k(k + n - 1)). The nodes
+    are the Jacobi matrix's eigenvalues (LAPACK sterf, no eigenvectors).
+    The weights are its Christoffel numbers w_i = 1 / sum_k p_k(x_i)^2,
+    with the orthonormal p_k from the three-term recurrence (Golub and
+    Welsch, Math. Comp. 1969; Gautschi, "Orthogonal Polynomials", 2004),
+    normalized to sum 1. The recurrence runs over every node of every
+    missing rule at once, and each step acts per node, so a rule has the
+    same bits whatever batch builds it. Unlike the scipy polynomial-root
+    route this stays finite for large shapes (n of several hundred), and
+    tail weights keep their relative accuracy down to double's range.
+    Rules are cached per (n, order), at most _GAMMA_RULE_CACHE_SIZE of
+    them, dropping the oldest first.
+    """
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, not {order!r}")
+    keys = [(float(n), int(order)) for n in ns]
+    for n, _ in keys:
+        if not 1.0 <= n < np.inf:
+            raise ValueError("n must be finite and >= 1")
+    rules = {k: _GAMMA_RULES[k] for k in keys if k in _GAMMA_RULES}
+    todo = [k for k in dict.fromkeys(keys) if k not in rules]
+    if todo:
+        n_col = np.array([[n] for n, _ in todo])
+        k = np.arange(order, dtype=float)
+        diag = 2.0 * k + n_col
+        off = np.sqrt(k[1:] * (k[1:] + (n_col - 1.0)))
+        nodes = [eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+                 for d, e in zip(diag, off)]
+        weights = _christoffel_weights(np.array(nodes), diag, off)
+        # Each cached rule owns its rows, so no batch outlives its rules.
+        rules.update((key, (x, w.copy()))
+                     for key, x, w in zip(todo, nodes, weights))
+        _GAMMA_RULES.update((key, rules[key]) for key in todo)
+        while len(_GAMMA_RULES) > _GAMMA_RULE_CACHE_SIZE:
+            del _GAMMA_RULES[next(iter(_GAMMA_RULES))]
+    return [rules[k] for k in keys]
+
+
+def _christoffel_weights(x, diag, off) -> np.ndarray:
+    """Normalized Christoffel weights at the nodes x, shape (rules, nodes),
+    of the Jacobi matrices with rows diag and off.
+
+    Once a node's running sum of p_k^2 passes 2^(2 _RESCALE_BITS), its
+    (p_k, p_{k-1}) pair and sum are scaled down by a power of two, which
+    is exact, and the exponent is carried to the end.
+    """
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x)
+    total = np.ones_like(x)
+    exponent = np.zeros(x.shape, dtype=int)
+    for k in range(x.shape[1] - 1):
+        step = (x - diag[:, k:k + 1]) * p
+        if k:
+            step -= off[:, k - 1:k] * p_prev
+        p, p_prev = step / off[:, k:k + 1], p
+        total += p * p
+        big = total > _RESCALE_TOTAL
+        if big.any():
+            p[big] *= _RESCALE_DOWN
+            p_prev[big] *= _RESCALE_DOWN
+            total[big] *= _RESCALE_DOWN * _RESCALE_DOWN
+            exponent[big] += 2 * _RESCALE_BITS
+    w = np.ldexp(1.0 / total, -exponent)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def _phi_log_integrand(y, x, z_col, b):

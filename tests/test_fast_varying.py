@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covertjam import covertness
+from covertjam import covertness, quadrature
 from covertjam.fast_varying import (
     FvSolveResult,
     ao_solve,
@@ -267,7 +267,7 @@ def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
     # stock 25 dBm (q ~ 316) the Gamma rule route, and the mixed bands
     # take both in one call. ES's (N - 1, K) pilot-grid matrix is one
     # ln Phi call, and each value has the bits of a single-pair zeta
-    # evaluated on its own cold cache.
+    # evaluated on its own cold zeta and Gamma rule caches.
     inst = sample_scenario(ScenarioConfig(K=4, Q_dBm=q_dbm), 5)
     params = derive_fast_varying(inst, 100, 1, 0.05)
     n_d = np.arange(99, 0, -1)
@@ -278,6 +278,7 @@ def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
     for n in n_d:
         for q in params.q_norm:
             monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
+            monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
             single.append(covertness.zeta(q, n))
     assert np.array_equal(grid, np.reshape(single, grid.shape))
     assert len(calls) == 1 + grid.size

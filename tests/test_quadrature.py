@@ -13,6 +13,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammainccinv, gammaincinv, gammaln
 
 import covertjam
+from covertjam import quadrature
 from covertjam.quadrature import (
     _KERNEL_POINTS,
     _PANEL_POINTS,
@@ -22,6 +23,7 @@ from covertjam.quadrature import (
     LogPhiSpline,
     _not_a_knot_coeffs,
     gamma_rule,
+    gamma_rules,
     h0_energy_rule,
     log_phi_exact,
 )
@@ -51,6 +53,69 @@ def test_gamma_rule_rejects_bad_shape():
     for n in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="n must be finite and >= 1"):
             gamma_rule(n, 8)
+    # A fractional order once built a rule of its ceiling's size, and
+    # orders below 1 failed inside SciPy.
+    for order in (2.5, 3.0, 0, -3):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            gamma_rule(5.0, order)
+
+
+def _laguerre_oracle(n, order, start):
+    """Gauss-Laguerre nodes and weights for Gamma(n, 1) at 40 digits.
+
+    The nodes are roots of L_order^(alpha), alpha = n - 1, polished by
+    Newton from `start` with L_N' = -L_{N-1}^(alpha+1); the weights are
+    the closed form Gamma(N+alpha+1) x / (N! (N+1)^2 Gamma(alpha+1)
+    L_{N+1}^(alpha)(x)^2) of the normalized measure.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(n) - 1
+        scale = mpmath.gamma(order + alpha + 1) / (
+            mpmath.factorial(order) * (order + 1) ** 2
+            * mpmath.gamma(alpha + 1))
+        nodes, weights = [], []
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            for _ in range(3):
+                x += (mpmath.laguerre(order, alpha, x)
+                      / mpmath.laguerre(order - 1, alpha + 1, x))
+            nodes.append(x)
+            weights.append(scale * x / mpmath.laguerre(order + 1, alpha, x) ** 2)
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [1.0, 7.5, 90.0])
+def test_gamma_rule_matches_laguerre_oracle(n):
+    s, w = gamma_rule(n, 32)
+    nodes, weights = _laguerre_oracle(n, 32, s)
+    for x, x_ref, v, v_ref in zip(s, nodes, w, weights):
+        assert abs(x / float(x_ref) - 1.0) < 1e-13, (n, x, x_ref)
+        assert abs(v / float(v_ref) - 1.0) < 1e-12, (n, v, v_ref)
+
+
+@pytest.mark.parametrize("order", [192, 256])
+@pytest.mark.parametrize("n", [1.0, 1.5, 7.5, 10.0])
+def test_gamma_rule_high_order_does_not_overflow(n, order):
+    # The plain recurrence's p_k overflow at these orders; warnings are
+    # errors under this suite's settings. At order 256 the farthest tail
+    # weights lie below the smallest double and are 0.
+    s, w = gamma_rule(n, order)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert np.all(w[:order // 2] > 0.0)
+    assert abs(w.sum() - 1.0) < 1e-13
+    assert abs(np.dot(w, s) / n - 1.0) < 1e-12
+    assert abs(np.dot(w, s * s) / (n * (n + 1.0)) - 1.0) < 1e-12
+
+
+def test_gamma_rule_bits_do_not_depend_on_batch_or_cache(monkeypatch):
+    ns = np.arange(1.0, 100.0)
+    monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
+    batch = gamma_rules(ns)
+    for n, (s, w) in zip(ns, batch):
+        monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
+        s1, w1 = gamma_rule(n)
+        assert np.array_equal(s, s1) and np.array_equal(w, w1), n
 
 
 def test_phi_small_q_limit():
