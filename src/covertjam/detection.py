@@ -11,11 +11,10 @@ vector is isotropic Gaussian, so the total energy is a sufficient statistic
 and is drawn directly from the matching Gamma law instead of materializing
 N_d complex samples per band.
 
-The likelihood ratio reads ln Phi from two cubic splines per band, sized
-to the energies' support under both hypotheses. That range depends on the
-jamming power q and N_d only, so every band at one (q, N_d), as in a sweep
-point of a stock figure, shares one q-spline, and splines are memoised
-per process.
+The likelihood ratio reads each band's ln Psi from one certified cubic
+table over the energies' support under both hypotheses, read by one fused
+kernel (a log, the interval from the uniform knot step, one gather of
+Horner coefficients); tables are memoised per band and process.
 
 Trials run in fixed-size shards, each on its own RNG stream. A shard
 keeps one (trials, L, K) array alive, the Gamma scales of the hypothesis
@@ -33,8 +32,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammainccinv
 
-from .covertness import _require_chi, likelihood_ratio_delta
-from .quadrature import _WORK_BLOCK, LogPhiSpline, log_phi_exact
+from .covertness import _require_chi, log_psi
+from .quadrature import (
+    _SPLINE_KNOTS,
+    _WORK_BLOCK,
+    _certificate_error,
+    _not_a_knot_coeffs,
+    _spline_knots,
+)
+# LogPhiSpline and log_phi_exact stay importable from here: bench/tracing.py
+# traces them at this lookup site as well as in quadrature.
+from .quadrature import LogPhiSpline, log_phi_exact  # noqa: F401
 from .scenario import ScenarioInstance, rng_stream
 
 __all__ = [
@@ -83,22 +91,40 @@ def _ci_half_width(fa_count: int, md_count: int, trials: int) -> float:
     return 1.96 * math.sqrt((pf * (1.0 - pf) + pm * (1.0 - pm)) / trials)
 
 
+# Largest |error| in ln Psi that a band's table may certify. The LRT
+# statistic sums L K band terms, so tables within the gate move it by at most
+# L K _BAND_GATE, and a trial's verdict can change only if its statistic
+# lies that close to 0. Two ln Phi splines per band on the same knots,
+# composed through delta, are off by up to 7.8e-7 in ln Psi on dense
+# scans (n = 500, q = 31620, chi = 0.01), so the gate is no looser than
+# that design.
+_BAND_GATE = 1e-6
+
+
 class _BandLogPsi:
-    """Spline-backed ln Psi(p, q, .) for one band at fixed sample count.
+    """Table-backed ln Psi(p, q, .) for one band at fixed sample count.
 
     p and q are the band's normalized signal and jamming powers. Under
     both hypotheses the energy is z = s * scale with s ~ Gamma(n) and
     scale >= 1, which is 1 + p u + q v <= 1 + 120 q under H1 for u, v
-    <= 60. So the splines cover [z_lo, z_hi] with z_lo the Gamma(n)
+    <= 60. So the table covers [z_lo, z_hi] with z_lo the Gamma(n)
     quantile at 1e-12 and z_hi = (1 + 120 q) times the one at 1 - 1e-12;
     the rare draws outside (probability about 1e-12 below, exponential
-    draws beyond ~60 above) fall back to the exact panel integrator, so
-    no sample is ever clamped. The range depends on (q, n) alone, so the
-    q-spline of every band at (q, n) is one memoised spline. Both splines
-    share their knots, so each sample is located once and both are
-    evaluated at that interval. A p-spline that fails its certificate,
-    as at a tiny p = chi q, is not used: the band then reads its p side
-    from the exact panel integrator at every sample.
+    draws beyond ~60 above) take the exact `log_psi`, so no sample is
+    ever clamped.
+
+    The table is the not-a-knot cubic spline of exact ln Psi at the
+    knots of `LogPhiSpline`'s trimmed grid over [z_lo, z_hi], stored as
+    one (intervals, 4) array of Horner coefficients in the interval
+    fraction u = (ln z - t_i) / h. A call reads it in one fused pass: a
+    clipped log, the interval index from the uniform step (a knot off
+    the step by an ulp only moves the sample to the neighbouring cubic,
+    which matches at the knot to rounding), one gather of the
+    coefficient rows, and Horner in u. It is certified against `log_psi`
+    like `LogPhiSpline`, on the knot intervals that samples reach and the
+    bends above 1/p and 1/q, at _BAND_GATE. A band whose table fails that
+    certificate tries once more on a grid four times finer, and if that
+    fails too, reads every sample from `log_psi` instead of raising.
     """
 
     def __init__(self, p: float, q: float, n: float):
@@ -107,36 +133,80 @@ class _BandLogPsi:
         self.n = n
         self.z_lo = float(gammainccinv(n, 1.0 - 1e-12))
         self.z_hi = (1.0 + 120.0 * q) * float(gammainccinv(n, 1e-12))
-        try:
-            self._spline_p = _spline(p, n, self.z_lo, self.z_hi)
-        except ArithmeticError:
-            self._spline_p = None
-        self._spline_q = _spline(q, n, self.z_lo, self.z_hi)
+        # A grid four times finer is 256 times more accurate (a cubic
+        # spline's error goes as h^4); bands from N_d of about 1000 on
+        # need it.
+        for knots in (_SPLINE_KNOTS, 4 * _SPLINE_KNOTS):
+            self._fit(_spline_knots(self.z_hi, self.z_lo, knots))
+            if self.max_abs_err <= _BAND_GATE:
+                return
+        self.table = None
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
+    def _fit(self, t: np.ndarray) -> None:
+        """The table on knots t, and its certificate."""
+        self.knots = t
+        c = _not_a_knot_coeffs(t, self._exact(np.exp(t)))
+        self._z_first = float(np.exp(t[0]))
+        # Below an untrimmed grid's first knot (z_lo under _SPLINE_Z_LO,
+        # at n near 1) the table is not fitted: those samples are exact.
+        self._z_min = max(self.z_lo, self._z_first)
+        self._t0 = t[0]
+        self._inv_step = (t.size - 1) / (t[-1] - t[0])
+        self._last = t.size - 2
+        powers = (1.0 / self._inv_step) ** np.arange(4.0)
+        self.table = np.ascontiguousarray((c[::-1] * powers[:, None]).T)
+        # Certify the knot intervals that samples reach: from the one
+        # holding z_min on.
+        reached = t[max(np.searchsorted(t, np.log(self._z_min), "right") - 1,
+                        0):]
+        self.max_abs_err = _certificate_error(
+            lambda z: self._horner(np.clip(z, self._z_first, self.z_hi)),
+            self._exact, reached, (self.p, self.q))
+
+    def _exact(self, z) -> np.ndarray:
+        return log_psi(self.p, self.q, z, self.n)
+
+    def _horner(self, u: np.ndarray) -> np.ndarray:
+        """The table at energies u within its knots; overwrites u."""
+        np.log(u, out=u)
+        u -= self._t0
+        u *= self._inv_step
+        i = u.astype(np.intp)
+        np.minimum(i, self._last, out=i)
+        u -= i
+        c = self.table.take(i, axis=0)
+        out = c[..., 3] * u
+        out += c[..., 2]
+        out *= u
+        out += c[..., 1]
+        out *= u
+        out += c[..., 0]
+        return out
+
+    def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        flat = z.ravel()
-        at = self._spline_q.locate(flat)
-        lq = self._spline_q.evaluate(*at)
-        lp = (log_phi_exact(self.p, flat, self.n) if self._spline_p is None
-              else self._spline_p.evaluate(*at))
-        outside = (flat > self.z_hi) | (flat < self.z_lo)
-        if outside.any():
-            lp[outside] = log_phi_exact(self.p, flat[outside], self.n)
-            lq[outside] = log_phi_exact(self.q, flat[outside], self.n)
-        delta = likelihood_ratio_delta(self.p, self.q, flat, lp, lq)
-        return np.log1p(delta).reshape(z.shape)
+        if self.table is None:
+            return self._exact(z).reshape(z.shape)
+        u = np.clip(z, self._z_min, self.z_hi, out=np.empty(z.shape))
+        # A clipped sample sits on a bound; the reductions are cheaper on
+        # the contiguous u than a mask over the strided z.
+        clipped = u.size and (u.min() == self._z_min or u.max() == self.z_hi)
+        out = self._horner(u)
+        if clipped:
+            outside = (z < self._z_min) | (z > self.z_hi)
+            out[outside] = self._exact(z[outside])
+        return out
 
 
 @lru_cache(maxsize=32)
-def _spline(x: float, n: float, z_lo: float, z_hi: float) -> LogPhiSpline:
-    """The ln Phi(x, ., n) spline over [z_lo, z_hi], built once per process.
+def _band(p: float, q: float, n: float) -> _BandLogPsi:
+    """The band evaluator of (p, q, n), built once per process.
 
-    Looked up through the module name `LogPhiSpline` at each build. The
-    cache holds at most 32 splines of under 200 KB each; audit threads
-    share it, and a concurrent miss builds the same spline twice.
+    The cache holds at most 32 tables, of 40 bytes per knot: at most 160 KB
+    on the base grid and 640 KB on the finer one. Audit threads share it,
+    and a concurrent miss builds the same table twice.
     """
-    return LogPhiSpline(x, n, z_hi, z_lo)
+    return _BandLogPsi(p, q, n)
 
 
 def _run_shard(idx: int, m: int, seed: int, p: np.ndarray, q: np.ndarray,
@@ -234,7 +304,7 @@ def simulate_detection(instance: ScenarioInstance, chis, N_d: int, L: int,
     p = chis * q
 
     if detector_kind == "lrt":
-        bands = [(k, _BandLogPsi(float(p[k]), float(q[k]), N_d))
+        bands = [(k, _band(float(p[k]), float(q[k]), N_d))
                  for k in range(len(p)) if p[k] > 0.0]
 
         def statistic(z):

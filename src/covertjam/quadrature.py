@@ -28,7 +28,9 @@ The spline fits its own not-a-knot coefficients with one tridiagonal
 `solve_banded`, in the operation order of scipy's `CubicSpline`, and
 evaluates them itself (one knot lookup, then the cubic in scipy's
 summation order), which gives `CubicSpline`'s bits without importing
-scipy.interpolate and lets splines on the same knots share the lookup.
+scipy.interpolate. Its knot grid and trim (`_spline_knots`), fit and
+certificate (`_certificate_error`) also build the detection oracle's
+ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law; `gamma_rules`
 integrate against Gamma(n, 1), built in one batch per call from the Jacobi
 matrices' eigenvalues and the Christoffel weights of the three-term
@@ -307,6 +309,41 @@ def _not_a_knot_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
                      y[:-1]))
 
 
+def _spline_knots(z_max: float, z_min: float = _SPLINE_Z_LO,
+                  knots: int = _SPLINE_KNOTS) -> np.ndarray:
+    """Knots in t = ln z of a cubic table over [z_min, z_max].
+
+    The grid of `knots` uniform knots over [ln _SPLINE_Z_LO, ln z_max],
+    from _SPLINE_TRIM intervals below ln z_min on, so that interval
+    _SPLINE_TRIM holds z_min (or the whole grid, when z_min is within
+    _SPLINE_TRIM intervals of _SPLINE_Z_LO).
+    """
+    if z_max <= _SPLINE_Z_LO:
+        raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
+    t = np.linspace(np.log(_SPLINE_Z_LO), np.log(z_max), knots)
+    first = max(int(np.searchsorted(t, np.log(z_min), side="right")) - 1
+                - _SPLINE_TRIM, 0)
+    return t[first:]
+
+
+def _certificate_error(table, exact, t: np.ndarray, bends) -> float:
+    """Largest |table(z) - exact(z)| over the held-out probes of knots t.
+
+    The probes are 256 points spread evenly over [t_0, t_-1], each half a
+    knot interval below a grid point so that none is a knot, plus the
+    middle of every knot interval on [1/x, 1.1/x] for each x > 0 in
+    `bends`: once x is small, ln Phi(x, ., n) bends sharply just above
+    z = 1/x, within a few knot intervals the even probes can miss.
+    """
+    probe = np.exp(np.linspace(t[0], t[-1], 257)[1:] - 0.5 * (t[1] - t[0]))
+    mid = t[:-1] + 0.5 * (t[1] - t[0])
+    for x in bends:
+        if x > 0.0:
+            bend = (mid >= -np.log(x)) & (mid <= np.log(1.1 / x))
+            probe = np.append(probe, np.exp(mid[bend]))
+    return float(np.max(np.abs(table(probe) - exact(probe))))
+
+
 class LogPhiSpline:
     """Vectorized ln Phi(x, ., n) for bulk evaluation at fixed (x, n).
 
@@ -316,69 +353,51 @@ class LogPhiSpline:
     -2 e^{t/2}/sqrt(x) on the right, with bounded low-order derivatives
     throughout, so a few thousand knots reach ~1e-6 absolute accuracy even
     when z_max is 1e9. Construction certifies itself against the exact
-    panel integrator on held-out points of its range, and in the middle
-    of every knot interval on [1/x, 1.1/x], where ln Phi bends sharply
-    once x is small. Used by the detection oracle, which needs millions of
-    evaluations per run.
+    panel integrator (`_certificate_error`, with the bend above 1/x) and
+    refuses an error above 1e-4.
 
     A lower end z_min keeps the grid's knots from _SPLINE_TRIM intervals
-    below ln z_min on, so interval _SPLINE_TRIM holds z_min, and from that
-    interval on the coefficients and values are the full grid's, bit for
-    bit. A trimmed spline refuses z below its first knot (`z_min` is
-    that knot's z), as every spline refuses z above z_max; an untrimmed
-    one (z_min within _SPLINE_TRIM intervals of _SPLINE_Z_LO) has
-    `z_min` = 0 and clamps z below _SPLINE_Z_LO to its flat left end.
+    below ln z_min on (`_spline_knots`), so interval _SPLINE_TRIM holds
+    z_min, and from that interval on the coefficients and values are the
+    full grid's, bit for bit. A trimmed spline refuses z below its first
+    knot (`z_min` is that knot's z), as every spline refuses z above
+    z_max; an untrimmed one (z_min within _SPLINE_TRIM intervals of
+    _SPLINE_Z_LO) has `z_min` = 0 and clamps z below _SPLINE_Z_LO to its
+    flat left end.
 
     `_not_a_knot_coeffs` fits the coefficients with the same operations,
-    and so the same bits, as scipy's `CubicSpline(t, y).c`; evaluation is
-    direct on the uniform knots in two steps, so that splines sharing
-    their knots can share the first. `locate` finds the knot interval i
-    and the offset d = t - t_i; `evaluate` sums the cubic at (i, d),
-    gathering from the 1-D coefficient rows. The values are bit-identical
-    to `CubicSpline.__call__`, because both steps reproduce scipy's
-    piecewise-polynomial evaluation: the interval is the one its search
-    returns (t_i <= t < t_{i+1}, the last interval closed on the right),
-    and the sum keeps its power-sum order c3 + c2 d + c1 d^2 + c0 (d^2 d),
-    which nested Horner does not.
+    and so the same bits, as scipy's `CubicSpline(t, y).c`, and a call
+    evaluates them directly on the uniform knots, bit-identical to
+    `CubicSpline.__call__`: the interval is the one scipy's search returns
+    (t_i <= t < t_{i+1}, the last interval closed on the right), and the
+    sum keeps its power-sum order c3 + c2 d + c1 d^2 + c0 (d^2 d), which
+    nested Horner does not.
     """
 
     def __init__(self, x: float, n: float, z_max: float,
                  z_min: float = _SPLINE_Z_LO):
-        if z_max <= _SPLINE_Z_LO:
-            raise ValueError(f"need z_max > {_SPLINE_Z_LO:g}")
+        t = _spline_knots(z_max, z_min)
         self.z_max = z_max
-        t = np.linspace(np.log(_SPLINE_Z_LO), np.log(z_max), _SPLINE_KNOTS)
-        first = max(int(np.searchsorted(t, np.log(z_min), side="right")) - 1
-                    - _SPLINE_TRIM, 0)
-        t = t[first:]
-        self.z_min = float(np.exp(t[0])) if first else 0.0
+        self.z_min = float(np.exp(t[0])) if t.size < _SPLINE_KNOTS else 0.0
         self.knots = t
         self.coeffs = _not_a_knot_coeffs(t, log_phi_exact(x, np.exp(t), n))
         self._inv_step = (t.size - 1) / (t[-1] - t[0])
         # Right end of each interval; the last one also holds t = t[-1].
         self._upper = np.append(t[1:-1], np.inf)
-        probe = np.exp(np.linspace(t[0], t[-1], 257)[1:] -
-                       0.5 * (t[1] - t[0]))
-        # Once x is small, ln Phi bends sharply just above z = 1/x, within
-        # a few knot intervals the probes above can miss: probe the middle
-        # of every knot interval on [1/x, 1.1/x] too.
-        if x > 0.0:
-            mid = t[:-1] + 0.5 * (t[1] - t[0])
-            bend = (mid >= -np.log(x)) & (mid <= np.log(1.1 / x))
-            probe = np.append(probe, np.exp(mid[bend]))
-        err = np.max(np.abs(self(probe) - log_phi_exact(x, probe, n)))
-        self.max_abs_err = float(err)
+        err = _certificate_error(self, lambda z: log_phi_exact(x, z, n), t,
+                                (x,))
+        self.max_abs_err = err
         if err > 1e-4:
             raise ArithmeticError(
                 f"ln Phi spline certification failed: max err {err:.2e}")
 
-    def locate(self, z) -> tuple:
-        """Knot interval and offset in t of each z, clamped to the knots.
-
-        Below an untrimmed spline's first knot ln Phi is flat to within it,
-        so clamping there is exact enough; below a trimmed one, and above
-        z_max, the caller decides.
-        """
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if not np.all((z >= self.z_min) & (z <= self.z_max * (1.0 + 1e-9))):
+            raise ValueError("z is NaN or beyond the spline's construction "
+                             "range")
+        # Below an untrimmed spline's first knot ln Phi is flat to within
+        # it, so clamping there is exact enough.
         t = np.maximum(np.log(np.clip(z, _SPLINE_Z_LO, self.z_max)),
                        self.knots[0])
         # linspace knots sit within a few ulps of t_lo + i h, so the
@@ -387,20 +406,10 @@ class LogPhiSpline:
                        self.knots.size - 2)
         i -= t < self.knots[i]
         i += t >= self._upper[i]
-        return i, t - self.knots[i]
-
-    def evaluate(self, i, d) -> np.ndarray:
-        """The spline at the intervals and offsets from `locate`."""
+        d = t - self.knots[i]
         c0, c1, c2, c3 = self.coeffs
         d2 = d * d
         return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
-
-    def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if not np.all((z >= self.z_min) & (z <= self.z_max * (1.0 + 1e-9))):
-            raise ValueError("z is NaN or beyond the spline's construction "
-                             "range")
-        return self.evaluate(*self.locate(z))
 
 
 _GL16_NODES, _GL16_WEIGHTS = leggauss(16)

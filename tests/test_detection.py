@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from covertjam import detection
-from covertjam.covertness import (
-    eta,
-    likelihood_ratio_delta,
-    log_psi,
-    tv_exact_n,
-)
+from covertjam import covertness, detection
+from covertjam.covertness import eta, log_psi, tv_exact_n
 from covertjam.detection import (
+    _BAND_GATE,
     _STREAM_KEY,
     _BandLogPsi,
     _run_shard,
     covertness_audit,
     simulate_detection,
 )
-from covertjam.quadrature import _SPLINE_Z_LO, log_phi_exact
+from covertjam.quadrature import (
+    _SPLINE_KNOTS,
+    _SPLINE_Z_LO,
+    _spline_knots,
+    log_phi_exact,
+)
 from covertjam.scenario import ScenarioConfig, rng_stream, sample_scenario
 
 
@@ -72,106 +73,156 @@ def test_lrt_not_worse_than_energy_detector():
     assert lrt.sum_error <= energy.sum_error + 2.0 * ci
 
 
+def _dense_z(psi, *bends):
+    # 20,001 log-uniform energies over the band's table range, plus 301
+    # over [0.9/x, 1.2/x] for each bend x that falls inside it.
+    z = [np.exp(np.linspace(np.log(psi.z_lo), np.log(psi.z_hi), 20001))]
+    z += [np.linspace(0.9, 1.2, 301) / x for x in bends]
+    z = np.concatenate(z)
+    return z[(z >= psi.z_lo) & (z <= psi.z_hi)]
+
+
 def test_band_log_psi_spline_matches_exact():
-    # The detector's spline ln Psi against exact log_psi on H1 draws, plus
-    # draws above z_hi, where it falls back to the exact evaluator.
+    # The detector's ln Psi table against exact log_psi on H1 draws and on
+    # a dense scan, plus draws above z_hi, where it falls back to the
+    # exact evaluator, also in a call where no sample lies below z_lo (at
+    # chi = 0.9, ln Psi still rises by 7e-4 beyond z_hi). On these bands
+    # the dense error is within 3x of what the held-out probes certify.
     rng = np.random.default_rng(0)
-    for p, q, n in ((0.3, 10.0, 20.0), (5.0, 316.0, 500.0), (0.5, 3.0, 5.0)):
+    for p, q, n in ((0.3, 10.0, 20.0), (5.0, 316.0, 500.0), (0.5, 3.0, 5.0),
+                    (9.0, 10.0, 5.0)):
         psi = _BandLogPsi(p, q, n)
+        assert psi.table is not None
+        assert psi.max_abs_err <= _BAND_GATE
         scale = 1.0 + p * rng.exponential(size=20000) \
             + q * rng.exponential(size=20000)
-        z = np.concatenate([rng.gamma(n, scale),
+        z = np.concatenate([rng.gamma(n, scale), _dense_z(psi, p, q),
                             psi.z_hi * np.array([1.01, 2.0, 10.0])])
-        got = psi(z)
-        want = log_psi(p, q, z, n)
-        # ln Psi = ln(q - p r) - ln(q - p) with r = Phi_p/Phi_q, so a ln r
-        # error e moves ln Psi by p r/(q - p r) e; 1e-13 is the rounding floor.
-        r = 1.0 - np.expm1(want) * (q - p) / p
-        spline_err = psi._spline_p.max_abs_err + psi._spline_q.max_abs_err
-        bound = p * r / (q - p * r) * spline_err + 1e-13
+        err = np.abs(psi(z) - log_psi(p, q, z, n))
         high = z > psi.z_hi
         assert high.sum() == 3
-        assert np.all(np.abs(got - want)[~high] <= bound[~high])
-        assert np.all(np.abs(got - want)[high] <= 1e-13)
+        assert np.max(err[~high]) <= 3.0 * psi.max_abs_err + 1e-13
+        assert np.all(err[high] <= 1e-13)
+        alone = np.append(z[high], n)
+        assert np.array_equal(psi(alone)[:-1], log_psi(p, q, z[high], n))
 
 
-def test_band_log_psi_is_bit_identical_to_two_spline_composition():
-    # One knot lookup shared by the p and q splines gives the same bits as
-    # two CubicSpline evaluations on the band's knots composed through
-    # likelihood_ratio_delta; draws outside [z_lo, z_hi] take the exact
-    # evaluator.
+def test_band_log_psi_table_matches_cubic_spline_of_exact_log_psi():
+    # Kernel oracle: the fused read (uniform-step interval, Horner in the
+    # interval fraction) agrees with CubicSpline through exact ln Psi at
+    # the band's knots, next to every knot and at both ends, to rounding;
+    # draws outside [z_lo, z_hi] take log_psi's bits.
     p, q, n = 0.3, 10.0, 20.0
     psi = _BandLogPsi(p, q, n)
-    t = psi._spline_p.knots
-    assert np.array_equal(t, psi._spline_q.knots)
+    t = psi.knots
+    assert t[0] < np.log(psi.z_lo) and t[-1] == np.log(psi.z_hi)
+    assert psi.table.shape == (t.size - 1, 4)
+    reference = CubicSpline(t, log_psi(p, q, np.exp(t), n))
     rng = np.random.default_rng(6)
     scale = 1.0 + p * rng.exponential(size=(4000, 3)) \
         + q * rng.exponential(size=(4000, 3))
-    z = rng.gamma(n, scale)
-    z[0] = psi.z_hi * np.array([1.01, 2.0, 10.0])
-    z[1] = [psi.z_hi, _SPLINE_Z_LO * 0.5, np.exp(t[-2])]
-    z[2] = [psi.z_lo, np.nextafter(psi.z_lo, 0.0), 0.5 * psi.z_lo]
-    flat = z.ravel()
-    outside = (flat > psi.z_hi) | (flat < psi.z_lo)
+    inner = np.exp(t[(t > np.log(psi.z_lo)) & (t < t[-1])])
+    z = np.concatenate([
+        rng.gamma(n, scale).ravel(), inner, np.nextafter(inner, 0.0),
+        np.nextafter(inner, np.inf), np.exp(np.linspace(t[-2], t[-1], 257)),
+        [psi.z_lo, psi.z_hi, np.nextafter(psi.z_hi, 0.0)],
+        psi.z_hi * np.array([1.01, 2.0, 10.0]),
+        [_SPLINE_Z_LO * 0.5, np.nextafter(psi.z_lo, 0.0), 0.5 * psi.z_lo],
+    ])
+    outside = (z > psi.z_hi) | (z < psi.z_lo)
     assert outside.sum() == 6
-    clamped = np.log(np.clip(flat, psi.z_lo, psi.z_hi))
-    lp = CubicSpline(t, log_phi_exact(p, np.exp(t), n))(clamped)
-    lq = CubicSpline(t, log_phi_exact(q, np.exp(t), n))(clamped)
-    lp[outside] = log_phi_exact(p, flat[outside], n)
-    lq[outside] = log_phi_exact(q, flat[outside], n)
-    want = np.log1p(likelihood_ratio_delta(p, q, flat, lp,
-                                           lq)).reshape(z.shape)
-    assert np.array_equal(psi(z), want)
+    # A strided column, as the detector passes each band, and a 2-D block.
+    got = psi(np.stack([z, z], axis=1)[:, 1])
+    assert np.array_equal(psi(z.reshape(-1, 4)).ravel(), got)
+    want = reference(np.log(np.clip(z, psi.z_lo, psi.z_hi)))
+    assert np.max(np.abs(got - want)[~outside]) <= 1e-12
+    assert np.array_equal(got[outside], log_psi(p, q, z[outside], n))
 
 
 def test_band_log_psi_below_z_lo_is_exact():
-    # Energies below the band's lower end, which the trimmed splines do
-    # not cover, get log_psi's exact value.
-    p, q, n = 5.0, 316.0, 90.0
-    psi = _BandLogPsi(p, q, n)
-    assert psi._spline_p.z_min < psi.z_lo
-    z = psi.z_lo * np.array([1e-9, 0.01, 0.5, 0.999])
-    assert np.array_equal(psi(z), log_psi(p, q, z, n))
+    # Energies below the band's lower end, which the table does not cover,
+    # get log_psi's exact value. At n = 1, z_lo is below the grid's first
+    # knot, _SPLINE_Z_LO, and the energies between them are exact too.
+    for p, q, n in ((5.0, 316.0, 90.0), (0.5, 3.0, 1.0)):
+        psi = _BandLogPsi(p, q, n)
+        z_min = max(psi.z_lo, np.exp(psi.knots[0]))
+        assert (psi.z_lo < z_min) == (n == 1.0)
+        z = z_min * np.array([1e-9, 0.01, 0.5, 0.999])
+        assert np.array_equal(psi(z), log_psi(p, q, z, n))
 
 
-def test_band_with_an_uncertified_p_spline_reads_p_exactly():
-    # At q = 316, n = 500 and chi = 1e-7 the p-spline fails its
-    # certificate; the band reads ln Phi(p, ., n) from the exact evaluator
-    # instead of raising, and only the q side is a spline.
-    p, q, n = 316e-7, 316.0, 500.0
+@pytest.mark.parametrize("p, q, n, refine", [
+    (3.16e-5, 316.0, 500.0, 1),
+    (31.6, 316.0, 3000.0, 4),
+], ids=["tiny_chi", "n_3000"])
+def test_band_is_served_from_its_table(monkeypatch, p, q, n, refine):
+    # A tiny chi (1e-7 at q = 316, n = 500) certifies the band's table on
+    # the base grid, and n = 3000 on the grid four times finer. Samples
+    # inside [z_lo, z_hi], the sharp bend of ln Phi(p, ., n) above z = 1/p
+    # included, then evaluate no exact ln Phi or ln Psi, and a dense scan
+    # there stays within the gate.
     psi = _BandLogPsi(p, q, n)
-    assert psi._spline_p is None
+    assert psi.table is not None
+    assert np.array_equal(psi.knots, _spline_knots(
+        psi.z_hi, psi.z_lo, refine * _SPLINE_KNOTS))
     rng = np.random.default_rng(9)
     scale = 1.0 + p * rng.exponential(size=2000) \
         + q * rng.exponential(size=2000)
-    z = np.concatenate([rng.gamma(n, scale), np.linspace(0.9, 1.2, 31) / p,
-                        psi.z_lo * np.array([0.5, 1.0]), [psi.z_hi]])
-    want = log_psi(p, q, z, n)
-    r = 1.0 - np.expm1(want) * (q - p) / p
-    bound = p * r / (q - p * r) * psi._spline_q.max_abs_err + 1e-13
-    assert np.all(np.abs(psi(z) - want) <= bound)
+    draws = rng.gamma(n, scale)
+    dense = _dense_z(psi, p)
+    if refine == 1:
+        assert np.sum((dense >= 0.9 / p) & (dense <= 1.2 / p)) >= 301
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(detection, "log_psi", counting(log_psi))
+    monkeypatch.setattr(covertness, "log_phi_exact",
+                        counting(log_phi_exact))
+    inside = np.concatenate([draws[(draws >= psi.z_lo)
+                                   & (draws <= psi.z_hi)], dense])
+    got = psi(inside)
+    assert calls == []
+    monkeypatch.undo()
+    assert np.max(np.abs(got - log_psi(p, q, inside, n))) <= _BAND_GATE
 
 
-def test_band_splines_are_built_once_per_x_and_n(monkeypatch):
-    # The spline range depends on (q, n) only, so K = 4 bands at one q and
-    # four distinct p build 4 + 1 splines; a second run builds none and
-    # gives the same estimate.
+def test_band_with_an_uncertified_table_reads_log_psi_exactly(monkeypatch):
+    # A band whose table fails its certificate (here under a gate no table
+    # meets) reads every sample from log_psi instead of raising.
+    monkeypatch.setattr(detection, "_BAND_GATE", 0.0)
+    p, q, n = 0.3, 10.0, 20.0
+    psi = _BandLogPsi(p, q, n)
+    assert psi.table is None and psi.max_abs_err > 0.0
+    z = np.array([[0.5 * psi.z_lo, psi.z_lo, 20.0],
+                  [psi.z_hi, 2.0 * psi.z_hi, 1.0 / p]])
+    assert np.array_equal(psi(z), log_psi(p, q, z.ravel(),
+                                          n).reshape(z.shape))
+
+
+def test_band_tables_are_built_once_per_band(monkeypatch):
+    # Tables are memoised per (p, q, n): K = 4 bands build 4 tables, and a
+    # second run builds none and gives the same estimate.
     builds = []
-    real = detection.LogPhiSpline
+    real = detection._BandLogPsi
 
     def counting(*args):
         builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(detection, "LogPhiSpline", counting)
-    detection._spline.cache_clear()
+    monkeypatch.setattr(detection, "_BandLogPsi", counting)
+    detection._band.cache_clear()
     inst = _instance(k=4, seed=5)
     assert np.all(inst.q_norm == inst.q_norm[0])
     chis = [0.03, 0.06, 0.02, 0.05]
     cold = simulate_detection(inst, chis, N_d=90, L=2, trials=2000, seed=3)
-    assert len(builds) == 5
+    assert len(builds) == 4
     warm = simulate_detection(inst, chis, N_d=90, L=2, trials=2000, seed=3)
-    assert len(builds) == 5
+    assert len(builds) == 4
     assert warm == cold
 
 
@@ -233,7 +284,7 @@ def test_shard_draws_match_whole_array_draws(k, scenario_seed, chis, n_d,
 def test_shard_holds_one_draw_array():
     # Peak traced memory of a fig9-sized shard (K = 4, L = 15, N_d = 90,
     # 2^14 trials) stays below two (m, L, K) float64 arrays; drawing each
-    # array whole took about four of them. The splines are built beforehand.
+    # array whole took about four of them. The tables are built beforehand.
     m, k, blocks = 1 << 14, 4, 15
     p, q, lrt = _shard_inputs(k, 5, [0.03, 0.06, 0.02, 0.05], 90)
     tracemalloc.start()

@@ -11,10 +11,12 @@ from scipy.special import gammaln
 from covertjam.covertness import (
     eta,
     kl_divergence,
+    log_psi,
     solve_chi_star,
     tv_upper_bound,
     zeta,
 )
+from covertjam.detection import _BAND_GATE, _BandLogPsi
 from covertjam.fast_varying import (
     chi_given_tau,
     ergodic_sum_rate,
@@ -245,3 +247,22 @@ def test_kl_is_below_its_quadratic_term(log_q, n, log_chi):
     # quadratic term zeta chi^2 / 2; it is tight only as chi -> 0.
     q, chi = 10.0 ** log_q, 10.0 ** log_chi
     assert kl_divergence(chi * q, q, n) <= 0.5 * zeta(q, n) * chi * chi
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.floats(min_value=math.log10(3.0), max_value=math.log10(3e4)),
+       st.floats(min_value=1.0, max_value=500.0),
+       st.floats(min_value=-6.0, max_value=math.log10(0.5)))
+def test_band_log_psi_table_stays_within_its_gate(log_q, n, log_chi):
+    # The certificate reads held-out probes only, which can understate the
+    # error between them severalfold (12x at q = 666, n = 420,
+    # chi = 0.014); on a dense scan of the table's range and of the bends
+    # above 1/p and 1/q, the band still stays within the gate (an
+    # uncertified band is exact, and trivially within it).
+    q, p = 10.0 ** log_q, 10.0 ** (log_q + log_chi)
+    psi = _BandLogPsi(p, q, n)
+    z = np.concatenate([
+        np.exp(np.linspace(np.log(psi.z_lo), np.log(psi.z_hi), 10001)),
+        np.linspace(0.9, 1.2, 301) / p, np.linspace(0.9, 1.2, 301) / q])
+    z = z[(z >= psi.z_lo) & (z <= psi.z_hi)]
+    assert np.max(np.abs(psi(z) - log_psi(p, q, z, n))) <= _BAND_GATE
