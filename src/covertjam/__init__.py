@@ -47,7 +47,6 @@ from .scenario import (
     QuasiStaticParams,
     ScenarioConfig,
     ScenarioInstance,
-    beamforming_stats,
     derive_fast_varying,
     derive_quasi_static,
     path_loss,
@@ -64,7 +63,6 @@ __all__ = [
     "ScenarioInstance",
     "ao_solve",
     "audit_run",
-    "beamforming_stats",
     "chi_given_tau",
     "closed_form_solve",
     "covertness_audit",

@@ -319,15 +319,6 @@ class ScaState:
         for name in ("t", "gamma", "alpha", "beta"):
             setattr(self, name, np.asarray(getattr(self, name), float))
 
-    def feasibility_residual(self, params: QuasiStaticParams) -> float:
-        """Worst constraint violation of the (t, gamma, alpha, beta) point."""
-        res = [np.max(self.alpha - (1.0 - params.B * np.exp(-params.A * self.t))),
-               np.max(self.beta - np.log1p(self.gamma)),
-               float(np.dot(self.t, self.gamma)) - params.epsilon,
-               -min(self.t.min(), self.gamma.min(),
-                    self.alpha.min(), self.beta.min())]
-        return max(float(r) for r in res)
-
 
 def default_sca_state(params: QuasiStaticParams) -> ScaState:
     """Feasible starting point: uniform chis using half the covert budget."""

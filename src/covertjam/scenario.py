@@ -235,24 +235,6 @@ def gamma_constant(m: int) -> float:
     return math.exp(2.0 * (gammaln(m + 0.5) - gammaln(m)))
 
 
-def beamforming_stats(M: int, N_t: float, mu_k: float):
-    """Mean-square and variance of the estimated-channel beamforming gain.
-
-    With MMSE channel estimation from N_t pilots at inverse pilot SNR mu_k,
-    the normalized beamforming gain has
-        mean_sq  = N_t/(N_t+mu) * G,   G = Gamma(M+1/2)^2 / Gamma(M)^2,
-        variance = N_t/(N_t+mu) * E + mu/(N_t+mu),   E = M - G.
-    """
-    if N_t < 1:
-        raise ValueError("N_t must be >= 1")
-    if mu_k < 0:
-        raise ValueError("mu_k must be nonnegative")
-    g = gamma_constant(M)
-    e = M - g
-    w = N_t / (N_t + mu_k)
-    return w * g, w * e + mu_k / (N_t + mu_k)
-
-
 @dataclass
 class FastVaryingParams:
     """Constants of the fast-varying pilot/power problem, per receiver.

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from covertjam import covertness, quadrature
+from covertjam import covertness, experiments, fast_varying, quadrature
 from covertjam.fast_varying import (
+    _ES_PRUNE_MARGIN,
     FvSolveResult,
     ao_solve,
     chi_given_tau,
@@ -154,11 +155,27 @@ def test_budget_scales_quadratically_with_epsilon():
     assert abs(half.budget / full.budget - 0.25) < 1e-14
 
 
+def _trace_bounds(trace, n):
+    """Each pilot count's rate bound, from the solved rows of an ES trace.
+
+    Obj(N_t) <= (N - N_t) Obj(b) / (N - b) for every solved b >= N_t.
+    """
+    solved = {round(row["tau"] * n): row["objective"] for row in trace}
+    return {n_t: (n - n_t) * min(obj / (n - b) for b, obj in solved.items()
+                                 if b >= n_t)
+            for n_t in range(1, n)}
+
+
 def test_es_exhaustive_over_pilot_grid():
     params = _scenario_params(seed=5, k=1, n=10)
     res = es_solve(params)
     assert res.method == "es"
-    assert len(res.trace) == params.N - 1
+    # Every grid point is solved or certified below the optimum.
+    solved = {round(row["tau"] * params.N) for row in res.trace}
+    bounds = _trace_bounds(res.trace, params.N)
+    assert all(n_t in solved
+               or bounds[n_t] < res.objective * (1.0 - _ES_PRUNE_MARGIN)
+               for n_t in range(1, params.N))
     assert res.N_t == 3
     assert abs(res.tau - 0.3) < 1e-15
     assert abs(res.objective - 0.39389563775740133) < 1e-12
@@ -180,8 +197,27 @@ def test_es_equals_one_scalar_solve_per_pilot_count():
     assert (res.N_t, res.tau, res.objective, res.lam, res.budget_used) == \
         (n_t, tau, obj, lam, used)
     assert res.chi.tobytes() == chis.tobytes()
+    # The trace holds the reference rows of the solved counts, in N_t
+    # order, and every other count's true objective lies below the bound
+    # recomputed from the trace alone, which lies below the optimum.
+    solved = [round(row["tau"] * params.N) for row in res.trace]
+    assert solved == sorted(set(solved)) and len(solved) < params.N - 1
     assert res.trace == [{"tau": r[1], "objective": r[4], "lam": r[3]}
-                         for r in rows]
+                         for r in rows if r[0] in solved]
+    bounds = _trace_bounds(res.trace, params.N)
+    for r in rows:
+        if r[0] not in solved:
+            assert r[4] <= bounds[r[0]] < obj * (1.0 - _ES_PRUNE_MARGIN)
+
+
+def test_es_ties_go_toward_fewer_pilots(monkeypatch):
+    # With every objective equal, no bound rules a count out, so every
+    # count is solved and the fewest pilots win.
+    monkeypatch.setattr(fast_varying, "ergodic_sum_rate",
+                        lambda chis, tau, params: 1.0)
+    params = _scenario_params(seed=21, k=2, n=12)
+    res = es_solve(params)
+    assert res.N_t == 1 and len(res.trace) == params.N - 1
 
 
 def test_tau_given_chi_beats_dense_grid():
@@ -282,6 +318,33 @@ def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
             single.append(covertness.zeta(q, n))
     assert np.array_equal(grid, np.reshape(single, grid.shape))
     assert len(calls) == 1 + grid.size
+
+
+@pytest.mark.parametrize("seed", [1, 701, 710])
+def test_cold_es_evaluates_few_pilot_counts(monkeypatch, seed):
+    # The bench's fast_sweep scenario, stock fig7 at P_R = 5 dBm (K = 4,
+    # N = 100): a cold ES evaluates ln Phi at no more than 40 % of the full
+    # pilot grid's points, in at most two chi_given_tau calls.
+    spec = experiments.default_spec("fig7_rate_vs_PR", sweep=(5.0,))
+    config, problem = experiments._point(spec, 5.0)
+    params = derive_fast_varying(
+        sample_scenario(config, experiments._scenario_seed(seed, 0, 0)),
+        problem["N"], problem["L"], problem["epsilon"])
+    assert (params.K, params.N) == (4, 100)
+    calls = _cold_zeta_cache_counting_log_phi(monkeypatch)
+    zeta_vector(params, np.arange(params.N - 1, 0, -1))
+    full = sum(calls)
+    calls = _cold_zeta_cache_counting_log_phi(monkeypatch)
+    solves = []
+
+    def counted(*args):
+        solves.append(np.size(args[0]))
+        return chi_given_tau(*args)
+
+    monkeypatch.setattr(fast_varying, "chi_given_tau", counted)
+    res = es_solve(params)
+    assert sum(calls) <= 0.4 * full
+    assert len(solves) <= 2 and sum(solves) == len(res.trace)
 
 
 def test_result_validation():

@@ -20,6 +20,7 @@ from covertjam.detection import _BAND_GATE, _BandLogPsi
 from covertjam.fast_varying import (
     chi_given_tau,
     ergodic_sum_rate,
+    es_solve,
     tau_given_chi,
     zeta_vector,
 )
@@ -31,11 +32,12 @@ from covertjam.quasi_static import (
 )
 from covertjam.scenario import (
     ScenarioConfig,
-    beamforming_stats,
     derive_fast_varying,
     derive_quasi_static,
     sample_scenario,
 )
+
+from model_facts import beamforming_stats
 
 unit = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 
@@ -132,6 +134,38 @@ def test_pilot_fraction_local_optimality(seed, k):
         if 0.0 < other < 1.0:
             assert best >= ergodic_sum_rate(chis, other, params) \
                 - 1e-12 * max(1.0, abs(best))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=2, max_value=120),
+       st.integers(min_value=1, max_value=200),
+       st.floats(min_value=0.001, max_value=0.3),
+       st.floats(min_value=10.0, max_value=45.0),
+       st.floats(min_value=-10.0, max_value=20.0))
+def test_pruned_es_equals_exhaustive_search(seed, k, n, blocks, epsilon,
+                                            q_dbm, p_r_dbm):
+    inst = sample_scenario(ScenarioConfig(K=k, Q_dBm=q_dbm,
+                                          P_R_dBm=p_r_dbm), seed)
+    params = derive_fast_varying(inst, n, blocks, epsilon)
+    # Reference: every pilot count in one batched chi_given_tau call, the
+    # best objective winning, ties toward fewer pilots.
+    n_ts = np.arange(1, n)
+    z = zeta_vector(params, n - n_ts)
+    chis, lams = chi_given_tau(n_ts / n, params, z, params.budget)
+    objs = np.array([ergodic_sum_rate(c, t / n, params)
+                     for c, t in zip(chis, n_ts)])
+    i = max(range(n - 1), key=lambda j: (objs[j], -j))
+    res = es_solve(params)
+    assert (res.N_t, res.tau, res.objective, res.lam, res.budget_used) == \
+        (n_ts[i], n_ts[i] / n, objs[i], float(lams[i]),
+         0.5 * float(np.dot(z[i], chis[i] * chis[i])))
+    assert res.chi.tobytes() == chis[i].tobytes()
+    # The premise of the pruning: the rate per data symbol is
+    # nondecreasing in the pilot count.
+    per_data_symbol = objs / (n - n_ts)
+    assert np.all(per_data_symbol[1:] >= per_data_symbol[:-1])
 
 
 @settings(deadline=None, max_examples=10)

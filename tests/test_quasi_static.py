@@ -22,6 +22,8 @@ from covertjam.quasi_static import (
 from covertjam.scenario import QuasiStaticParams, ScenarioConfig, \
     derive_quasi_static, sample_scenario
 
+from model_facts import feasibility_residual
+
 
 def _params_k1():
     inst = sample_scenario(ScenarioConfig(K=1), 2)
@@ -306,10 +308,10 @@ def test_sca_close_to_global_at_small_epsilon():
 def test_sca_subproblem_improves_surrogate():
     params = _params_k2()
     state = default_sca_state(params)
-    assert state.feasibility_residual(params) <= 1e-8
+    assert feasibility_residual(state, params) <= 1e-8
     nxt = sca_subproblem(state, params)
     assert nxt.objective >= state.objective - 1e-12
-    assert nxt.feasibility_residual(params) <= 1e-8
+    assert feasibility_residual(nxt, params) <= 1e-8
 
 
 def test_sca_handles_dead_band():

@@ -9,7 +9,6 @@ from covertjam.scenario import (
     FastVaryingParams,
     QuasiStaticParams,
     ScenarioConfig,
-    beamforming_stats,
     dbm_to_mw,
     derive_fast_varying,
     derive_quasi_static,
@@ -17,6 +16,8 @@ from covertjam.scenario import (
     rng_stream,
     sample_scenario,
 )
+
+from model_facts import beamforming_stats
 
 
 def test_dbm_conversion():
