@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Median wall time of each stock figure spec, for two checkouts.
+"""Median start-up and wall time of each stock figure spec, for two checkouts.
 
 Usage: python3 scripts/figure_times.py [--runs R] [--figures ID,...] BASE NEW
 
@@ -13,6 +13,11 @@ flips from one round to the next, so slow drift of the host falls on
 both. The time is that of `run_experiment` alone, without interpreter
 start-up and imports. Prints the median and quartiles per figure and
 checkout, and the ratio of the medians, NEW over BASE.
+
+Before the figures, the start-up rows: R fresh interpreters per checkout,
+alternating the same way, each timing `import covertjam.experiments`
+(what every CLI run, audit and bench repetition pays before its work)
+and reading its peak resident set size after the import.
 """
 
 import argparse
@@ -42,8 +47,20 @@ print(time.perf_counter() - start)
 """
 
 
-def _child(src: Path, *args) -> str:
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), *args],
+# One import in a fresh interpreter: argv is (src,); prints the seconds the
+# import took and the peak RSS in MB after it.
+_IMPORT_CHILD = """
+import resource, sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import covertjam.experiments
+seconds = time.perf_counter() - start
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+def _child(src: Path, *args, code: str = _CHILD) -> str:
+    done = subprocess.run([sys.executable, "-c", code, str(src), *args],
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
@@ -65,8 +82,15 @@ def main(argv=None) -> int:
                else _child(srcs[0], "--list").split())
 
     print(f"{'figure':22s}" + "".join(
-        f"  {'median [s]':>10s} {'q1-q3 [s]':>15s}" for _ in srcs)
-        + "  ratio")
+        f"  {'median':>10s} {'q1-q3':>15s}" for _ in srcs) + "  ratio")
+    startup = [[], []], [[], []]  # seconds, then peak RSS, per checkout
+    for r in range(args.runs):
+        for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+            seconds, rss = _child(srcs[i], code=_IMPORT_CHILD).split()
+            startup[0][i].append(float(seconds))
+            startup[1][i].append(float(rss))
+    _row("import [s]", startup[0])
+    _row("import peak RSS [MB]", startup[1], digits=1)
     with tempfile.TemporaryDirectory() as tmp:
         for figure_id in figures:
             times = [[] for _ in srcs]
@@ -75,12 +99,18 @@ def main(argv=None) -> int:
                     out = Path(tmp) / f"{i}-{r}"
                     times[i].append(float(_child(srcs[i], figure_id,
                                                  str(out))))
-            stats = [statistics.quantiles(t, n=4, method="inclusive")
-                     for t in times]
-            print(f"{figure_id:22s}" + "".join(
-                f"  {q2:10.3f} {q1:7.3f}-{q3:<7.3f}" for q1, q2, q3 in stats)
-                + f"  {stats[1][1] / stats[0][1]:.3f}", flush=True)
+            _row(f"{figure_id} [s]", times)
     return 0
+
+
+def _row(name: str, values: list, digits: int = 3) -> None:
+    """One table row: median and quartiles per checkout, then the ratio of
+    the medians, NEW over BASE."""
+    stats = [statistics.quantiles(v, n=4, method="inclusive") for v in values]
+    print(f"{name:22s}" + "".join(
+        f"  {q2:10.{digits}f} {q1:7.{digits}f}-{q3:<7.{digits}f}"
+        for q1, q2, q3 in stats)
+        + f"  {stats[1][1] / stats[0][1]:.3f}", flush=True)
 
 
 if __name__ == "__main__":

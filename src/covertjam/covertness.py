@@ -7,6 +7,12 @@ Pinsker multi-block budget, and the KL divergence and Bhattacharyya
 affinity of the limiting band densities behind the Pinsker and Hellinger
 bounds.
 
+The solvers' and the adversary's paths import no SciPy. The limiting
+densities' bounds of fig2 (`limit_kl`, `band_affinity`) and the adaptive
+quadrature `tv_numeric_k1` import it inside themselves, and the H0 energy
+rule behind `kl_divergence`, `tv_exact_n` and zeta at q <= 50 inside
+`quadrature.h0_energy_layout` and `h0_energy_finish`.
+
 Normalization convention: band quantities p = p_hat/sigma2_A and
 q = q_hat/sigma2_A are dimensionless; chi = p/q = p_hat/q_hat is the
 solvers' decision variable. Everything TV-related depends on chi alone, so
@@ -19,8 +25,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import beta, digamma, lambertw
-from scipy.special import zeta as riemann_zeta
 
 from .quadrature import (
     _require_h0_law,
@@ -57,15 +61,23 @@ __all__ = [
 # subtraction harmless (see zeta docstring).
 _ZETA_DIRECT_SWITCH = 50.0
 
+# The direct route skips a Gamma-rule node whose weight times 1 + n q, the
+# most its term can add, is at most this (see zeta_pairs).
+_ZETA_NEGLIGIBLE = 2.0 ** -64
+
 # zeta_pairs keeps at most this many values, dropping the oldest first.
 _ZETA_CACHE_SIZE = 4096
 _ZETA_CACHE: dict = {}
 
-# zeta(m + 1) - 1/m, m = 1..16: limit_kl's series coefficients for small x.
-_LIMIT_KL_SERIES = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
-
 # Largest chi solve_chi_star returns; eta(chi) -> 1/e as chi -> 1.
 _CHI_TOP = 1.0 - 1e-12
+# _lambert_w0: Halley steps allowed (it converges within about five), and
+# the numerator and denominator of its (3, 2) Pade start at 0.
+_LAMBERT_MAX_STEPS = 100
+_W0_PADE_NUM = (604 / 47, 580 / 47, 1.0)
+_W0_PADE_DEN = (1529 / 47, 674 / 47, 1.0)
+# 2^27 + 1 splits a double into two 26-bit halves (_fma).
+_VELTKAMP = 2.0 ** 27 + 1.0
 
 
 def eta(x):
@@ -247,6 +259,16 @@ def zeta_pairs(pairs) -> np.ndarray:
     H0 energy rule's below. One `log_phi_exact`
     call then covers them all, and each value is finished on its own with
     the arithmetic and checks of a single pair, so it has the same bits.
+
+    The direct route evaluates ln Phi only at the nodes whose term can
+    matter. Its integrand f(s) = e^{-s}/Phi(q, s, n) falls in s, since
+    e^s Phi = E_v[(1+qv)^{-n} e^{s qv/(1+qv)}] grows, and Phi(q, 0, n) >=
+    E_v[e^{-nqv}] = 1/(1 + nq); so node i adds at most w_i (1 + nq). A
+    node where that is at most _ZETA_NEGLIGIBLE = 2^-64 keeps ln Phi =
+    +inf: its term is exactly 0, in its own place of the same dot
+    product, while the sum is at least about 1. That keeps 55-77 of the
+    128 nodes over q in (50, 1e5] and n in [1, 5000], with the all-nodes
+    sum's bits.
     """
     keys = [(float(q), float(n)) for q, n in pairs]
     for q, n in keys:
@@ -258,13 +280,20 @@ def zeta_pairs(pairs) -> np.ndarray:
                                   if q > _ZETA_DIRECT_SWITCH]))
         nodes = [h0_energy_layout(q, n) if q <= _ZETA_DIRECT_SWITCH
                  else next(rules) for q, n in todo]
-        sizes = [len(z) for z, _ in nodes]
-        log_phi = log_phi_exact(np.repeat([q for q, _ in todo], sizes),
-                                np.concatenate([z for z, _ in nodes]),
-                                np.repeat([n for _, n in todo], sizes))
-        for (q, n), (z, w), lp in zip(
-                todo, nodes, np.split(log_phi, np.cumsum(sizes)[:-1])):
-            values[q, n] = _zeta_finish(q, n, z, w, lp)
+        keep = [np.ones(z.size, bool) if q <= _ZETA_DIRECT_SWITCH
+                else w * (1.0 + n * q) > _ZETA_NEGLIGIBLE
+                for (q, n), (z, w) in zip(todo, nodes)]
+        sizes = [int(k.sum()) for k in keep]
+        log_phi = np.split(
+            log_phi_exact(np.repeat([q for q, _ in todo], sizes),
+                          np.concatenate([z[k] for (z, _), k
+                                          in zip(nodes, keep)]),
+                          np.repeat([n for _, n in todo], sizes)),
+            np.cumsum(sizes)[:-1])
+        for (q, n), (z, w), k, lp in zip(todo, nodes, keep, log_phi):
+            full = np.full(z.size, np.inf)
+            full[k] = lp
+            values[q, n] = _zeta_finish(q, n, z, w, full)
         _ZETA_CACHE.update((k, values[k]) for k in todo)
         while len(_ZETA_CACHE) > _ZETA_CACHE_SIZE:
             del _ZETA_CACHE[next(iter(_ZETA_CACHE))]
@@ -315,12 +344,19 @@ def limit_kl(chi: float) -> float:
     D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0. For
     x < 0.05 that sum cancels to D ~ 0.64 x, so the power series
     D = sum_m (-1)^(m+1) (zeta(m+1) - 1/m) x^m is used instead; both agree
-    to about 1e-15 relative at the switch.
+    to about 1e-15 relative at the switch. scipy.special is imported here
+    and in `band_affinity`, the fig2 bounds that use it, not with the
+    package.
     """
+    from scipy.special import digamma
+    from scipy.special import zeta as riemann_zeta
+
     _require_chi(chi)
     x = chi / (1.0 - chi)
     if x < 0.05:
-        return x * float(polyval(-x, _LIMIT_KL_SERIES))
+        # zeta(m + 1) - 1/m, m = 1..16: the series coefficients.
+        series = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
+        return x * float(polyval(-x, series))
     return math.log1p(-chi) + float(digamma(1.0 / (1.0 - chi))) \
         + np.euler_gamma
 
@@ -332,6 +368,8 @@ def band_affinity(chi: float) -> float:
     x = chi/(1 - chi); substituting u = e^{-t/x} gives
     x B(x, 3/2) / sqrt(1 - chi), with rho(0) = 1.
     """
+    from scipy.special import beta
+
     _require_chi(chi)
     if chi == 0.0:
         return 1.0
@@ -348,18 +386,18 @@ def solve_chi_star(epsilon):
     """Largest chi with eta(chi) <= epsilon: chi = W0(eps ln eps) / ln eps.
 
     The Lambert W inverse (Corless et al., "On the Lambert W function",
-    1996) is ill-conditioned toward eps = 1/e, so it is polished by Newton
-    on ln eta(chi) = ln eps and then stepped down by ulps until
-    eta(chi) <= eps holds in floating point. Vectorized over epsilon in
-    (0, 1); a scalar gives a float. Where even eta(1 - 1e-12) <= epsilon
-    (every epsilon >= 1/e among them), 1 - 1e-12 is returned.
+    1996; `_lambert_w0`) is ill-conditioned toward eps = 1/e, so it is
+    polished by Newton on ln eta(chi) = ln eps and then stepped down by
+    ulps until eta(chi) <= eps holds in floating point. Vectorized over
+    epsilon in (0, 1); a scalar gives a float. Where even
+    eta(1 - 1e-12) <= epsilon (every epsilon >= 1/e among them),
+    1 - 1e-12 is returned.
     """
     eps = np.asarray(epsilon, dtype=float)
     if not np.all((eps > 0.0) & (eps < 1.0)):
         raise ValueError("epsilon must lie in (0, 1)")
     ln_eps = np.log(eps).ravel()
-    # scipy's W0 is NaN where eps ln eps rounds below -1/e; fmax gives -1.
-    w0 = np.fmax(lambertw(eps.ravel() * ln_eps).real, -1.0)
+    w0 = _lambert_w0(eps.ravel() * ln_eps)
 
     def log_gap(x, rows):
         # ln eta(x) - ln eps, d/dx (inf at subnormal x) and rounding floor
@@ -378,3 +416,91 @@ def solve_chi_star(epsilon):
         chi = np.where(high, np.nextafter(chi, 0.0), chi)
         high = eta(chi) > eps
     return float(chi) if chi.ndim == 0 else chi
+
+
+def _lambert_w0(x: np.ndarray) -> np.ndarray:
+    """Principal branch W0 of the Lambert W function on [-1/e, 0).
+
+    The algorithm of SciPy's `lambertw` (Corless et al. 1996), step for
+    step on real numbers, so the result has its bits: within |x + 1/e| <
+    0.3 the branch-point series -1 + p - p^2/3, p = sqrt(2 (e x + 1)),
+    elsewhere the (3, 2) Pade approximant at 0, each polynomial evaluated
+    as Knuth's two-term recurrence with fused multiply-adds (`_fma`);
+    then Halley's iteration on w e^w = x, with the C library's exp, until
+    a step is within 1e-8 relative, which returns the stepped value. An x
+    whose series argument rounds below 0, or that the iteration cannot
+    leave (the branch point, where SciPy gives NaN), gives -1.
+    """
+    x = np.asarray(x, float).ravel()
+    near = np.abs(x + math.exp(-1.0)) < 0.3
+    w = np.empty_like(x)
+    with np.errstate(invalid="ignore"):
+        w[near] = _knuth_polyval((-1.0 / 3.0, 1.0, -1.0),
+                                 np.sqrt(2.0 * (math.e * x[near] + 1.0)))
+    far = x[~near]
+    w[~near] = far * _knuth_polyval(_W0_PADE_NUM, far) \
+        / _knuth_polyval(_W0_PADE_DEN, far)
+    out = np.full_like(x, -1.0)
+    rows = np.flatnonzero(~np.isnan(w))
+    for _ in range(_LAMBERT_MAX_STEPS):
+        if rows.size == 0:
+            return out
+        wr, xr = w[rows], x[rows]
+        ew = np.array([math.exp(v) for v in wr.tolist()])
+        wew = wr * ew
+        wewz = wew - xr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wn = wr - wewz / (wew + ew - (wr + 2.0) * wewz / (2.0 * wr + 2.0))
+        done = np.abs(wn - wr) <= 1e-8 * np.abs(wn)
+        out[rows[done]] = wn[done]
+        w[rows] = wn
+        rows = rows[~done & ~np.isnan(wn)]
+    raise ArithmeticError("Lambert W0 iteration did not converge")
+
+
+def _knuth_polyval(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] x^(d - j), d = len(coeffs) - 1 >= 1, by the real
+    case of Knuth's recurrence for a complex argument (TAOCP 4.6.4, eq. 3),
+    the evaluation SciPy's `lambertw` uses."""
+    a, b = coeffs[0], coeffs[1]
+    r = 2.0 * x
+    s = x * x
+    for c in coeffs[2:]:
+        a, b = _fma(r, a, b), _fma(-s, a, c)
+    return x * a + b
+
+
+def _fma(a, b, c) -> np.ndarray:
+    """a b + c rounded once, element by element, as C's fma.
+
+    a b = p + e exactly (Dekker's product, with Veltkamp's split), and two
+    exact sums give p + e + c = r + w + v with r = round(s + u), s = p + c,
+    u its error plus e. That rounds to r unless |w| + |v| reaches half an
+    ulp of r or r is a power of two, where the gap below is halved; those
+    rare elements are rounded by `math.fsum`, which is exact.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, c)))
+    p = a * b
+    h = _VELTKAMP * a
+    a_hi = h - (h - a)
+    a_lo = a - a_hi
+    h = _VELTKAMP * b
+    b_hi = h - (h - b)
+    b_lo = b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    s, t = _two_sum(p, c)
+    u, v = _two_sum(t, e)
+    r, w = _two_sum(s, u)
+    hard = ((np.abs(w) + np.abs(v)) * 2.0 >= np.abs(np.spacing(r))) \
+        | (np.abs(np.frexp(r)[0]) == 0.5) | ~np.isfinite(r)
+    if hard.any():
+        r[hard] = [math.fsum(terms) for terms in zip(
+            p[hard].tolist(), e[hard].tolist(), c[hard].tolist())]
+    return r
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(a + b rounded, its exact error), Knuth's branch-free sum."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .covertness import _require_chi, log_psi
 from .quadrature import (
@@ -39,6 +38,7 @@ from .quadrature import (
     _certificate_error,
     _not_a_knot_coeffs,
     _spline_knots,
+    gamma_isf,
 )
 # LogPhiSpline and log_phi_exact stay importable from here: bench/tracing.py
 # traces them at this lookup site as well as in quadrature.
@@ -131,8 +131,8 @@ class _BandLogPsi:
         self.p = p
         self.q = q
         self.n = n
-        self.z_lo = float(gammainccinv(n, 1.0 - 1e-12))
-        self.z_hi = (1.0 + 120.0 * q) * float(gammainccinv(n, 1e-12))
+        self.z_lo = gamma_isf(n, 1.0 - 1e-12)
+        self.z_hi = (1.0 + 120.0 * q) * gamma_isf(n, 1e-12)
         # A grid four times finer is 256 times more accurate (a cubic
         # spline's error goes as h^4); bands from N_d of about 1000 on
         # need it.

@@ -9,10 +9,11 @@ subject to the quadratic covertness budget sum_k zeta_k chi_k^2 / 2 <=
     exact because the fixed-tau problem is concave and solved to optimality
     by a Newton search on its one dual multiplier. The per-data-symbol rate
     is nondecreasing in the pilot count, which bounds every grid point by
-    the solved points above it; ES solves a coarse grid, then only the
-    points that bound cannot rule out, each round one call of the fixed-tau
-    kernel chi_given_tau, which is vectorised over taus and bands (a scalar
-    tau is its T = 1 case),
+    the solved points above it, and so does the grid point's own problem
+    solved with a solved point's (smaller) covertness coefficients; ES
+    solves a coarse grid, then only the points neither bound rules out,
+    each step one call of the fixed-tau kernel chi_given_tau, which is
+    vectorised over taus and bands (a scalar tau is its T = 1 case),
   * alternating optimization (AO) on a relaxed constraint that replaces
     zeta_k(tau) by the tau-independent zeta(q_k, N); the pilot fraction is
     continuous during the alternation, rounded to the grid at the end, and
@@ -23,6 +24,7 @@ Rates are in nats per symbol.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -207,16 +209,18 @@ def zeta_vector(params: FastVaryingParams, n_d) -> np.ndarray:
     return zeta_pairs(pairs).reshape(n_d.shape + (params.K,))
 
 
-def _es_rows(params: FastVaryingParams, n_ts: list) -> dict:
+def _es_rows(params: FastVaryingParams, n_ts: list, z=None) -> dict:
     """N_t -> (chi, lam, objective, zeta row) for the pilot counts n_ts.
 
     One zeta_vector call and one batched chi_given_tau call cover them all;
-    each row has the bits of its own scalar solve.
+    each row has the bits of its own scalar solve. z, one zeta row per
+    count, replaces the counts' own zeta(q_k, N - N_t).
     """
     if not n_ts:
         return {}
     taus = np.array(n_ts, float) / params.N
-    z = zeta_vector(params, [params.N - n_t for n_t in n_ts])
+    if z is None:
+        z = zeta_vector(params, [params.N - n_t for n_t in n_ts])
     chis, lams = chi_given_tau(taus, params, z, params.budget)
     return {n_t: (chi, float(lam), ergodic_sum_rate(chi, n_t / params.N,
                                                     params), z_row)
@@ -229,12 +233,17 @@ def es_solve(params: FastVaryingParams) -> FvSolveResult:
     The adversary tests the jammed data phase of each block, so pilot count
     N_t is the fixed-tau problem at tau = N_t / N with covertness
     coefficients zeta(q_k, N - N_t), solved exactly by chi_given_tau. The
-    best rate wins (ties toward fewer pilots), and only the pilot counts a
-    bound cannot rule out are solved:
+    best rate wins (ties toward fewer pilots), and only the pilot counts
+    two bounds cannot rule out are solved:
 
       * round 1 solves a coarse grid, every isqrt(N)-th count plus N - 1;
-      * round 2 solves every other count whose bound is not strictly below
-        best * (1 - _ES_PRUNE_MARGIN), best being round 1's best objective.
+      * each other count whose monotone bound (below) is not strictly
+        below best * (1 - _ES_PRUNE_MARGIN), best being round 1's best
+        objective, gets its refined bound: its own problem at its own tau,
+        solved with the zeta row of the nearest solved count b above it,
+        in one batched chi_given_tau call and with no new zeta;
+      * round 2 solves the counts whose refined bound is not strictly below
+        best * (1 - _ES_PRUNE_MARGIN) either.
 
     Each round is one zeta_vector call (so its cold values take a single
     ln Phi evaluation) and one batched chi_given_tau call, whose rows have
@@ -255,6 +264,12 @@ def es_solve(params: FastVaryingParams) -> FvSolveResult:
     (N - b) for every solved b >= N_t, and N_t's bound is the smallest of
     these. N - 1 is always solved, so every count has one.
 
+    The refined bound. zeta(q, n) is nondecreasing in n, so b >= N_t has
+    zeta(q_k, N - b) <= zeta(q_k, N - N_t): N_t's problem with b's zeta
+    row has the larger feasible set, and its optimum bounds Obj(N_t). It
+    is never above b's monotone bound, since the rate also grows in tau,
+    and the nearest b gives the largest zeta row, so the tightest bound.
+
     The margin. chi_given_tau drives each row's budget use to activity
     within 1e-10 in ln s, so its powers are off the exact optimum's budget
     by a relative 1e-10 at most, and since no band's ln(1 + SNR) grows
@@ -268,14 +283,18 @@ def es_solve(params: FastVaryingParams) -> FvSolveResult:
     n = params.N
     stride = math.isqrt(n)
     rows = _es_rows(params, [*range(stride, n - 1, stride), n - 1])
-    best = max(row[2] for row in rows.values())
+    cut = max(row[2] for row in rows.values()) * (1.0 - _ES_PRUNE_MARGIN)
     r = np.full(n, np.inf)  # per-data-symbol objective of the solved counts
     for n_t, row in rows.items():
         r[n_t] = row[2] / (n - n_t)
     r_above = np.minimum.accumulate(r[::-1])[::-1]
-    rows.update(_es_rows(params, [
-        n_t for n_t in range(1, n) if n_t not in rows
-        and not (n - n_t) * r_above[n_t] < best * (1.0 - _ES_PRUNE_MARGIN)]))
+    candidates = [n_t for n_t in range(1, n) if n_t not in rows
+                  and not (n - n_t) * r_above[n_t] < cut]
+    solved = sorted(rows)
+    nearest = [solved[bisect.bisect(solved, n_t)] for n_t in candidates]
+    refined = _es_rows(params, candidates, [rows[b][3] for b in nearest])
+    rows.update(_es_rows(params, [n_t for n_t in candidates
+                                  if not refined[n_t][2] < cut]))
     n_ts = sorted(rows)
     n_t = max(n_ts, key=lambda m: (rows[m][2], -m))
     chi, lam, obj, z = rows[n_t]

@@ -24,29 +24,31 @@ for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z,
 over [z_min, z_max]: the knots are a fixed grid's from a margin below
 z_min on, so a lower end drops the knots where no sample lands without
 changing the spacing or, from the margin on, the coefficients' bits.
-The spline fits its own not-a-knot coefficients with one tridiagonal
-`solve_banded`, in the operation order of scipy's `CubicSpline`, and
-evaluates them itself (one knot lookup, then the cubic in scipy's
+The spline fits its own not-a-knot coefficients, in the operation order
+of scipy's `CubicSpline`, with one tridiagonal solve in the operation
+order of LAPACK dgtsv (`_tridiagonal_solve`, what `solve_banded` calls),
+and evaluates them itself (one knot lookup, then the cubic in scipy's
 summation order), which gives `CubicSpline`'s bits without importing
-scipy.interpolate. Its knot grid and trim (`_spline_knots`), fit and
-certificate (`_certificate_error`) also build the detection oracle's
-ln Psi tables.
+SciPy. Its knot grid and trim (`_spline_knots`), fit and certificate
+(`_certificate_error`) also build the detection oracle's ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law; `gamma_rules`
 integrate against Gamma(n, 1), built in one batch per call from the Jacobi
 matrices' eigenvalues and the Christoffel weights of the three-term
-recurrence, with no eigenvectors.
+recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
+tail, for the support windows of the detection tables. SciPy is imported
+only inside the H0 energy rule (`h0_energy_layout`, `h0_energy_finish`),
+whose window quantiles and ln Gamma keep SciPy's bits.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.special import gammainccinv, gammaln
 
 from .roots import increasing_roots
 
@@ -90,6 +92,16 @@ _GAMMA_RULES: dict = {}
 _RESCALE_BITS = 256
 _RESCALE_DOWN = 2.0 ** -_RESCALE_BITS
 _RESCALE_TOTAL = 2.0 ** (2 * _RESCALE_BITS)
+# gamma_rules takes the eigenvalues of this many dense Jacobi matrices per
+# LAPACK call: 2 MiB at order 128, where a whole pilot grid's 99 rules at
+# once would take 13 MiB.
+_EIG_BATCH = 16
+
+_LN_2PI = math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma, whose
+# remainder is below 1e-19 from a = 10 on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
 
 
 def gamma_rule(n: float, order: int = 128):
@@ -105,15 +117,18 @@ def gamma_rules(ns, order: int = 128) -> list:
 
     Generalized Gauss-Laguerre on the known Jacobi recurrence: diagonal
     a_k = 2k + n, off-diagonal sqrt(b_k) = sqrt(k(k + n - 1)). The nodes
-    are the Jacobi matrix's eigenvalues (LAPACK sterf, no eigenvectors).
-    The weights are its Christoffel numbers w_i = 1 / sum_k p_k(x_i)^2,
-    with the orthonormal p_k from the three-term recurrence (Golub and
-    Welsch, Math. Comp. 1969; Gautschi, "Orthogonal Polynomials", 2004),
-    normalized to sum 1. The recurrence runs over every node of every
-    missing rule at once, and each step acts per node, so a rule has the
-    same bits whatever batch builds it. Unlike the scipy polynomial-root
-    route this stays finite for large shapes (n of several hundred), and
-    tail weights keep their relative accuracy down to double's range.
+    are the Jacobi matrix's eigenvalues, no eigenvectors: numpy's
+    `eigvalsh` of the dense matrix, whose LAPACK driver (syevd) leaves a
+    tridiagonal matrix as it is and then runs sterf on it, so the nodes
+    are sterf's, bit for bit. The weights are its Christoffel numbers
+    w_i = 1 / sum_k p_k(x_i)^2, with the orthonormal p_k from the
+    three-term recurrence (Golub and Welsch, Math. Comp. 1969; Gautschi,
+    "Orthogonal Polynomials", 2004), normalized to sum 1. The recurrence
+    runs over every node of every missing rule at once, and each step acts
+    per node, so a rule has the same bits whatever batch builds it. Unlike
+    the scipy polynomial-root route this stays finite for large shapes (n
+    of several hundred), and tail weights keep their relative accuracy
+    down to double's range.
     Rules are cached per (n, order), at most _GAMMA_RULE_CACHE_SIZE of
     them, dropping the oldest first.
     """
@@ -130,16 +145,30 @@ def gamma_rules(ns, order: int = 128) -> list:
         k = np.arange(order, dtype=float)
         diag = 2.0 * k + n_col
         off = np.sqrt(k[1:] * (k[1:] + (n_col - 1.0)))
-        nodes = [eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-                 for d, e in zip(diag, off)]
-        weights = _christoffel_weights(np.array(nodes), diag, off)
+        nodes = np.concatenate([
+            _tridiagonal_eigenvalues(diag[lo:lo + _EIG_BATCH],
+                                     off[lo:lo + _EIG_BATCH])
+            for lo in range(0, len(todo), _EIG_BATCH)])
+        weights = _christoffel_weights(nodes, diag, off)
         # Each cached rule owns its rows, so no batch outlives its rules.
-        rules.update((key, (x, w.copy()))
+        rules.update((key, (x.copy(), w.copy()))
                      for key, x, w in zip(todo, nodes, weights))
         _GAMMA_RULES.update((key, rules[key]) for key in todo)
         while len(_GAMMA_RULES) > _GAMMA_RULE_CACHE_SIZE:
             del _GAMMA_RULES[next(iter(_GAMMA_RULES))]
     return [rules[k] for k in keys]
+
+
+def _tridiagonal_eigenvalues(diag, off) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrices with
+    rows diag and off, by numpy's `eigvalsh` of their dense upper
+    triangles: sterf's bits (see `gamma_rules`)."""
+    m = diag.shape[1]
+    dense = np.zeros((len(diag), m, m))
+    i = np.arange(m)
+    dense[:, i, i] = diag
+    dense[:, i[:-1], i[1:]] = off
+    return np.linalg.eigvalsh(dense, UPLO="U")
 
 
 def _christoffel_weights(x, diag, off) -> np.ndarray:
@@ -282,31 +311,75 @@ def _not_a_knot_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     each interval is then the Hermite cubic through its end values and
     slopes. Every array operation is the one scipy's `CubicSpline.__init__`
     and `CubicHermiteSpline.__init__` perform for 1-D data of at least
-    four knots, so the result equals `CubicSpline(t, y).c` bit for bit.
+    four knots, and the slopes come from `_tridiagonal_solve`, the
+    operations of the LAPACK dgtsv that scipy's `solve_banded` calls, so
+    the result equals `CubicSpline(t, y).c` bit for bit.
     """
     m = t.size
     dt = np.diff(t)
     slope = np.diff(y) / dt
-    ab = np.zeros((3, m))
-    ab[1, 1:-1] = 2 * (dt[:-1] + dt[1:])
-    ab[0, 2:] = dt[:-1]
-    ab[-1, :-2] = dt[1:]
+    # The sub-, main and super-diagonal of the slopes' system.
+    lower = np.append(dt[1:], 0.0)
+    main = np.empty(m)
+    main[1:-1] = 2 * (dt[:-1] + dt[1:])
+    upper = np.insert(dt[:-1], 0, 0.0)
     rhs = np.empty(m)
     rhs[1:-1] = 3 * (dt[1:] * slope[:-1] + dt[:-1] * slope[1:])
     d = t[2] - t[0]
-    ab[1, 0] = dt[1]
-    ab[0, 1] = d
+    main[0] = dt[1]
+    upper[0] = d
     rhs[0] = ((dt[0] + 2 * d) * dt[1] * slope[0] + dt[0] ** 2 * slope[1]) / d
     d = t[-1] - t[-3]
-    ab[1, -1] = dt[-2]
-    ab[-1, -2] = d
+    main[-1] = dt[-2]
+    lower[-1] = d
     rhs[-1] = (dt[-1] ** 2 * slope[-2]
                + (2 * d + dt[-1]) * dt[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    s = np.array(_tridiagonal_solve(lower, main, upper, rhs))
     cubic = (s[:-1] + s[1:] - 2 * slope) / dt
     return np.stack((cubic / dt, (slope - s[:-1]) / dt - cubic, s[:-1],
                      y[:-1]))
+
+
+def _tridiagonal_solve(lower, main, upper, rhs) -> list:
+    """x with A x = rhs for the tridiagonal A of the given diagonals.
+
+    lower and upper hold the m - 1 entries below and above the main
+    diagonal's m. Gaussian elimination with partial pivoting, then back
+    substitution, step for step as LAPACK dgtsv with one right-hand side
+    (the routine `scipy.linalg.solve_banded` runs for one band on each
+    side), so x has dgtsv's bits. Each step depends on the one before, so
+    it runs on Python floats, which round as the Fortran does.
+    """
+    dl, d, du, b = (v.tolist() for v in (lower, main, upper, rhs))
+    m = len(d)
+    for i in range(m - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ArithmeticError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            # Row interchange: row i + 1 becomes the pivot row, whose
+            # second superdiagonal entry dl[i] then holds.
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < m - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise ArithmeticError("singular tridiagonal system")
+    b[-1] /= d[-1]
+    if m > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(m - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 def _spline_knots(z_max: float, z_min: float = _SPLINE_Z_LO,
@@ -461,7 +534,15 @@ def h0_energy_layout(q: float, n: float) -> tuple:
 
     `h0_energy_finish` turns them into the rule once ln Phi(q, z, n) is
     known, so a caller can evaluate ln Phi for many rules in one call.
+
+    The window's quantiles, and the ln Gamma(n) of `h0_energy_finish`,
+    are SciPy's (`gammainccinv`, `gammaln`), imported here, by the one
+    user: the rule's nodes and weights, and so every KL, exact TV and
+    zeta at q <= 50 built on it, keep their bits. `gamma_isf` and
+    `math.lgamma` differ from them by ulps.
     """
+    from scipy.special import gammainccinv
+
     _require_h0_law(q, n)
     # Support window: z >= s stochastically, so the lower Gamma quantile
     # bounds the left tail; on the right P(z > (1+200q) S) <= e^-200 + P(s>S).
@@ -484,9 +565,112 @@ def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,
                      log_phi_q: np.ndarray) -> H0EnergyRule:
     """The H0 energy rule from its layout and ln Phi(q, z, n): the weights
     absorb the mixture density, and their sum is the mass certificate."""
+    from scipy.special import gammaln
+
     w = panel_w * np.exp((n - 1.0) * np.log(z) - gammaln(n) + log_phi_q)
     mass = float(w.sum())
     if abs(mass - 1.0) > 1e-8:
         raise ArithmeticError(
             f"H0 energy rule mass certificate failed: {mass!r} (q={q}, n={n})")
     return H0EnergyRule(z=z, w=w, log_phi_q=log_phi_q, mass=mass)
+
+
+def gamma_isf(n: float, p: float) -> float:
+    """x with Q(n, x) = p: the Gamma(n, 1) upper-tail quantile, n >= 1.
+
+    Q is the regularized upper incomplete gamma function, so this is the
+    inverse SciPy calls `gammainccinv`, to within about 1e-14 relative
+    for n in [1, 1e4] and both tails. The smaller tail is solved in logs:
+    ln Q(n, x) = ln p for p <= 1/2, else ln P(n, x) = ln(1 - p), 1 - p
+    being exact there. For n >= 1 the Gamma density is log-concave, so
+    both ln P and ln Q are concave in x, and Newton converges monotonically
+    from a start on the far side of the root (DiDonato and Morris, ACM
+    TOMS 1986, start from closer guesses): above it, at the Chernoff
+    bound of the upper tail, or below it, at the bound of the lower tail
+    P(n, x) <= x^n / Gamma(n + 1). It stops once a step no longer shrinks
+    or is within an ulp.
+    """
+    if not 1.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    upper = p <= 0.5
+    if upper:
+        target = math.log(p)
+        x = n - target + math.sqrt(target * (target - 2.0 * n))
+    else:
+        target = math.log(1.0 - p)
+        x = math.exp((target + math.lgamma(n + 1.0)) / n)
+    last = math.inf
+    for _ in range(100):
+        log_tail, log_density = _log_gamma_tail(n, x, upper)
+        step = (log_tail - target) / math.exp(log_density - log_tail)
+        if upper:
+            step = -step
+        if not abs(step) < last:
+            return x
+        x -= step
+        last = abs(step)
+        if last <= 2.0 ** -52 * x:
+            return x
+    raise ArithmeticError(f"gamma_isf({n}, {p}) did not converge")
+
+
+def _log_gamma_tail(n: float, x: float, upper: bool) -> tuple:
+    """ln Q(n, x) (upper) or ln P(n, x), and ln of the density at x.
+
+    The density x^(n-1) e^-x / Gamma(n) is formed around its mode scale
+    with the Stirling remainder of ln Gamma, so no large logs cancel; P
+    takes the power series and Q the continued fraction (modified
+    Lentz), each where it converges fast, and the other tail is 1 minus
+    it.
+    """
+    d = (x - n) / n
+    if abs(d) < 0.5:
+        core = n * (math.log1p(d) - d)
+    else:
+        core = n * math.log(x / n) - (x - n)
+    if n < 10.0:
+        remainder = math.lgamma(n) - ((n - 0.5) * math.log(n) - n
+                                      + 0.5 * _LN_2PI)
+    else:
+        r = 1.0 / (n * n)
+        remainder = 0.0
+        for c in reversed(_STIRLING):
+            remainder = remainder * r + c
+        remainder /= n
+    log_prefix = core + 0.5 * (math.log(n) - _LN_2PI) - remainder
+    if x < n + 1.0:
+        total = term = 1.0
+        k = n
+        while term > 2.0 ** -56 * total:
+            k += 1.0
+            term *= x / k
+            total += term
+        log_lower = log_prefix + math.log(total / n)
+        log_tail = math.log(-math.expm1(log_lower)) if upper else log_lower
+    else:
+        log_upper = log_prefix + math.log(_gamma_q_fraction(n, x))
+        log_tail = log_upper if upper else math.log(-math.expm1(log_upper))
+    return log_tail, log_prefix - math.log(x)
+
+
+def _gamma_q_fraction(n: float, x: float) -> float:
+    """Q(n, x) x^-n e^x Gamma(n), by the modified Lentz method, x >= n + 1."""
+    tiny = 1e-300
+    b = x + 1.0 - n
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10000):
+        a = -i * (i - n)
+        b += 2.0
+        d = a * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + a / c
+        if abs(c) < tiny:
+            c = tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= 2.0 ** -53:
+            return h
+    raise ArithmeticError(f"Q({n}, {x}) continued fraction did not converge")

@@ -16,7 +16,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+# numpy imports numpy.random on first use; every run draws its scenarios
+# from it, so it loads with the package, not inside a run's first draw.
+import numpy.random  # noqa: F401
 
 
 def dbm_to_mw(dbm):
@@ -232,7 +234,7 @@ def derive_quasi_static(instance: ScenarioInstance, epsilon: float) -> QuasiStat
 
 def gamma_constant(m: int) -> float:
     """Gamma(m + 1/2)^2 / Gamma(m)^2 through log-gamma (finite for any m)."""
-    return math.exp(2.0 * (gammaln(m + 0.5) - gammaln(m)))
+    return math.exp(2.0 * (math.lgamma(m + 0.5) - math.lgamma(m)))
 
 
 @dataclass

@@ -101,6 +101,52 @@ def test_chi_star_feasible_below_bracket_floor():
         assert solve_chi_star(float(epsilon)) == chi
 
 
+def test_lambert_w0_is_scipy_bits():
+    # The in-house W0 follows SciPy's lambertw step for step, so it has its
+    # bits on [-1/e, 0): across the whole range, next to the branch point,
+    # and at every eps ln eps that solve_chi_star asks for. Where SciPy's
+    # iteration gives NaN (the branch point) solve_chi_star took -1.
+    from scipy.special import lambertw
+
+    rng = np.random.default_rng(27)
+    eps = np.geomspace(5e-324, 1.0 - 1e-16, 20000)
+    x = np.concatenate([
+        -np.geomspace(1e-300, math.exp(-1.0), 20000),
+        -math.exp(-1.0) + np.geomspace(1e-17, 1e-2, 5000),
+        -rng.uniform(0.0, math.exp(-1.0), 20000), eps * np.log(eps)])
+    x = x[(x >= -math.exp(-1.0)) & (x < 0.0)]
+    want = np.fmax(lambertw(x).real, -1.0)
+    assert covertness._lambert_w0(x).tobytes() == want.tobytes()
+
+
+def test_fma_rounds_once():
+    # Against exact rational arithmetic, including exact cancellations,
+    # sums at a power of two, and near-ties: c + h (1 - 2^-60), h half an
+    # ulp of c, whose product rounds to h and whose sum c + h then ties,
+    # so only the math.fsum path sees that it lies below the midpoint.
+    from fractions import Fraction
+
+    rng = np.random.default_rng(28)
+    a, b, c = (rng.standard_normal(20000) * 10.0 ** rng.uniform(-8, 8, 20000)
+               for _ in range(3))
+    c[:500] = -a[:500] * b[:500]
+    c[500:1000] = np.ldexp(1.0, 20) - a[500:1000] * b[500:1000]
+    odd = np.ldexp(np.ldexp(c[1000:2000], -np.frexp(c[1000:2000])[1]), 53)
+    c[1000:2000] = np.ldexp(np.trunc(odd) // 2 * 2 + 1, -53)
+    a[1000:2000] = 1.0 + 2.0 ** -30
+    b[1000:2000] = np.abs(np.spacing(c[1000:2000])) / 2 * (1.0 - 2.0 ** -30)
+    want = [float(Fraction(x) * Fraction(y) + Fraction(z))
+            for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert covertness._fma(a, b, c).tolist() == want
+
+
+def test_chi_star_stays_feasible_across_budgets():
+    eps = np.geomspace(1e-300, 0.9, 5000)
+    chis = solve_chi_star(eps)
+    assert np.all(eta(chis) <= eps)
+    assert np.all(chis[1:] >= chis[:-1])
+
+
 def test_kl_divergence_frozen_value():
     # Independent panel-quadrature evaluation, cross-checked previously
     # against dense trapezoid mixing; frozen here to pin regressions.

@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -497,3 +500,39 @@ def test_cli_flag_overrides_spec(tmp_path):
     # CI at 2e4 samples is far tighter than 50 samples could give.
     ci = next(float(r["ci"]) for r in rows if r["method"] == "tv_numeric")
     assert ci < 0.01
+
+
+# One fresh interpreter: import the package and its CLI, run a reduced
+# fig4 (SCA, POA) and fig7 (ES, AO), audit two rows of each, and print the
+# SciPy modules loaded; then run fig2's bounds and print the public SciPy
+# subpackages loaded. argv[1] is the output directory.
+_SCIPY_GUARD = """
+import sys
+import covertjam, covertjam.cli, covertjam.experiments as ex
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+out = sys.argv[1]
+for figure_id, sweep in (("fig4_rate_vs_Q", (25.0,)),
+                         ("fig7_rate_vs_PR", (5.0,))):
+    run = ex.run_experiment(ex.default_spec(
+        figure_id, sweep=sweep, scenarios_per_point=1,
+        output_dir=f"{out}/{figure_id}"))
+    ex.audit_run(run, trials=2000, seed=1, max_rows=2)
+print(scipy_modules())
+ex.run_experiment(ex.default_spec("fig2_tv_bounds", sweep=(0.02, 0.3),
+                                  trials=2000, output_dir=f"{out}/fig2"))
+print(sorted({m.split(".")[1] for m in scipy_modules()
+              if "." in m and not m.split(".")[1].startswith("_")}))
+"""
+
+
+def test_solver_and_audit_paths_load_no_scipy(tmp_path):
+    # The solvers and the Monte-Carlo adversary import no SciPy; only
+    # fig2's limiting-density bounds load scipy.special, and nothing
+    # heavier (linalg, integrate, interpolate, optimize, sparse, stats).
+    src = Path(experiments.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert out.stdout.splitlines() == ["[]", "['special', 'version']"]

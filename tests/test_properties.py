@@ -15,6 +15,7 @@ from covertjam.covertness import (
     solve_chi_star,
     tv_upper_bound,
     zeta,
+    zeta_pairs,
 )
 from covertjam.detection import _BAND_GATE, _BandLogPsi
 from covertjam.fast_varying import (
@@ -24,6 +25,7 @@ from covertjam.fast_varying import (
     tau_given_chi,
     zeta_vector,
 )
+from covertjam.quadrature import gamma_rule, log_phi_exact
 from covertjam.quasi_static import (
     _band_optimum,
     closed_form_solve,
@@ -300,3 +302,20 @@ def test_band_log_psi_table_stays_within_its_gate(log_q, n, log_chi):
         np.linspace(0.9, 1.2, 301) / p, np.linspace(0.9, 1.2, 301) / q])
     z = z[(z >= psi.z_lo) & (z <= psi.z_hi)]
     assert np.max(np.abs(psi(z) - log_psi(p, q, z, n))) <= _BAND_GATE
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(min_value=math.log10(50.0), max_value=5.0,
+                 exclude_min=True),
+       st.floats(min_value=1.0, max_value=5000.0))
+@example(log_q=math.log10(316.0), n=90.0)
+@example(log_q=5.0, n=1.0)
+@example(log_q=5.0, n=5000.0)
+def test_zeta_direct_route_equals_the_all_nodes_sum(log_q, n):
+    # The direct route skips the Gamma-rule nodes whose term is at most
+    # 2^-64; the value is the sum over every node, inlined here, bit for
+    # bit.
+    q = 10.0 ** log_q
+    s, w = gamma_rule(n)
+    full = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
+    assert zeta_pairs([(q, n)])[0] == full

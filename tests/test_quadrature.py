@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 from scipy.special import gammainccinv, gammaincinv, gammaln
 
 import covertjam
@@ -22,6 +23,9 @@ from covertjam.quadrature import (
     H0EnergyRule,
     LogPhiSpline,
     _not_a_knot_coeffs,
+    _spline_knots,
+    _tridiagonal_solve,
+    gamma_isf,
     gamma_rule,
     gamma_rules,
     h0_energy_rule,
@@ -116,6 +120,86 @@ def test_gamma_rule_bits_do_not_depend_on_batch_or_cache(monkeypatch):
         monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
         s1, w1 = gamma_rule(n)
         assert np.array_equal(s, s1) and np.array_equal(w, w1), n
+
+
+def test_gamma_rule_nodes_are_sterf_bits(monkeypatch):
+    # The dense eigvalsh (LAPACK syevd) leaves a tridiagonal matrix as it
+    # is and runs sterf, so the nodes are those of SciPy's
+    # eigvalsh_tridiagonal(..., "sterf"), bit for bit: every n = 1..100 in
+    # one batch, then a geometric sweep to 5000 and a low order.
+    ns = np.concatenate([np.arange(1.0, 101.0),
+                         np.geomspace(1.0, 5000.0, 60)])
+    for order, batch in ((128, ns[:100]), (128, ns[100:]), (9, ns[::7])):
+        monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
+        k = np.arange(order, dtype=float)
+        for n, (s, _) in zip(batch, gamma_rules(batch, order)):
+            d = 2.0 * k + n
+            e = np.sqrt(k[1:] * (k[1:] + (n - 1.0)))
+            want = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+            assert s.tobytes() == want.tobytes(), (n, order)
+
+
+def _slope_system(t):
+    """The not-a-knot slope system's diagonals on knots t, as
+    `_not_a_knot_coeffs` builds them, in `solve_banded`'s (3, m) form."""
+    dt = np.diff(t)
+    ab = np.zeros((3, t.size))
+    ab[1, 1:-1] = 2 * (dt[:-1] + dt[1:])
+    ab[0, 2:] = dt[:-1]
+    ab[-1, :-2] = dt[1:]
+    ab[1, 0], ab[0, 1] = dt[1], t[2] - t[0]
+    ab[1, -1], ab[-1, -2] = dt[-2], t[-1] - t[-3]
+    return ab
+
+
+def _dgtsv_port(ab, rhs):
+    return np.array(_tridiagonal_solve(ab[2, :-1], ab[1], ab[0, 1:], rhs))
+
+
+@pytest.mark.parametrize("knots", [_SPLINE_KNOTS, 4 * _SPLINE_KNOTS])
+def test_tridiagonal_solve_is_dgtsv_bits_on_spline_systems(knots):
+    # The slope systems of the detection tables on both grid sizes,
+    # trimmed and untrimmed, with the right-hand side of ln Phi data.
+    rng = np.random.default_rng(24)
+    for z_max, z_min in ((2.9e3, 3.0), (1e9, _SPLINE_Z_LO), (5e5, 40.0)):
+        t = _spline_knots(z_max, z_min, knots)
+        ab = _slope_system(t)
+        rhs = rng.standard_normal(t.size) * np.exp(rng.uniform(-5, 5, t.size))
+        want = solve_banded((1, 1), ab, rhs)
+        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes()
+        y = log_phi_exact(0.3, np.exp(t), 90.0)
+        assert np.array_equal(_not_a_knot_coeffs(t, y), CubicSpline(t, y).c)
+
+
+def test_tridiagonal_solve_is_dgtsv_bits_with_row_interchanges():
+    # Small diagonals force dgtsv's row interchange at most rows, the
+    # last one included; the singular system raises.
+    rng = np.random.default_rng(25)
+    for m in (2, 3, 4, 17, 200):
+        ab = rng.standard_normal((3, m))
+        ab[1] *= 1e-3
+        rhs = rng.standard_normal(m)
+        want = solve_banded((1, 1), ab, rhs)
+        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), m
+    with pytest.raises(ArithmeticError, match="singular"):
+        _tridiagonal_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+
+
+@pytest.mark.parametrize("p", [1e-18, 1e-15, 1e-12, 1.0 - 1e-15, 1.0 - 1e-12])
+def test_gamma_isf_matches_gammainccinv(p):
+    rng = np.random.default_rng(26)
+    ns = np.concatenate([np.arange(1.0, 201.0), np.geomspace(1.0, 1e4, 200),
+                         np.exp(rng.uniform(0.0, math.log(1e4), 200))])
+    for n in ns:
+        x, want = gamma_isf(float(n), p), float(gammainccinv(n, p))
+        assert abs(x / want - 1.0) <= 1e-13, (n, p, x, want)
+
+
+def test_gamma_isf_validates():
+    for n, p in ((0.5, 0.1), (math.nan, 0.1), (math.inf, 0.1), (2.0, 0.0),
+                 (2.0, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            gamma_isf(n, p)
 
 
 def test_phi_small_q_limit():
