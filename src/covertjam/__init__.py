@@ -12,7 +12,6 @@ from .covertness import (
     pinsker_budget,
     solve_chi_star,
     tv_exact_n,
-    tv_numeric_k1,
     tv_numeric_product,
     tv_upper_bound,
     zeta,
@@ -87,7 +86,6 @@ __all__ = [
     "solve_chi_star",
     "tau_given_chi",
     "tv_exact_n",
-    "tv_numeric_k1",
     "tv_numeric_product",
     "tv_upper_bound",
     "zeta",

@@ -7,11 +7,9 @@ Pinsker multi-block budget, and the KL divergence and Bhattacharyya
 affinity of the limiting band densities behind the Pinsker and Hellinger
 bounds.
 
-The solvers' and the adversary's paths import no SciPy. The limiting
-densities' bounds of fig2 (`limit_kl`, `band_affinity`) and the adaptive
-quadrature `tv_numeric_k1` import it inside themselves, and the H0 energy
-rule behind `kl_divergence`, `tv_exact_n` and zeta at q <= 50 inside
-`quadrature.h0_energy_layout` and `h0_energy_finish`.
+Everything here is numpy and the standard library: the few special
+functions the bounds need (the inverse of eta, digamma, the ln Gamma ratio
+of the Bhattacharyya affinity) are solved or summed in place.
 
 Normalization convention: band quantities p = p_hat/sigma2_A and
 q = q_hat/sigma2_A are dimensionless; chi = p/q = p_hat/q_hat is the
@@ -27,20 +25,21 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .quadrature import (
+    _h0_energy_window,
     _require_h0_law,
+    _stirling_remainder,
     gamma_rules,
     h0_energy_finish,
     h0_energy_layout,
     h0_energy_rule,
     log_phi_exact,
 )
-from .roots import increasing_roots
+from .roots import increasing_root, increasing_roots
 from .scenario import rng_stream
 
 __all__ = [
     "eta",
     "tv_upper_bound",
-    "tv_numeric_k1",
     "tv_numeric_product",
     "log_psi",
     "likelihood_ratio_delta",
@@ -71,13 +70,21 @@ _ZETA_CACHE: dict = {}
 
 # Largest chi solve_chi_star returns; eta(chi) -> 1/e as chi -> 1.
 _CHI_TOP = 1.0 - 1e-12
-# _lambert_w0: Halley steps allowed (it converges within about five), and
-# the numerator and denominator of its (3, 2) Pade start at 0.
-_LAMBERT_MAX_STEPS = 100
-_W0_PADE_NUM = (604 / 47, 580 / 47, 1.0)
-_W0_PADE_DEN = (1529 / 47, 674 / 47, 1.0)
-# 2^27 + 1 splits a double into two 26-bit halves (_fma).
-_VELTKAMP = 2.0 ** 27 + 1.0
+# Gamma(3/2), band_affinity's constant factor.
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+
+# zeta(m + 1) - 1/m, m = 1..16, correctly rounded: limit_kl's power series.
+_LIMIT_KL_SERIES = (
+    0.6449340668482264, 0.7020569031595942, 0.7489899003778049,
+    0.7869277551433699, 0.8173430619844492, 0.8416826107152562,
+    0.8612202133408015, 0.8770083928260822, 0.8898834640167069,
+    0.9004941886041194, 0.9093369956442171, 0.9167893800142451,
+    0.9231381712119818, 0.9286020168077356, 0.933348615592742,
+    0.9375076371976379)
+# B_2k / (2k), k = 1..7: the asymptotic series of digamma, whose remainder
+# is below 2e-18 from a = 12 on.
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                   -691 / 32760, 1 / 12)
 
 
 def eta(x):
@@ -103,35 +110,6 @@ def _require_chi(chis):
     """chi in [0, 1) is required wherever chi acts as a covertness knob."""
     if not np.all((chis >= 0.0) & (chis < 1.0)):
         raise ValueError(f"chi = {chis} is outside [0, 1)")
-
-
-def tv_numeric_k1(chi: float) -> float:
-    """Single-band TV by adaptive quadrature, (1/2) int |f_U - f_V|.
-
-    Integrates in the scale-free variable t = (x - noise floor)/q_hat, in
-    which the TV depends on chi alone, and splits at the crossover
-    t0 = chi ln(1/chi)/(1-chi) where the densities meet, so each piece has
-    a single sign. Absolute tolerance 1e-8. scipy.integrate (which pulls in
-    most of SciPy) is imported here, by its one user, and not with the
-    package.
-    """
-    from scipy.integrate import quad
-
-    _require_chi(chi)
-    if chi == 0.0:
-        return 0.0
-
-    def diff(t):
-        # q_hat * (f_U - f_V) at x = noise + q_hat t
-        return (-math.exp(-t) * math.expm1(-t * (1.0 - chi) / chi) / (1.0 - chi)
-                - math.exp(-t))
-
-    t0 = chi * math.log(1.0 / chi) / (1.0 - chi)
-    lower, err_lo = quad(diff, 0.0, t0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    upper, err_hi = quad(diff, t0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if err_lo + err_hi > 1e-8:
-        raise ArithmeticError("TV quadrature did not reach the 1e-8 tolerance")
-    return 0.5 * (abs(lower) + abs(upper))
 
 
 def tv_numeric_product(chis, samples: int = 10**6,
@@ -203,27 +181,23 @@ def log_psi(p: float, q: float, z, n: float) -> np.ndarray:
         p, q, z, log_phi_exact(p, z, n), log_phi_exact(q, z, n)))
 
 
-def _band_delta(p: float, q: float, n: float):
-    """A band's n-sample law: the H0 energy rule of (q, n) and delta =
-    Psi - 1 at its nodes, from the exact ln Phi(p, ., n); at p = 0,
-    delta is 0. q, n and p are checked before any ln Phi or rule work."""
-    _require_h0_law(q, n)
-    _require_p_below_q(p, q)
-    r = h0_energy_rule(q, n)
-    return r, likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
-                                     r.log_phi_q)
-
-
 def kl_divergence(p: float, q: float, n: float) -> float:
     """KL divergence D(H0 || H1) of the n-sample normalized band energy.
 
     Since E_{H0}[Psi] = 1 exactly, D = -E_{H0}[ln Psi] equals
     E_{H0}[Psi - 1 - ln Psi], whose integrand delta - log1p(delta) is
     nonnegative and immune to the cancellation that kills the naive form
-    when Psi ~ 1. It is a reduction of the band law `_band_delta`, on the
-    certified H0 energy rule (density z^{n-1} Phi(q, z, n) / Gamma(n)).
+    when Psi ~ 1. It is a reduction of the band's n-sample law: delta =
+    Psi - 1, from the exact ln Phi(p, ., n), at the nodes of the certified
+    H0 energy rule (density z^{n-1} Phi(q, z, n) / Gamma(n)), which is
+    cached per (q, n) and shared with zeta. q, n and p are checked before
+    any ln Phi or rule work.
     """
-    r, delta = _band_delta(p, q, n)
+    _require_h0_law(q, n)
+    _require_p_below_q(p, q)
+    r = h0_energy_rule(q, n)
+    delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
+                                   r.log_phi_q)
     return r.expectation(delta - np.log1p(delta))
 
 
@@ -316,12 +290,40 @@ def _zeta_finish(q: float, n: float, z, w, log_phi_q) -> float:
 def tv_exact_n(p: float, q: float, n: float) -> float:
     """Exact TV between the n-sample energy laws: (1/2) E_{H0}|Psi - 1|.
 
-    The same band law as `kl_divergence`, reduced to (1/2) E_{H0}|delta|.
+    The band law of `kl_divergence`, reduced to (1/2) E_{H0}|delta|.
     This is the finite-sample analogue of the single-band TV eta(chi)
     (which it approaches as n -> inf) and the analytic reference for the
     simulated detector's minimum error sum, 1 - TV.
+
+    |delta| has a kink at the crossover z*, where ln Psi, increasing in z,
+    is 0, and a 16-point panel across a kink is good to only about 1e-4
+    relative. So the reduction takes its own H0 rule, whose panels break
+    at z*; the shared rule of `kl_divergence` and zeta keeps its nodes.
+    z* is found by Newton over the rule's window, with the slope from
+    d Phi(x, z, n)/dz = -Phi(x, z, n + 1).
     """
-    r, delta = _band_delta(p, q, n)
+    _require_h0_law(q, n)
+    _require_p_below_q(p, q)
+    if p == 0.0:
+        return 0.0
+    x = np.array([[p], [q]])
+    ratio = p / (q - p)
+
+    def log_psi_at(z):
+        # ln Psi(z), its slope in z, and its rounding floor
+        (lp, lp1), (lq, lq1) = log_phi_exact(x, z, [n, n + 1.0])
+        delta = float(likelihood_ratio_delta(p, q, z, lp, lq))
+        slope = ratio * math.exp(lp - lq) * (math.exp(lp1 - lp)
+                                             - math.exp(lq1 - lq))
+        return math.log1p(delta), slope / (1.0 + delta), \
+            4e-16 * (abs(lp) + abs(lq)) * ratio
+
+    z_lo, z_hi = _h0_energy_window(q, n)
+    z_star = increasing_root(log_psi_at, n, z_lo, z_hi)
+    z, panel_w = h0_energy_layout(q, n, breaks=(z_star,))
+    log_phi_p, log_phi_q = log_phi_exact(x, z, n)
+    r = h0_energy_finish(q, n, z, panel_w, log_phi_q)
+    delta = likelihood_ratio_delta(p, q, z, log_phi_p, log_phi_q)
     return 0.5 * r.expectation(np.abs(delta))
 
 
@@ -344,21 +346,27 @@ def limit_kl(chi: float) -> float:
     D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0. For
     x < 0.05 that sum cancels to D ~ 0.64 x, so the power series
     D = sum_m (-1)^(m+1) (zeta(m+1) - 1/m) x^m is used instead; both agree
-    to about 1e-15 relative at the switch. scipy.special is imported here
-    and in `band_affinity`, the fig2 bounds that use it, not with the
-    package.
+    to about 1e-15 relative at the switch.
     """
-    from scipy.special import digamma
-    from scipy.special import zeta as riemann_zeta
-
     _require_chi(chi)
     x = chi / (1.0 - chi)
     if x < 0.05:
-        # zeta(m + 1) - 1/m, m = 1..16: the series coefficients.
-        series = riemann_zeta(np.arange(2.0, 18.0)) - 1.0 / np.arange(1, 17)
-        return x * float(polyval(-x, series))
-    return math.log1p(-chi) + float(digamma(1.0 / (1.0 - chi))) \
-        + np.euler_gamma
+        return x * float(polyval(-x, _LIMIT_KL_SERIES))
+    return math.log1p(-chi) + _digamma(1.0 / (1.0 - chi)) + np.euler_gamma
+
+
+def _digamma(a: float) -> float:
+    """psi(a) for a > 0: the recurrence psi(a) = psi(a + 1) - 1/a up to
+    a >= 12, then the asymptotic series ln a - 1/(2a) - sum_k B_2k/(2k a^2k)."""
+    shift = 0.0
+    while a < 12.0:
+        shift += 1.0 / a
+        a += 1.0
+    r = 1.0 / (a * a)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = series * r + c
+    return math.log(a) - 0.5 / a - r * series - shift
 
 
 def band_affinity(chi: float) -> float:
@@ -366,15 +374,21 @@ def band_affinity(chi: float) -> float:
 
     int_0^inf e^{-t} sqrt((1 - e^{-t/x})/(1 - chi)) dt with
     x = chi/(1 - chi); substituting u = e^{-t/x} gives
-    x B(x, 3/2) / sqrt(1 - chi), with rho(0) = 1.
+    x B(x, 3/2) / sqrt(1 - chi) = Gamma(3/2) Gamma(a) / (Gamma(a + 1/2)
+    sqrt(1 - chi)), a = x + 1, with rho(0) = 1. The ln Gamma ratio takes
+    Stirling's form of both terms, whose large parts cancel in closed form
+    to -ln(a)/2 + (1 - ln(1 + u)/u)/2, u = 1/(2a), plus the difference of
+    the Stirling remainders: differencing two ln Gammas of size a ln a
+    would lose about 1e-7 relative at x ~ 1e9.
     """
-    from scipy.special import beta
-
     _require_chi(chi)
     if chi == 0.0:
         return 1.0
-    x = chi / (1.0 - chi)
-    return x * float(beta(x, 1.5)) / math.sqrt(1.0 - chi)
+    a = chi / (1.0 - chi) + 1.0
+    u = 0.5 / a
+    log_ratio = 0.5 * (1.0 - math.log1p(u) / u) - 0.5 * math.log(a) \
+        + _stirling_remainder(a) - _stirling_remainder(a + 0.5)
+    return _HALF_SQRT_PI * math.exp(log_ratio) / math.sqrt(1.0 - chi)
 
 
 def hellinger_bound(affinity: float) -> float:
@@ -383,11 +397,11 @@ def hellinger_bound(affinity: float) -> float:
 
 
 def solve_chi_star(epsilon):
-    """Largest chi with eta(chi) <= epsilon: chi = W0(eps ln eps) / ln eps.
+    """Largest chi with eta(chi) <= epsilon.
 
-    The Lambert W inverse (Corless et al., "On the Lambert W function",
-    1996; `_lambert_w0`) is ill-conditioned toward eps = 1/e, so it is
-    polished by Newton on ln eta(chi) = ln eps and then stepped down by
+    Newton on ln eta(chi) = ln eps, which is increasing and concave in chi,
+    from chi = eps: eta(x) <= x puts the root at or above eps, so the
+    iterates climb to it monotonically. The result is then stepped down by
     ulps until eta(chi) <= eps holds in floating point. Vectorized over
     epsilon in (0, 1); a scalar gives a float. Where even
     eta(1 - 1e-12) <= epsilon (every epsilon >= 1/e among them),
@@ -397,7 +411,6 @@ def solve_chi_star(epsilon):
     if not np.all((eps > 0.0) & (eps < 1.0)):
         raise ValueError("epsilon must lie in (0, 1)")
     ln_eps = np.log(eps).ravel()
-    w0 = _lambert_w0(eps.ravel() * ln_eps)
 
     def log_gap(x, rows):
         # ln eta(x) - ln eps, d/dx (inf at subnormal x) and rounding floor
@@ -408,99 +421,10 @@ def solve_chi_star(epsilon):
             4e-16 * (np.abs(ln_eta) + np.abs(ln_eps[rows]))
 
     # Started at the cap where eta(1 - 1e-12) <= eps, the search stays there.
-    start = np.where(eta(_CHI_TOP) <= eps.ravel(), _CHI_TOP,
-                     np.minimum(w0 / ln_eps, _CHI_TOP))
+    start = np.where(eta(_CHI_TOP) <= eps.ravel(), _CHI_TOP, eps.ravel())
     chi = increasing_roots(log_gap, start, 0.0, _CHI_TOP).reshape(eps.shape)
     high = eta(chi) > eps
     while np.any(high):
         chi = np.where(high, np.nextafter(chi, 0.0), chi)
         high = eta(chi) > eps
     return float(chi) if chi.ndim == 0 else chi
-
-
-def _lambert_w0(x: np.ndarray) -> np.ndarray:
-    """Principal branch W0 of the Lambert W function on [-1/e, 0).
-
-    The algorithm of SciPy's `lambertw` (Corless et al. 1996), step for
-    step on real numbers, so the result has its bits: within |x + 1/e| <
-    0.3 the branch-point series -1 + p - p^2/3, p = sqrt(2 (e x + 1)),
-    elsewhere the (3, 2) Pade approximant at 0, each polynomial evaluated
-    as Knuth's two-term recurrence with fused multiply-adds (`_fma`);
-    then Halley's iteration on w e^w = x, with the C library's exp, until
-    a step is within 1e-8 relative, which returns the stepped value. An x
-    whose series argument rounds below 0, or that the iteration cannot
-    leave (the branch point, where SciPy gives NaN), gives -1.
-    """
-    x = np.asarray(x, float).ravel()
-    near = np.abs(x + math.exp(-1.0)) < 0.3
-    w = np.empty_like(x)
-    with np.errstate(invalid="ignore"):
-        w[near] = _knuth_polyval((-1.0 / 3.0, 1.0, -1.0),
-                                 np.sqrt(2.0 * (math.e * x[near] + 1.0)))
-    far = x[~near]
-    w[~near] = far * _knuth_polyval(_W0_PADE_NUM, far) \
-        / _knuth_polyval(_W0_PADE_DEN, far)
-    out = np.full_like(x, -1.0)
-    rows = np.flatnonzero(~np.isnan(w))
-    for _ in range(_LAMBERT_MAX_STEPS):
-        if rows.size == 0:
-            return out
-        wr, xr = w[rows], x[rows]
-        ew = np.array([math.exp(v) for v in wr.tolist()])
-        wew = wr * ew
-        wewz = wew - xr
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wn = wr - wewz / (wew + ew - (wr + 2.0) * wewz / (2.0 * wr + 2.0))
-        done = np.abs(wn - wr) <= 1e-8 * np.abs(wn)
-        out[rows[done]] = wn[done]
-        w[rows] = wn
-        rows = rows[~done & ~np.isnan(wn)]
-    raise ArithmeticError("Lambert W0 iteration did not converge")
-
-
-def _knuth_polyval(coeffs, x: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] x^(d - j), d = len(coeffs) - 1 >= 1, by the real
-    case of Knuth's recurrence for a complex argument (TAOCP 4.6.4, eq. 3),
-    the evaluation SciPy's `lambertw` uses."""
-    a, b = coeffs[0], coeffs[1]
-    r = 2.0 * x
-    s = x * x
-    for c in coeffs[2:]:
-        a, b = _fma(r, a, b), _fma(-s, a, c)
-    return x * a + b
-
-
-def _fma(a, b, c) -> np.ndarray:
-    """a b + c rounded once, element by element, as C's fma.
-
-    a b = p + e exactly (Dekker's product, with Veltkamp's split), and two
-    exact sums give p + e + c = r + w + v with r = round(s + u), s = p + c,
-    u its error plus e. That rounds to r unless |w| + |v| reaches half an
-    ulp of r or r is a power of two, where the gap below is halved; those
-    rare elements are rounded by `math.fsum`, which is exact.
-    """
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, c)))
-    p = a * b
-    h = _VELTKAMP * a
-    a_hi = h - (h - a)
-    a_lo = a - a_hi
-    h = _VELTKAMP * b
-    b_hi = h - (h - b)
-    b_lo = b - b_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    s, t = _two_sum(p, c)
-    u, v = _two_sum(t, e)
-    r, w = _two_sum(s, u)
-    hard = ((np.abs(w) + np.abs(v)) * 2.0 >= np.abs(np.spacing(r))) \
-        | (np.abs(np.frexp(r)[0]) == 0.5) | ~np.isfinite(r)
-    if hard.any():
-        r[hard] = [math.fsum(terms) for terms in zip(
-            p[hard].tolist(), e[hard].tolist(), c[hard].tolist())]
-    return r
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(a + b rounded, its exact error), Knuth's branch-free sum."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)

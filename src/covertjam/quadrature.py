@@ -24,20 +24,19 @@ for bulk use at fixed (x, n) as a cubic spline on uniform knots in ln z,
 over [z_min, z_max]: the knots are a fixed grid's from a margin below
 z_min on, so a lower end drops the knots where no sample lands without
 changing the spacing or, from the margin on, the coefficients' bits.
-The spline fits its own not-a-knot coefficients, in the operation order
-of scipy's `CubicSpline`, with one tridiagonal solve in the operation
-order of LAPACK dgtsv (`_tridiagonal_solve`, what `solve_banded` calls),
-and evaluates them itself (one knot lookup, then the cubic in scipy's
-summation order), which gives `CubicSpline`'s bits without importing
-SciPy. Its knot grid and trim (`_spline_knots`), fit and certificate
-(`_certificate_error`) also build the detection oracle's ln Psi tables.
+The spline fits its own not-a-knot coefficients, with one tridiagonal
+solve by Gaussian elimination with partial pivoting (`_tridiagonal_solve`),
+and evaluates them itself (one knot lookup, then the cubic). Its knot grid
+and trim (`_spline_knots`), fit and certificate (`_certificate_error`) also
+build the detection oracle's ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law; `gamma_rules`
 integrate against Gamma(n, 1), built in one batch per call from the Jacobi
 matrices' eigenvalues and the Christoffel weights of the three-term
 recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
-tail, for the support windows of the detection tables. SciPy is imported
-only inside the H0 energy rule (`h0_energy_layout`, `h0_energy_finish`),
-whose window quantiles and ln Gamma keep SciPy's bits.
+tail, for the support windows of the H0 energy rule and the detection
+tables, and `_stirling_remainder` is the one Stirling series of ln Gamma,
+shared by the tail and the Bhattacharyya affinity's ln Gamma ratio.
+Everything here is numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -529,30 +528,33 @@ def _require_h0_law(q: float, n: float) -> None:
         raise ValueError("n must be finite and >= 1")
 
 
-def h0_energy_layout(q: float, n: float) -> tuple:
+def _h0_energy_window(q: float, n: float) -> tuple:
+    """Support window (z_lo, z_hi) of the H0 energy rule.
+
+    z >= s ~ Gamma(n, 1) stochastically, so the lower Gamma quantile
+    bounds the left tail; on the right P(z > (1 + 200q) S) <= e^-200 +
+    P(s > S).
+    """
+    _require_h0_law(q, n)
+    return (max(gamma_isf(n, 1.0 - 1e-15), 1e-300),
+            (1.0 + 200.0 * q) * gamma_isf(n, 1e-18))
+
+
+def h0_energy_layout(q: float, n: float, breaks=()) -> tuple:
     """Nodes z and panel weights of the H0 energy rule, which need no Phi.
 
     `h0_energy_finish` turns them into the rule once ln Phi(q, z, n) is
     known, so a caller can evaluate ln Phi for many rules in one call.
-
-    The window's quantiles, and the ln Gamma(n) of `h0_energy_finish`,
-    are SciPy's (`gammainccinv`, `gammaln`), imported here, by the one
-    user: the rule's nodes and weights, and so every KL, exact TV and
-    zeta at q <= 50 built on it, keep their bits. `gamma_isf` and
-    `math.lgamma` differ from them by ulps.
+    The panel edges are the window's ends, half-decades and the Gamma
+    bulk; `breaks` inside the window add edges, so that an integrand
+    with a kink there is smooth on every panel.
     """
-    from scipy.special import gammainccinv
-
-    _require_h0_law(q, n)
-    # Support window: z >= s stochastically, so the lower Gamma quantile
-    # bounds the left tail; on the right P(z > (1+200q) S) <= e^-200 + P(s>S).
-    z_lo = max(gammainccinv(n, 1.0 - 1e-15), 1e-300)
-    z_hi = (1.0 + 200.0 * q) * gammainccinv(n, 1e-18)
+    z_lo, z_hi = _h0_energy_window(q, n)
     edges = list(10.0 ** np.arange(np.log10(z_lo), np.log10(z_hi), 0.5))
     rt = np.sqrt(n)
     bulk = list(n + np.arange(-12, 13) * rt)
-    edges = sorted({e for e in edges + bulk + [z_hi] if z_lo <= e <= z_hi}
-                   | {z_lo})
+    edges = sorted({e for e in edges + bulk + [z_hi] + list(breaks)
+                    if z_lo <= e <= z_hi} | {z_lo})
     edges = np.asarray(edges)
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
@@ -565,9 +567,7 @@ def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,
                      log_phi_q: np.ndarray) -> H0EnergyRule:
     """The H0 energy rule from its layout and ln Phi(q, z, n): the weights
     absorb the mixture density, and their sum is the mass certificate."""
-    from scipy.special import gammaln
-
-    w = panel_w * np.exp((n - 1.0) * np.log(z) - gammaln(n) + log_phi_q)
+    w = panel_w * np.exp((n - 1.0) * np.log(z) - math.lgamma(n) + log_phi_q)
     mass = float(w.sum())
     if abs(mass - 1.0) > 1e-8:
         raise ArithmeticError(
@@ -578,9 +578,9 @@ def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,
 def gamma_isf(n: float, p: float) -> float:
     """x with Q(n, x) = p: the Gamma(n, 1) upper-tail quantile, n >= 1.
 
-    Q is the regularized upper incomplete gamma function, so this is the
-    inverse SciPy calls `gammainccinv`, to within about 1e-14 relative
-    for n in [1, 1e4] and both tails. The smaller tail is solved in logs:
+    Q is the regularized upper incomplete gamma function. For n in
+    [1, 1e4] and both tails the result agrees with an independent inverse
+    (SciPy's `gammainccinv`, in the tests) to about 1e-14 relative. The smaller tail is solved in logs:
     ln Q(n, x) = ln p for p <= 1/2, else ln P(n, x) = ln(1 - p), 1 - p
     being exact there. For n >= 1 the Gamma density is log-concave, so
     both ln P and ln Q are concave in x, and Newton converges monotonically
@@ -630,16 +630,7 @@ def _log_gamma_tail(n: float, x: float, upper: bool) -> tuple:
         core = n * (math.log1p(d) - d)
     else:
         core = n * math.log(x / n) - (x - n)
-    if n < 10.0:
-        remainder = math.lgamma(n) - ((n - 0.5) * math.log(n) - n
-                                      + 0.5 * _LN_2PI)
-    else:
-        r = 1.0 / (n * n)
-        remainder = 0.0
-        for c in reversed(_STIRLING):
-            remainder = remainder * r + c
-        remainder /= n
-    log_prefix = core + 0.5 * (math.log(n) - _LN_2PI) - remainder
+    log_prefix = core + 0.5 * (math.log(n) - _LN_2PI) - _stirling_remainder(n)
     if x < n + 1.0:
         total = term = 1.0
         k = n
@@ -674,3 +665,17 @@ def _gamma_q_fraction(n: float, x: float) -> float:
         if abs(d * c - 1.0) <= 2.0 ** -53:
             return h
     raise ArithmeticError(f"Q({n}, {x}) continued fraction did not converge")
+
+
+def _stirling_remainder(a: float) -> float:
+    """ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi)/2), for a > 0.
+
+    From a = 10 on the Stirling series, below it by `math.lgamma`.
+    """
+    if a < 10.0:
+        return math.lgamma(a) - ((a - 0.5) * math.log(a) - a + 0.5 * _LN_2PI)
+    r = 1.0 / (a * a)
+    remainder = 0.0
+    for c in reversed(_STIRLING):
+        remainder = remainder * r + c
+    return remainder / a

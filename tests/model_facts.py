@@ -1,7 +1,11 @@
 """Independent restatements of model facts that only the tests read."""
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy.integrate import quad
+
+from covertjam.covertness import _require_chi
 from covertjam.scenario import gamma_constant
 
 
@@ -31,3 +35,28 @@ def feasibility_residual(state, params) -> float:
            -min(state.t.min(), state.gamma.min(),
                 state.alpha.min(), state.beta.min())]
     return max(float(r) for r in res)
+
+
+def tv_numeric_k1(chi: float) -> float:
+    """Single-band TV by adaptive quadrature, (1/2) int |f_U - f_V|.
+
+    Integrates in the scale-free variable t = (x - noise floor)/q_hat, in
+    which the TV depends on chi alone, and splits at the crossover
+    t0 = chi ln(1/chi)/(1-chi) where the densities meet, so each piece has
+    a single sign. Absolute tolerance 1e-8.
+    """
+    _require_chi(chi)
+    if chi == 0.0:
+        return 0.0
+
+    def diff(t):
+        # q_hat * (f_U - f_V) at x = noise + q_hat t
+        return (-math.exp(-t) * math.expm1(-t * (1.0 - chi) / chi) / (1.0 - chi)
+                - math.exp(-t))
+
+    t0 = chi * math.log(1.0 / chi) / (1.0 - chi)
+    lower, err_lo = quad(diff, 0.0, t0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    upper, err_hi = quad(diff, t0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
+    if err_lo + err_hi > 1e-8:
+        raise ArithmeticError("TV quadrature did not reach the 1e-8 tolerance")
+    return 0.5 * (abs(lower) + abs(upper))

@@ -17,7 +17,6 @@ from covertjam.covertness import (
     limit_kl,
     pinsker_budget,
     solve_chi_star,
-    tv_numeric_k1,
     tv_numeric_product,
     tv_upper_bound,
     zeta,
@@ -46,6 +45,8 @@ from covertjam.scenario import (
     derive_quasi_static,
     sample_scenario,
 )
+
+from model_facts import tv_numeric_k1
 
 
 @pytest.fixture

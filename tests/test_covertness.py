@@ -16,12 +16,13 @@ from covertjam.covertness import (
     pinsker_budget,
     solve_chi_star,
     tv_exact_n,
-    tv_numeric_k1,
     tv_numeric_product,
     tv_upper_bound,
     zeta,
 )
 from covertjam.quadrature import gamma_rule, log_phi_exact
+
+from model_facts import tv_numeric_k1
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -101,45 +102,6 @@ def test_chi_star_feasible_below_bracket_floor():
         assert solve_chi_star(float(epsilon)) == chi
 
 
-def test_lambert_w0_is_scipy_bits():
-    # The in-house W0 follows SciPy's lambertw step for step, so it has its
-    # bits on [-1/e, 0): across the whole range, next to the branch point,
-    # and at every eps ln eps that solve_chi_star asks for. Where SciPy's
-    # iteration gives NaN (the branch point) solve_chi_star took -1.
-    from scipy.special import lambertw
-
-    rng = np.random.default_rng(27)
-    eps = np.geomspace(5e-324, 1.0 - 1e-16, 20000)
-    x = np.concatenate([
-        -np.geomspace(1e-300, math.exp(-1.0), 20000),
-        -math.exp(-1.0) + np.geomspace(1e-17, 1e-2, 5000),
-        -rng.uniform(0.0, math.exp(-1.0), 20000), eps * np.log(eps)])
-    x = x[(x >= -math.exp(-1.0)) & (x < 0.0)]
-    want = np.fmax(lambertw(x).real, -1.0)
-    assert covertness._lambert_w0(x).tobytes() == want.tobytes()
-
-
-def test_fma_rounds_once():
-    # Against exact rational arithmetic, including exact cancellations,
-    # sums at a power of two, and near-ties: c + h (1 - 2^-60), h half an
-    # ulp of c, whose product rounds to h and whose sum c + h then ties,
-    # so only the math.fsum path sees that it lies below the midpoint.
-    from fractions import Fraction
-
-    rng = np.random.default_rng(28)
-    a, b, c = (rng.standard_normal(20000) * 10.0 ** rng.uniform(-8, 8, 20000)
-               for _ in range(3))
-    c[:500] = -a[:500] * b[:500]
-    c[500:1000] = np.ldexp(1.0, 20) - a[500:1000] * b[500:1000]
-    odd = np.ldexp(np.ldexp(c[1000:2000], -np.frexp(c[1000:2000])[1]), 53)
-    c[1000:2000] = np.ldexp(np.trunc(odd) // 2 * 2 + 1, -53)
-    a[1000:2000] = 1.0 + 2.0 ** -30
-    b[1000:2000] = np.abs(np.spacing(c[1000:2000])) / 2 * (1.0 - 2.0 ** -30)
-    want = [float(Fraction(x) * Fraction(y) + Fraction(z))
-            for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    assert covertness._fma(a, b, c).tolist() == want
-
-
 def test_chi_star_stays_feasible_across_budgets():
     eps = np.geomspace(1e-300, 0.9, 5000)
     chis = solve_chi_star(eps)
@@ -156,14 +118,15 @@ def test_kl_divergence_frozen_value():
 
 @pytest.mark.parametrize("p, q, n, kl, tv", [
     (0.0, 20.0, 7.5, "0.0", "0.0"),
-    (5e-07, 0.5, 1.0, "5.126219090789494e-14", "1.2950630716527587e-07"),
-    (32.0, 32000.0, 90.0, "0.0006352188236202176", "0.000992867520631712"),
-    (3200.0, 32000.0, 7.5, "0.057292158409894545", "0.07405569696942055"),
-    (158.0, 316.0, 90.0, "0.30363100218593225", "0.248691748060578"),
-    (18.0, 20.0, 500.0, "0.5229428465106994", "0.3482530077126239"),
+    (5e-07, 0.5, 1.0, "5.126219090789496e-14", "1.2949534663816266e-07"),
+    (32.0, 32000.0, 90.0, "0.0006352188236201816", "0.0009928465682145279"),
+    (3200.0, 32000.0, 7.5, "0.057292158409894545", "0.07409850750960167"),
+    (158.0, 316.0, 90.0, "0.30363100218588845", "0.24865247907551022"),
+    (18.0, 20.0, 500.0, "0.5229428465108921", "0.3482923646459852"),
 ])
 def test_band_law_values_are_frozen(p, q, n, kl, tv):
-    # Both are reductions of one band law; their bits are pinned by repr.
+    # KL reduces the shared band law, TV the same law on a rule split at
+    # the crossover; their bits are pinned by repr.
     assert repr(kl_divergence(p, q, n)) == kl
     assert repr(tv_exact_n(p, q, n)) == tv
 
@@ -192,6 +155,34 @@ def test_band_law_rejects_bad_bands(p, q, n, match, monkeypatch):
         log_psi(p, q, [1.0], n)
 
 
+@pytest.mark.parametrize("p, q, n", [(158.0, 316.0, 90.0),
+                                     (3200.0, 32000.0, 7.5)])
+def test_tv_exact_n_matches_a_rule_split_at_the_crossover(p, q, n):
+    # Reference: 1200 geometric panels of 32-point Gauss-Legendre over the
+    # H0 window, 600 on each side of the crossover z* (ln Psi = 0, by
+    # brentq), so |Psi - 1| is smooth on every panel.
+    from numpy.polynomial.legendre import leggauss
+    from scipy.optimize import brentq
+    from scipy.special import gammainccinv
+
+    z_lo = gammainccinv(n, 1.0 - 1e-15)
+    z_hi = (1.0 + 200.0 * q) * gammainccinv(n, 1e-18)
+    z_star = brentq(lambda z: float(log_psi(p, q, [z], n)[0]), z_lo, z_hi,
+                    xtol=1e-300, rtol=1e-15)
+    edges = np.concatenate([np.geomspace(z_lo, z_star, 601),
+                            np.geomspace(z_star, z_hi, 601)[1:]])
+    x, w = leggauss(32)
+    half = 0.5 * np.diff(edges)
+    z = (edges[:-1, None] + half[:, None] * (1.0 + x)).ravel()
+    w = (half[:, None] * w).ravel()
+    log_phi_p, log_phi_q = log_phi_exact(p, z, n), log_phi_exact(q, z, n)
+    density = w * np.exp((n - 1.0) * np.log(z) - math.lgamma(n) + log_phi_q)
+    assert abs(density.sum() - 1.0) < 1e-12
+    want = 0.5 * float(np.dot(density, np.abs(
+        p / (q - p) * np.expm1(log_phi_p - log_phi_q))))
+    assert abs(tv_exact_n(p, q, n) - want) <= 1e-10 * want
+
+
 def test_kl_divergence_increases_with_signal():
     lo = kl_divergence(1e-3, 5.0, 50.0)
     hi = kl_divergence(5e-3, 5.0, 50.0)
@@ -212,6 +203,19 @@ def test_zeta_two_route_agreement():
             direct = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
             assert abs(routed - direct) <= 1e-8 * max(1.0, abs(direct)), \
                 (q, n, routed, direct)
+
+
+def test_zeta_h0_rule_route_equals_the_gamma_rule_route(monkeypatch):
+    # The same zeta(q, n) by the H0 energy rule (q <= the switch) and by
+    # the direct Gamma(n)-rule integral, each on a cold cache.
+    pairs = [(q, n) for q in (2.0, 20.0, 50.0) for n in (10.0, 90.0, 500.0)]
+    monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
+    h0_route = covertness.zeta_pairs(pairs)
+    monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
+    monkeypatch.setattr(covertness, "_ZETA_DIRECT_SWITCH", 1.0)
+    direct = covertness.zeta_pairs(pairs)
+    assert np.all(np.abs(h0_route - direct) <= 1e-12 * direct), \
+        np.abs(h0_route / direct - 1.0).max()
 
 
 def test_zeta_default_route_consistent_across_switch():
@@ -254,7 +258,7 @@ def test_finite_sample_tv_approaches_limit():
     p = 0.9 * q
     vals = [tv_exact_n(p, q, n) for n in (20.0, 100.0, 500.0)]
     assert vals[0] < vals[1] < vals[2] < eta(0.9)
-    assert abs(vals[2] - 0.34826000803356183) < 1e-9
+    assert abs(vals[2] - 0.34832770308286876) < 1e-9
     assert abs(vals[2] - eta(0.9)) < 1e-3
 
 
@@ -284,7 +288,10 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
     mpmath.mp.dps = 30
     assert limit_kl(0.0) == 0.0
     assert band_affinity(0.0) == 1.0
-    for chi in np.geomspace(1e-12, 0.9999, 19):
+    # The last two reach the large-x branches: digamma's asymptotic series
+    # at 1/(1 - chi) up to 1e9 and the affinity's ln Gamma ratio there.
+    for chi in np.append(np.geomspace(1e-12, 0.9999, 19),
+                         [1.0 - 1e-6, 1.0 - 1e-9]):
         c = mpmath.mpf(float(chi))
         rate = (1 - c) / c
         breaks = [0, c, 1, 10, mpmath.inf]

@@ -1,5 +1,6 @@
 """Experiment runner: spec handling, CSV artifacts, audits, CLI."""
 
+import ast
 import csv
 import dataclasses
 import os
@@ -502,37 +503,49 @@ def test_cli_flag_overrides_spec(tmp_path):
     assert ci < 0.01
 
 
-# One fresh interpreter: import the package and its CLI, run a reduced
-# fig4 (SCA, POA) and fig7 (ES, AO), audit two rows of each, and print the
-# SciPy modules loaded; then run fig2's bounds and print the public SciPy
-# subpackages loaded. argv[1] is the output directory.
+# One fresh interpreter: import the package and its CLI, run every figure
+# at its first sweep point with one scenario, audit two rows of the fig4
+# (SCA, POA) and fig7 (ES, AO) runs, and print the SciPy modules loaded.
+# fig8's first point (Q = 15 dBm) takes zeta from the H0 energy rule, and
+# fig2 the limiting-density bounds. argv[1] is the output directory.
 _SCIPY_GUARD = """
 import sys
 import covertjam, covertjam.cli, covertjam.experiments as ex
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 out = sys.argv[1]
-for figure_id, sweep in (("fig4_rate_vs_Q", (25.0,)),
-                         ("fig7_rate_vs_PR", (5.0,))):
+for figure_id in ex.FIGURE_IDS:
     run = ex.run_experiment(ex.default_spec(
-        figure_id, sweep=sweep, scenarios_per_point=1,
-        output_dir=f"{out}/{figure_id}"))
-    ex.audit_run(run, trials=2000, seed=1, max_rows=2)
-print(scipy_modules())
-ex.run_experiment(ex.default_spec("fig2_tv_bounds", sweep=(0.02, 0.3),
-                                  trials=2000, output_dir=f"{out}/fig2"))
-print(sorted({m.split(".")[1] for m in scipy_modules()
-              if "." in m and not m.split(".")[1].startswith("_")}))
+        figure_id, sweep=ex.FIGURES[figure_id].sweep[:1],
+        scenarios_per_point=1, trials=2000, output_dir=f"{out}/{figure_id}"))
+    if figure_id in ("fig4_rate_vs_Q", "fig7_rate_vs_PR"):
+        ex.audit_run(run, trials=2000, seed=1, max_rows=2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_solver_and_audit_paths_load_no_scipy(tmp_path):
-    # The solvers and the Monte-Carlo adversary import no SciPy; only
-    # fig2's limiting-density bounds load scipy.special, and nothing
-    # heavier (linalg, integrate, interpolate, optimize, sparse, stats).
+    # Every figure, the solvers and the Monte-Carlo adversary run on numpy
+    # alone: no scipy module is loaded.
     src = Path(experiments.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=300)
-    assert out.stdout.splitlines() == ["[]", "['special', 'version']"]
+    assert out.stdout.splitlines() == ["[]"]
+
+
+def test_package_sources_import_no_scipy():
+    # Static: no module of the package imports scipy, at top level or
+    # inside a function.
+    src = Path(experiments.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

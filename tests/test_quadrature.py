@@ -496,11 +496,10 @@ def test_spline_certificate_covers_the_bend_above_one_over_x(chi, certifies):
 
 
 def test_package_import_loads_no_spline_module():
-    # The package loads only the SciPy it runs: scipy.special and
-    # scipy.linalg. scipy.integrate (which pulls in scipy.optimize and
-    # scipy.sparse) is imported by tv_numeric_k1 alone, and LogPhiSpline
-    # fits its own coefficients, so building one and running the
-    # Monte-Carlo adversary loads no scipy.interpolate either.
+    # The package imports no SciPy. LogPhiSpline fits its own not-a-knot
+    # coefficients, so importing the package, building a spline and
+    # running the Monte-Carlo adversary load none of SciPy's heavy
+    # subpackages, scipy.interpolate among them.
     heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
              "scipy.sparse")
     code = (

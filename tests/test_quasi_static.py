@@ -169,25 +169,25 @@ def test_poa_unreachable_delta_is_flagged():
         (2, 1e-4, False, 3.249692150634238,
          [0.002436987907738822, 0.0026397276012061245],
          [4.430557042502383, 6.977219334138967],
-         True, 9, "718b4b7624a9c1f0"),
-        (2, 1e-3, True, 3.2496920601041603,
-         [0.0024379285585609724, 0.0026387852245480527],
-         [4.432078355577889, 6.975031710915501],
-         True, 6, "e38c517b9e945d54"),
-        (3, 1e-3, False, 4.354587651198122,
-         [0.0017254126096233505, 0.0015704329375625192,
-          0.0017584308723946097],
-         [5.0467939555991, 3.3970977610783324, 5.540130293983794],
-         True, 8, "43be4a11456381fd"),
-        (3, 1e-3, True, 4.354587651198122,
-         [0.0017254126096233505, 0.0015704329375625192,
-          0.0017584308723946097],
-         [5.0467939555991, 3.3970977610783324, 5.540130293983794],
-         True, 8, "43be4a11456381fd"),
+         True, 9, "d380cd67678a46cf"),
+        (2, 1e-3, True, 3.2496920601041595,
+         [0.0024379285585609724, 0.0026387852245480514],
+         [4.432078355577889, 6.975031710915499],
+         True, 6, "4829d772acb3ce9f"),
+        (3, 1e-3, False, 4.35458765119812,
+         [0.0017254126096233505, 0.001570432937562518,
+          0.0017584308723946084],
+         [5.0467939555991, 3.39709776107833, 5.540130293983791],
+         True, 8, "1932d932f479650d"),
+        (3, 1e-3, True, 4.35458765119812,
+         [0.0017254126096233505, 0.001570432937562518,
+          0.0017584308723946084],
+         [5.0467939555991, 3.39709776107833, 5.540130293983791],
+         True, 8, "1932d932f479650d"),
         (2, 1e-9, False, 3.249692151047638,
-         [0.00243690952053618, 0.002639806132955427],
-         [4.4304302642584545, 6.97740163325484],
-         False, 11, "c9bd63170e7dd6d0"),
+         [0.00243690952053618, 0.0026398061329554264],
+         [4.4304302642584545, 6.977401633254838],
+         False, 11, "d23a8a4734f0f6e3"),
     ], ids=["k2", "k2-warm-start", "k3", "k3-warm-start", "k2-grid-cap"])
 def test_poa_results_are_frozen(k, delta, warm, objective, chi, gamma,
                                 converged, rounds, trace_sha, monkeypatch):
