@@ -12,7 +12,7 @@ from .covertness import (
     pinsker_budget,
     solve_chi_star,
     tv_exact_n,
-    tv_numeric_product,
+    tv_limit,
     tv_upper_bound,
     zeta,
 )
@@ -86,7 +86,7 @@ __all__ = [
     "solve_chi_star",
     "tau_given_chi",
     "tv_exact_n",
-    "tv_numeric_product",
+    "tv_limit",
     "tv_upper_bound",
     "zeta",
 ]

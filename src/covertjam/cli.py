@@ -25,8 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output-dir", dest="output_dir", default=None)
     run_p.add_argument("--scenarios-per-point", dest="scenarios_per_point",
                        type=int, default=None)
-    run_p.add_argument("--trials", type=int, default=None,
-                       help="Monte-Carlo samples for numeric TV estimates")
 
     audit_p = sub.add_parser(
         "audit", help="replay a run's solutions through the detection audit")
@@ -47,7 +45,7 @@ def _run(args) -> int:
     spec = experiments.load_spec(args.spec_file)
     overrides = {
         name: getattr(args, name)
-        for name in ("seed", "output_dir", "scenarios_per_point", "trials")
+        for name in ("seed", "output_dir", "scenarios_per_point")
         if getattr(args, name) is not None
     }
     if overrides:

@@ -1,11 +1,11 @@
 """Covertness metrics and bounds.
 
 Single-band total variation in closed form, the sum-of-eta upper bound for
-products, Monte-Carlo TV cross-checks, the KL divergence of the adversary's
-multi-sample energy test, its small-signal quadratic coefficient zeta, the
-Pinsker multi-block budget, and the KL divergence and Bhattacharyya
-affinity of the limiting band densities behind the Pinsker and Hellinger
-bounds.
+products, the exact TV of the two-band limiting product law, the KL
+divergence of the adversary's multi-sample energy test, its small-signal
+quadratic coefficient zeta, the Pinsker multi-block budget, and the KL
+divergence and Bhattacharyya affinity of the limiting band densities
+behind the Pinsker and Hellinger bounds.
 
 Everything here is numpy and the standard library: the few special
 functions the bounds need (the inverse of eta, digamma, the ln Gamma ratio
@@ -25,6 +25,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .quadrature import (
+    _LEG_NODES,
+    _LEG_WEIGHTS,
     _h0_energy_window,
     _require_h0_law,
     _stirling_remainder,
@@ -35,12 +37,11 @@ from .quadrature import (
     log_phi_exact,
 )
 from .roots import increasing_root, increasing_roots
-from .scenario import rng_stream
 
 __all__ = [
     "eta",
     "tv_upper_bound",
-    "tv_numeric_product",
+    "tv_limit",
     "log_psi",
     "likelihood_ratio_delta",
     "kl_divergence",
@@ -112,42 +113,43 @@ def _require_chi(chis):
         raise ValueError(f"chi = {chis} is outside [0, 1)")
 
 
-def tv_numeric_product(chis, samples: int = 10**6,
-                       seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo TV between the K-band product laws, with a 95% CI.
+def tv_limit(chis) -> float:
+    """Exact TV between the two-band limiting product laws.
 
-    Samples the jamming-only product law exactly (per-band shifted
-    exponentials) and averages |prod_k f_U/f_V - 1| / 2. The per-band
-    likelihood ratio depends only on chi_k and a standard exponential draw,
-    so the estimate is scale-free: no noise level enters.
+    In the scale-free t ~ Exp(1), band k's likelihood ratio is
+    r(t) = (1 - e^{-t/x})/(1 - chi), x = chi/(1 - chi). E[(r1 r2 - 1)_+]
+    over t2 is r1 u_+^{1/(1 - chi2)}, u = 1 - (1 - chi2)/r1, in closed form,
+    and the integral over t is smooth past the kink t0 where u = 0. Band 1
+    has the larger chi, so the value is symmetric. It runs in s = t - t0 on
+    20-point Gauss-Legendre panels doubling in width from 2^-50 min(x1, 1)
+    past s = 60. ln u is log1p(-q), q = 1 - u, where q < 1/2, and near the
+    kink ln(d (1 - e^{-s/x1})/(1 - e^{-t/x1})), d = chi1 + chi2 - chi1 chi2,
+    free of the cancellation in 1 - q.
     """
     chis = np.asarray(chis, dtype=float)
-    k = len(chis)
-    if k < 1:
-        raise ValueError("at least one band is required")
+    if chis.shape != (2,):
+        raise ValueError(f"tv_limit takes exactly two bands, got {chis}")
     _require_chi(chis)
-
-    rng = rng_stream(seed, 1)
-    # A chi = 0 band has ratio 1. Its draws are still made, so the stream
-    # does not depend on which bands are zero.
-    active = chis > 0.0
-    c = chis[active]
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = min(samples, 1 << 18)
-    while done < samples:
-        m = min(chunk, samples - done)
-        e = rng.exponential(size=(m, k))[:, active]
-        ratio = -np.expm1(-e * (1.0 - c) / c) / (1.0 - c)
-        dev = 0.5 * np.abs(np.prod(ratio, axis=1) - 1.0)
-        total += float(dev.sum())
-        total_sq += float(np.dot(dev, dev))
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(var / samples)
-    return mean, ci
+    chi2, chi1 = (float(c) for c in np.sort(chis))
+    if chi1 == 0.0:
+        return 0.0
+    x1 = chi1 / (1.0 - chi1)
+    c = (1.0 - chi1) * (1.0 - chi2)
+    d = chi1 + chi2 - chi1 * chi2
+    t0 = -x1 * (math.log1p(-c) if c < 0.5 else math.log(d))
+    first = 2.0 ** -50 * min(x1, 1.0)
+    edges = np.append(0.0, np.ldexp(
+        first, np.arange(math.ceil(math.log2(60.0 / first)) + 1)))
+    half = 0.5 * np.diff(edges)
+    s = ((edges[:-1] + half)[:, None] + half[:, None] * _LEG_NODES).ravel()
+    t = t0 + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        em = -np.expm1(-t / x1)
+        q = c / em
+        ln_u = np.where(q < 0.5, np.log1p(-q),
+                        np.log(d * -np.expm1(-s / x1) / em))
+        f = np.exp(-t + np.log(em) - math.log1p(-chi1) + ln_u / (1.0 - chi2))
+    return float(np.dot((half[:, None] * _LEG_WEIGHTS).ravel(), f))
 
 
 def _require_p_below_q(p: float, q: float) -> None:
@@ -162,8 +164,8 @@ def likelihood_ratio_delta(p: float, q: float, z, log_phi_p,
 
     Psi = 1 + p/(q-p) (1 - Phi(p,z)/Phi(q,z)); the deviation is computed
     as -expm1(ln Phi_p - ln Phi_q) so that Psi near 1 keeps full precision.
-    ln Phi(p, z) and ln Phi(q, z) are arrays matching z: the exact values,
-    the H0 rule's stored ones, or the detector's splines.
+    ln Phi(p, z) and ln Phi(q, z) are arrays matching z: the exact values
+    or the H0 rule's stored ones.
     """
     _require_p_below_q(p, q)
     if p == 0.0:

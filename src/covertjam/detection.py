@@ -55,8 +55,8 @@ __all__ = [
 _SHARD = 1 << 14
 # Fewest trials per hypothesis that a detection estimate accepts.
 _MIN_TRIALS = 10**3
-# Spawn-key namespace for detection shards (scenario sampling uses 0, the
-# TV Monte-Carlo uses 1).
+# Spawn-key namespace for detection shards. Scenario sampling uses 0; key 1
+# is left to the tests' Monte-Carlo TV estimate.
 _STREAM_KEY = 2
 
 

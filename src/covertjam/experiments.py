@@ -3,8 +3,8 @@
 A figure is one row of ``FIGURES``: the parameter it sweeps and its stock
 sweep, scenario and problem defaults, the methods it runs, whether it
 records convergence traces, and its axis labels. A method is an entry of
-one of two tables, ``_BOUNDS`` (the limiting-density bounds of fig2) and
-``_SOLVERS``, and each table has one point runner. ``_point`` resolves a
+one of two tables, ``_BOUNDS`` (fig2's exact limiting-law TV and bounds)
+and ``_SOLVERS``, and each table has one point runner. ``_point`` resolves a
 sweep value to its scenario config and problem: a swept value that names a
 ``ScenarioConfig`` field overrides the scenario, one that names a problem
 default (epsilon) overrides the problem, and ``instance`` only labels the
@@ -24,12 +24,12 @@ Each run writes a self-contained directory ``<output_dir>/<figure_id>/``:
   * ``plot.py``      standalone matplotlib script over those CSVs.
   * ``spec.ini``     the resolved experiment spec, reloadable by audits.
 
-Runs are deterministic byte for byte: scenario seeds derive from
-(spec.seed, point index, scenario index) through SeedSequence spawn keys,
-sweep points run serially in point order, and floats are written with
-round-trip precision. ``audit_run``'s ``jobs`` threads across the rows of
-an audit (its workers only compute; rows are written in order); it is the
-only parallel level in the package.
+Runs are deterministic byte for byte: fig2 draws no random numbers,
+scenario seeds derive from (spec.seed, point index, scenario index)
+through SeedSequence spawn keys, sweep points run serially in point order,
+and floats are written with round-trip precision. ``audit_run``'s ``jobs``
+threads across the rows of an audit (its workers only compute; rows are
+written in order); it is the only parallel level in the package.
 
 For the quasi-static figures the audit columns record the finite-sample
 proxy adversary (N_d = 500 energies, L = 1 block); the fast figures record
@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .covertness import _require_chi, band_affinity, hellinger_bound, \
-    limit_kl, pinsker_budget, tv_numeric_product, tv_upper_bound
+    limit_kl, pinsker_budget, tv_limit, tv_upper_bound
 from .detection import _MIN_TRIALS, covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
 from .quasi_static import effective_rate, poa_solve, sca_solve
@@ -100,7 +100,9 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 @dataclass
 class ExperimentSpec:
-    """One figure run: which sweep, how many scenarios, where to write."""
+    """One figure run: which sweep, how many scenarios, where to write.
+
+    `trials` is recorded only; `bench/workloads.py` still passes it."""
 
     figure_id: str
     sweep: tuple
@@ -332,29 +334,26 @@ _SOLVERS = {
     "ao": lambda params, previous: ao_solve(params),
 }
 
-# Bound-comparison methods: (band ratios, trials, seed) -> (objective, ci).
+# Bound-comparison methods: band ratios -> objective; tv_numeric is exact.
 _BOUNDS = {
-    "tv_numeric": lambda chis, trials, seed: tv_numeric_product(
-        chis, samples=trials, seed=seed),
-    "proposed_bound": lambda chis, trials, seed: (tv_upper_bound(chis), None),
-    "pinsker_bound": lambda chis, trials, seed: (
-        pinsker_budget([limit_kl(float(c)) for c in chis], 1), None),
-    "hellinger_bound": lambda chis, trials, seed: (hellinger_bound(
-        float(np.prod([band_affinity(float(c)) for c in chis]))), None),
+    "tv_numeric": lambda chis: tv_limit(chis),
+    "proposed_bound": lambda chis: tv_upper_bound(chis),
+    "pinsker_bound": lambda chis: pinsker_budget(
+        [limit_kl(float(c)) for c in chis], 1),
+    "hellinger_bound": lambda chis: hellinger_bound(
+        float(np.prod([band_affinity(float(c)) for c in chis]))),
 }
 
 
 def _bounds_point(spec: ExperimentSpec, i: int):
     chi = float(spec.sweep[i])
-    seed = _scenario_seed(spec.seed, i, 0)
-    base = _base_row(spec, i, chi, 0, seed, None)
+    base = _base_row(spec, i, chi, 0, None, None)
     base.update(K=2, chi=np.array([chi, chi]))
     rows = []
     try:
         for method in FIGURES[spec.figure_id].methods:
-            objective, ci = _BOUNDS[method](base["chi"], spec.trials, seed)
-            rows.append({**base, "method": method, "objective": objective,
-                         "ci": ci})
+            rows.append({**base, "method": method,
+                         "objective": _BOUNDS[method](base["chi"])})
     except Exception as exc:
         rows.append({**base, "method": "bounds", "error": _err(exc)})
     return rows, []
@@ -548,7 +547,7 @@ def recompute_objective(spec: ExperimentSpec, row: dict) -> float:
     """Rebuild the scenario named by a points.csv row and re-evaluate it."""
     method, chis = row["method"], _parse_vector(row["chi"])
     if method in _BOUNDS:
-        return _BOUNDS[method](chis, spec.trials, int(row["scenario_seed"]))[0]
+        return _BOUNDS[method](chis)
     if method not in _SOLVERS:
         raise ValueError(f"cannot recompute objective for method {method!r}")
     problem = {"epsilon": float(row["epsilon"])}

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from covertjam.covertness import (
+    band_affinity,
     eta,
+    hellinger_bound,
     kl_divergence,
     limit_kl,
     pinsker_budget,
     solve_chi_star,
-    tv_numeric_product,
+    tv_limit,
     tv_upper_bound,
     zeta,
 )
@@ -46,7 +48,7 @@ from covertjam.scenario import (
     sample_scenario,
 )
 
-from model_facts import tv_numeric_k1
+from model_facts import tv_numeric_k1, tv_numeric_product
 
 
 @pytest.fixture
@@ -94,6 +96,23 @@ def test_criterion_02_bound_soundness(report):
                   f"tighter than Pinsker on the chi<=0.5 subgrid, "
                   f"{elapsed:.0f} s at 1e6 samples/point")
     assert ok
+
+
+def test_criterion_02_exact_tv_within_the_bounds():
+    # The deterministic companion of criterion 2, on its 25 pairs with no
+    # CI slack: a marginal's TV cannot exceed the joint's, so
+    # max(eta1, eta2) <= TV <= eta1 + eta2, and TV lies under the Pinsker
+    # and Hellinger bounds. The smallest margins are about 0.017, 0.024,
+    # 0.12 and 0.081.
+    grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for c1 in grid:
+        for c2 in grid:
+            tv = tv_limit([c1, c2])
+            e1, e2 = eta(c1), eta(c2)
+            pinsker = pinsker_budget([limit_kl(c1), limit_kl(c2)], 1)
+            hellinger = hellinger_bound(band_affinity(c1) * band_affinity(c2))
+            assert max(e1, e2) <= tv <= e1 + e2, (c1, c2, tv)
+            assert tv <= pinsker and tv <= hellinger, (c1, c2, tv)
 
 
 def test_criterion_03_detection_oracle(report):

@@ -16,13 +16,13 @@ from covertjam.covertness import (
     pinsker_budget,
     solve_chi_star,
     tv_exact_n,
-    tv_numeric_product,
+    tv_limit,
     tv_upper_bound,
     zeta,
 )
 from covertjam.quadrature import gamma_rule, log_phi_exact
 
-from model_facts import tv_numeric_k1
+from model_facts import tv_numeric_k1, tv_numeric_product
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -78,6 +78,94 @@ def test_product_tv_needs_a_band():
         tv_numeric_product([], samples=1000)
 
 
+# Pairs over [1e-6, 1 - 1e-9], equal and unequal, for tv_limit's oracles.
+_TV_LIMIT_PAIRS = [
+    (1e-6, 1e-6), (1e-6, 0.5), (0.05, 0.05), (0.1, 0.9), (0.3, 0.7),
+    (0.5, 0.5), (0.9, 0.9), (0.99, 0.2), (1.0 - 1e-6, 1e-3),
+    (1.0 - 1e-9, 1.0 - 1e-9), (1.0 - 1e-9, 0.3), (0.2, 1e-4), (0.7, 0.7),
+]
+
+
+def test_tv_limit_matches_mpmath_quadrature_of_its_integral():
+    # The same 1-D form at 30 digits: E_t[r1 u_+^(1/(1 - chi2))] with
+    # t ~ Exp(1), r1 = (1 - e^(-t/x1))/(1 - chi1), u = 1 - (1 - chi2)/r1.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    for a, b in _TV_LIMIT_PAIRS:
+        with mpmath.workdps(30):
+            c1, c2 = mp.mpf(max(a, b)), mp.mpf(min(a, b))
+            x1 = c1 / (1 - c1)
+            t0 = -x1 * mp.log(1 - (1 - c1) * (1 - c2))
+
+            def integrand(t):
+                r1 = -mp.expm1(-t / x1) / (1 - c1)
+                u = 1 - (1 - c2) / r1
+                return mp.exp(-t) * r1 * u ** (1 / (1 - c2)) if u > 0 else 0
+
+            near = [t0 + x1 * k for k in (mp.mpf("0.01"), 1, 10, 100)
+                    if x1 * k < 1]
+            breaks = [t0, *near, t0 + 1, t0 + 10, t0 + 40, mp.inf]
+            want = float(mp.quad(integrand, breaks))
+        got = tv_limit([a, b])
+        assert abs(got - want) <= 1e-13 * want, (a, b, got, want)
+
+
+@pytest.mark.parametrize("c1, c2", [(0.1, 0.1), (0.3, 0.7), (0.5, 0.5),
+                                    (0.9, 0.2), (0.05, 0.6), (0.9, 0.9)])
+def test_tv_limit_matches_a_double_integral_of_the_product_laws(c1, c2):
+    # Independent of the closed inner expectation: (1/2) of the double
+    # integral of |f1(t1) f2(t2) - e^(-t1 - t2)|, f(t; chi) =
+    # (e^-t - e^(-t/chi))/(1 - chi), split where the integrand changes sign.
+    from scipy.integrate import dblquad
+
+    x1, x2 = c1 / (1.0 - c1), c2 / (1.0 - c2)
+
+    def diff(t2, t1):
+        f1 = (math.exp(-t1) - math.exp(-t1 / c1)) / (1.0 - c1)
+        f2 = (math.exp(-t2) - math.exp(-t2 / c2)) / (1.0 - c2)
+        return f1 * f2 - math.exp(-t1 - t2)
+
+    def crossing(t1):
+        # t2 where f1 f2 = f0 f0, for t1 past t0
+        r1 = -math.expm1(-t1 / x1) / (1.0 - c1)
+        return -x2 * math.log1p(-(1.0 - c2) / r1)
+
+    t0 = -x1 * math.log1p(-(1.0 - c1) * (1.0 - c2))
+    tol = dict(epsabs=1e-13, epsrel=1e-12)
+    above = dblquad(diff, t0, np.inf, crossing, np.inf, **tol)[0]
+    below = dblquad(diff, t0, np.inf, 0.0, crossing, **tol)[0]
+    left = dblquad(diff, 0.0, t0, 0.0, np.inf, **tol)[0]
+    assert above > 0.0 and below < 0.0 and left < 0.0
+    # Both laws have mass 1, so the signed parts cancel.
+    assert abs(above + below + left) < 1e-10
+    assert abs(tv_limit([c1, c2]) - 0.5 * (above - below - left)) < 1e-8
+
+
+def test_tv_limit_is_symmetric_and_a_zero_band_gives_eta():
+    assert tv_limit([0.0, 0.0]) == 0.0
+    for a, b in _TV_LIMIT_PAIRS:
+        assert tv_limit([a, b]) == tv_limit([b, a])
+    for chi in (1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+        assert abs(tv_limit([chi, 0.0]) - eta(chi)) <= 1e-15, chi
+
+
+@pytest.mark.parametrize("c1, c2, seed", [(0.2, 0.4, 3), (0.5, 0.5, 5),
+                                          (0.9, 0.9, 7)])
+def test_tv_limit_within_ci_of_monte_carlo(c1, c2, seed):
+    est, ci = tv_numeric_product([c1, c2], samples=10**6, seed=seed)
+    assert abs(tv_limit([c1, c2]) - est) <= 3.0 * ci
+
+
+@pytest.mark.parametrize("chis, match", [
+    ([], "two bands"), ([0.2], "two bands"), ([0.1, 0.2, 0.3], "two bands"),
+    ([[0.1, 0.2]], "two bands"), ([0.2, 1.0], r"outside \[0, 1\)"),
+    ([-0.1, 0.2], r"outside \[0, 1\)"), ([0.2, _NAN], r"outside \[0, 1\)"),
+])
+def test_tv_limit_rejects_bad_bands(chis, match):
+    with pytest.raises(ValueError, match=match):
+        tv_limit(chis)
+
+
 def test_tv_upper_bound_is_sum_of_etas():
     chis = np.array([0.1, 0.2, 0.3])
     assert abs(tv_upper_bound(chis) - sum(eta(c) for c in chis)) < 1e-15
@@ -116,14 +204,19 @@ def test_kl_divergence_frozen_value():
     assert abs(val - 8.927644942425152e-07) < 1e-12
 
 
-@pytest.mark.parametrize("p, q, n, kl, tv", [
+_BAND_LAWS = [
     (0.0, 20.0, 7.5, "0.0", "0.0"),
     (5e-07, 0.5, 1.0, "5.126219090789496e-14", "1.2949534663816266e-07"),
     (32.0, 32000.0, 90.0, "0.0006352188236201816", "0.0009928465682145279"),
     (3200.0, 32000.0, 7.5, "0.057292158409894545", "0.07409850750960167"),
     (158.0, 316.0, 90.0, "0.30363100218588845", "0.24865247907551022"),
     (18.0, 20.0, 500.0, "0.5229428465108921", "0.3482923646459852"),
-])
+]
+
+
+# The ids name the band alone, so a re-pin of kl or tv keeps them.
+@pytest.mark.parametrize("p, q, n, kl, tv", _BAND_LAWS, ids=[
+    f"{p!r}-{q!r}-{n!r}" for p, q, n, _, _ in _BAND_LAWS])
 def test_band_law_values_are_frozen(p, q, n, kl, tv):
     # KL reduces the shared band law, TV the same law on a rule split at
     # the crossover; their bits are pinned by repr.

@@ -179,7 +179,8 @@ def test_bound_comparison_figure(tmp_path):
         proposed = by[(chi_key, "proposed_bound")]
         pinsker = by[(chi_key, "pinsker_bound")]
         hellinger = by[(chi_key, "hellinger_bound")]
-        ci = next(float(r["ci"]) for r in rows
+        # The TV is exact, so its ci cell is empty and reads as 0.
+        ci = next(float(r["ci"] or 0.0) for r in rows
                   if r["sweep_value"] == chi_key
                   and r["method"] == "tv_numeric")
         assert tv <= proposed + 3.0 * ci
@@ -193,6 +194,19 @@ def test_bound_comparison_figure(tmp_path):
                                                    "hellinger_bound")]
     assert (out / "plot.py").exists()
     assert (out / "spec.ini").exists()
+
+
+def test_bound_figure_depends_on_neither_seed_nor_trials(tmp_path):
+    # fig2 draws no random numbers: its rows carry no scenario seed or CI,
+    # and two runs that differ in seed and trials write the same CSVs.
+    a = run_experiment(default_spec("fig2_tv_bounds", seed=1, trials=2000,
+                                    output_dir=str(tmp_path / "a")))
+    b = run_experiment(default_spec("fig2_tv_bounds", seed=2, trials=10**5,
+                                    output_dir=str(tmp_path / "b")))
+    for name in ("points.csv", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    rows = _read(a / "points.csv")
+    assert all(r["scenario_seed"] == "" and r["ci"] == "" for r in rows)
 
 
 def test_bound_figure_at_tiny_chi_has_no_error_row(tmp_path):
@@ -496,11 +510,13 @@ def test_cli_flag_overrides_spec(tmp_path):
     ini.write_text("[experiment]\nfigure = fig2_tv_bounds\nsweep = 0.2\n"
                    "trials = 50\nseed = 9\n"
                    f"output_dir = {tmp_path / 'runs'}\n")
-    assert cli.main(["run", str(ini), "--trials", "20000"]) == 0
-    rows = _read(tmp_path / "runs" / "fig2_tv_bounds" / "points.csv")
-    # CI at 2e4 samples is far tighter than 50 samples could give.
-    ci = next(float(r["ci"]) for r in rows if r["method"] == "tv_numeric")
-    assert ci < 0.01
+    assert cli.main(["run", str(ini), "--seed", "4"]) == 0
+    assert load_spec(tmp_path / "runs" / "fig2_tv_bounds" / "spec.ini").seed \
+        == 4
+    # run has no --trials: no figure reads a trial count.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(ini), "--trials", "20000"])
+    assert exc.value.code == 2
 
 
 # One fresh interpreter: import the package and its CLI, run every figure
@@ -531,6 +547,28 @@ def test_solver_and_audit_paths_load_no_scipy(tmp_path):
                          env=env, check=True, capture_output=True, text=True,
                          timeout=300)
     assert out.stdout.splitlines() == ["[]"]
+
+
+def test_only_scenario_and_detection_draw_random_numbers():
+    # Static: scenario sampling and the Monte-Carlo adversary are the
+    # package's only random streams. No other module calls rng_stream or
+    # default_rng, and covertness imports nothing from scenario.
+    src = Path(experiments.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", ""))
+                if name in ("rng_stream", "default_rng") \
+                        and path.stem not in ("scenario", "detection"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and path.stem == "covertness":
+                names = [node.module or ""] + [a.name for a in node.names]
+                if "scenario" in (n.split(".")[-1] for n in names):
+                    found.append(f"{path.name}:{node.lineno}: import")
+    assert found == []
 
 
 def test_package_sources_import_no_scipy():

@@ -270,6 +270,40 @@ def test_log_phi_exact_matches_mpmath_oracle():
             assert abs(unit - 1.0) < 1e-12, (q, n, unit)
 
 
+def test_log_phi_exact_matches_mpmath_at_the_uncertified_band():
+    # The band (p, q, N_d) = (15810, 31620, 3000) fails its ln Psi table
+    # certificate. ln Phi is not at fault there: both sides agree with the
+    # 30-digit oracle to about an ulp. Psi ~ 2e-7 is formed as 2 - e^D,
+    # D = ln Phi_p - ln Phi_q ~ ln 2, so one ulp of ln Phi ~ -2700 is about
+    # 4.5e-6 relative in Psi.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (15810.0, 31620.0):
+            for z in np.linspace(2600.0, 2800.0, 9):
+                ref, drop = _mpmath_log_phi(mpmath, x, z, 3000.0)
+                assert drop < -200.0, (x, z, drop)
+                got = float(log_phi_exact(x, np.array([z]), 3000.0)[0])
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), \
+                    (x, z, got, ref)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: log_phi_exact loses accuracy where the integrand "
+    "is flat with a far cliff (x above about 1e6, n near 1, small z)"))
+@pytest.mark.parametrize("x, z, n", [(2.43e7, 0.0718, 1.154),
+                                     (5.12e8, 7.9e-5, 1.034)])
+def test_log_phi_exact_matches_mpmath_on_a_flat_integrand_with_a_far_cliff(
+        x, z, n):
+    # Off by 2.7e-10 and 5.0e-9 relative today. The oracle needs 40 digits
+    # here: at 20 or 30 it is itself off by 1.5e-12 at the second point.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref, drop = _mpmath_log_phi(mpmath, x, z, n)
+    assert drop < -200.0, (x, z, n, drop)
+    got = float(log_phi_exact(x, np.array([z]), n)[0])
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, z, n, got, ref)
+
+
 def test_log_phi_exact_brute_force_oracle():
     """Compare against direct high-resolution trapezoid mixing over v."""
     # The integrand peaks within v < 1 for every case below, so spend the
