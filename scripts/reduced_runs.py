@@ -3,9 +3,9 @@
 
 Usage: python3 scripts/reduced_runs.py OUT_DIR
 
-Runs all eight figures at seed 7 with 2 scenarios per point and 2e4
-trials, fig7 at P_R = 0 and 10 dBm only, then audits the fig4, fig7 and
-fig9 runs at 2e4 trials and seed 7. That is 37 files under
+Runs all eight figures at seed 7 with 2 scenarios per point, fig7 at
+P_R = 0 and 10 dBm only, then audits the fig4, fig7 and fig9 runs at 2e4
+trials and seed 7. That is 37 files under
 OUT_DIR/<figure_id>/. Each spec records its output directory as ".", so
 the files do not depend on OUT_DIR, and the trees of two checkouts compare
 with one `diff -r`. The package is imported from this checkout's `src`.
@@ -35,8 +35,8 @@ def main(argv) -> int:
     for figure_id in experiments.FIGURE_IDS:
         kwargs = {"sweep": SWEEPS[figure_id]} if figure_id in SWEEPS else {}
         spec = experiments.default_spec(
-            figure_id, seed=SEED, scenarios_per_point=2, trials=TRIALS,
-            output_dir=".", **kwargs)
+            figure_id, seed=SEED, scenarios_per_point=2, output_dir=".",
+            **kwargs)
         run_dir = experiments.run_experiment(spec)
         if figure_id in AUDITED:
             experiments.audit_run(run_dir, trials=TRIALS, seed=SEED)

@@ -124,15 +124,18 @@ def tv_limit(chis) -> float:
     20-point Gauss-Legendre panels doubling in width from 2^-50 min(x1, 1)
     past s = 60. ln u is log1p(-q), q = 1 - u, where q < 1/2, and near the
     kink ln(d (1 - e^{-s/x1})/(1 - e^{-t/x1})), d = chi1 + chi2 - chi1 chi2,
-    free of the cancellation in 1 - q.
+    free of the cancellation in 1 - q. Below chi1 = 1e-20 the TV is
+    eta1 + eta2 to rounding.
     """
     chis = np.asarray(chis, dtype=float)
     if chis.shape != (2,):
         raise ValueError(f"tv_limit takes exactly two bands, got {chis}")
     _require_chi(chis)
     chi2, chi1 = (float(c) for c in np.sort(chis))
-    if chi1 == 0.0:
-        return 0.0
+    if chi1 < 1e-20:
+        # eta1 + eta2 - TV ~ chi1 chi2 ln(1/chi1) is below an ulp of the
+        # sum, and at subnormal chi the panel widths below underflow.
+        return float(eta(chi1) + eta(chi2))
     x1 = chi1 / (1.0 - chi1)
     c = (1.0 - chi1) * (1.0 - chi2)
     d = chi1 + chi2 - chi1 * chi2

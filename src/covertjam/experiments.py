@@ -100,16 +100,13 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 @dataclass
 class ExperimentSpec:
-    """One figure run: which sweep, how many scenarios, where to write.
-
-    `trials` is recorded only; `bench/workloads.py` still passes it."""
+    """One figure run: which sweep, how many scenarios, where to write."""
 
     figure_id: str
     sweep: tuple
     scenarios_per_point: int = 20
     seed: int = 0
     output_dir: str = "runs"
-    trials: int = 10**5
     scenario: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,8 +118,6 @@ class ExperimentSpec:
             raise ValueError("sweep must be nonempty")
         if self.scenarios_per_point < 1:
             raise ValueError("scenarios_per_point must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         problem = FIGURES[self.figure_id].problem
         unknown = sorted(set(self.scenario) - _CONFIG_FIELDS - set(problem))
         if unknown:
@@ -149,11 +144,13 @@ def default_sweep(figure_id: str) -> tuple:
     return FIGURES[figure_id].sweep
 
 
-def default_spec(figure_id: str, jobs: int = 1, **kwargs) -> ExperimentSpec:
+def default_spec(figure_id: str, jobs: int = 1, trials=None,
+                 **kwargs) -> ExperimentSpec:
     """Spec with the figure's stock sweep unless one is given.
 
-    `jobs` must be 1: sweep points run serially. The keyword remains only
-    because the bench harness (`bench/workloads.py`) passes jobs=1 by name.
+    `jobs` must be 1: sweep points run serially. `trials` is ignored: no
+    figure draws Monte-Carlo samples. Both keywords remain only because
+    the bench harness (`bench/workloads.py`) passes them by name.
     """
     if jobs != 1:
         raise TypeError("default_spec takes no jobs; sweeps run serially")
@@ -205,7 +202,6 @@ def save_spec(spec: ExperimentSpec, path) -> None:
         "scenarios_per_point": str(spec.scenarios_per_point),
         "seed": str(spec.seed),
         "output_dir": spec.output_dir,
-        "trials": str(spec.trials),
     }
     if spec.scenario:
         parser["scenario"] = {k: _fmt(v) for k, v in spec.scenario.items()}
@@ -256,8 +252,9 @@ def load_spec(path) -> ExperimentSpec:
     if sweep_raw:
         given["sweep"] = tuple(_parse_number(tok.strip())
                                for tok in sweep_raw.split(",") if tok.strip())
-    # An old jobs key is ignored: sweeps once ran on threads, same bytes.
-    for key in ("scenarios_per_point", "seed", "trials"):
+    # An old jobs or trials key is ignored: sweeps once ran on threads, and
+    # fig2's TV was once a Monte-Carlo estimate.
+    for key in ("scenarios_per_point", "seed"):
         if key in sect:
             given[key] = sect.getint(key)
     if "output_dir" in sect:

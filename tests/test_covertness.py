@@ -147,6 +147,14 @@ def test_tv_limit_is_symmetric_and_a_zero_band_gives_eta():
         assert tv_limit([a, b]) == tv_limit([b, a])
     for chi in (1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
         assert abs(tv_limit([chi, 0.0]) - eta(chi)) <= 1e-15, chi
+    # Below chi = 1e-20 the TV is eta1 + eta2, subnormal chi included; the
+    # quadrature above that switch agrees with the sum.
+    for chi in (1e-310, 5e-324):
+        assert tv_limit([chi, 0.0]) == eta(chi) > 0.0
+        assert tv_limit([chi, chi]) == 2.0 * eta(chi)
+    for a, b in ((1e-19, 0.0), (1e-19, 1e-19), (2e-20, 3e-21)):
+        total = eta(a) + eta(b)
+        assert abs(tv_limit([a, b]) - total) <= 1e-14 * total, (a, b)
 
 
 @pytest.mark.parametrize("c1, c2, seed", [(0.2, 0.4, 3), (0.5, 0.5, 5),

@@ -168,8 +168,8 @@ def test_load_spec_fills_default_sweep(tmp_path):
 
 
 def test_bound_comparison_figure(tmp_path):
-    spec = default_spec("fig2_tv_bounds", sweep=(0.1, 0.5),
-                        trials=40000, seed=1, output_dir=str(tmp_path))
+    spec = default_spec("fig2_tv_bounds", sweep=(0.1, 0.5), seed=1,
+                        output_dir=str(tmp_path))
     out = run_experiment(spec)
     rows = _read(out / "points.csv")
     by = {(r["sweep_value"], r["method"]): float(r["objective"])
@@ -179,13 +179,9 @@ def test_bound_comparison_figure(tmp_path):
         proposed = by[(chi_key, "proposed_bound")]
         pinsker = by[(chi_key, "pinsker_bound")]
         hellinger = by[(chi_key, "hellinger_bound")]
-        # The TV is exact, so its ci cell is empty and reads as 0.
-        ci = next(float(r["ci"] or 0.0) for r in rows
-                  if r["sweep_value"] == chi_key
-                  and r["method"] == "tv_numeric")
-        assert tv <= proposed + 3.0 * ci
-        assert tv <= pinsker + 3.0 * ci
-        assert tv <= hellinger + 3.0 * ci
+        assert tv <= proposed
+        assert tv <= pinsker
+        assert tv <= hellinger
         # The additive eta bound beats Pinsker throughout the covert
         # range; the Hellinger route only catches up at large chi.
         assert proposed < pinsker
@@ -198,7 +194,8 @@ def test_bound_comparison_figure(tmp_path):
 
 def test_bound_figure_depends_on_neither_seed_nor_trials(tmp_path):
     # fig2 draws no random numbers: its rows carry no scenario seed or CI,
-    # and two runs that differ in seed and trials write the same CSVs.
+    # and two runs that differ in seed write the same CSVs. default_spec
+    # still takes the trials keyword the bench passes, and ignores it.
     a = run_experiment(default_spec("fig2_tv_bounds", seed=1, trials=2000,
                                     output_dir=str(tmp_path / "a")))
     b = run_experiment(default_spec("fig2_tv_bounds", seed=2, trials=10**5,
@@ -213,7 +210,7 @@ def test_bound_figure_at_tiny_chi_has_no_error_row(tmp_path):
     # The limiting-density KL is 6.45e-5 at chi = 1e-4; a quadrature that
     # rounds it negative makes the Pinsker bound raise.
     out = run_experiment(default_spec("fig2_tv_bounds", sweep=(1e-4,),
-                                      trials=2000, output_dir=str(tmp_path)))
+                                      output_dir=str(tmp_path)))
     rows = _read(out / "points.csv")
     assert len(rows) == 4
     assert not any(r["error"] for r in rows)
@@ -240,8 +237,8 @@ def test_figure_table_contract(figure_id, tmp_path):
     # Short pilot blocks keep the fast-fading solvers quick.
     scenario = {"N": 20} if "N" in fig.problem else {}
     out = run_experiment(default_spec(
-        figure_id, sweep=(value,), scenarios_per_point=2, trials=2000,
-        seed=1, output_dir=str(tmp_path), scenario=scenario))
+        figure_id, sweep=(value,), scenarios_per_point=2, seed=1,
+        output_dir=str(tmp_path), scenario=scenario))
     rows = _read(out / "points.csv")
     assert rows and not any(r["error"] for r in rows)
     assert {r["method"] for r in rows} == _EXPECTED_METHODS[figure_id]
@@ -273,7 +270,7 @@ def test_every_row_objective_recomputable(tmp_path):
             ("fig4_rate_vs_Q", dict(sweep=(25.0,), scenarios_per_point=2)),
             ("fig9_rate_vs_eps", dict(sweep=(0.05,),
                                       scenarios_per_point=2)),
-            ("fig2_tv_bounds", dict(sweep=(0.3,), trials=20000)),
+            ("fig2_tv_bounds", dict(sweep=(0.3,))),
     ):
         spec = default_spec(figure_id, seed=2, output_dir=str(tmp_path),
                             **kwargs)
@@ -447,7 +444,7 @@ def test_audit_rejects_empty_audits(tmp_path, capsys):
     # TV) and a trial count below 1e3 are errors before any replay; the
     # CLI exits with status 2 and writes no audit.csv.
     bounds = run_experiment(default_spec(
-        "fig2_tv_bounds", sweep=(0.2,), trials=2000, seed=0,
+        "fig2_tv_bounds", sweep=(0.2,), seed=0,
         output_dir=str(tmp_path / "bounds")))
     solved = run_experiment(default_spec(
         "fig4_rate_vs_Q", sweep=(25.0,), scenarios_per_point=1, seed=6,
@@ -531,7 +528,7 @@ out = sys.argv[1]
 for figure_id in ex.FIGURE_IDS:
     run = ex.run_experiment(ex.default_spec(
         figure_id, sweep=ex.FIGURES[figure_id].sweep[:1],
-        scenarios_per_point=1, trials=2000, output_dir=f"{out}/{figure_id}"))
+        scenarios_per_point=1, output_dir=f"{out}/{figure_id}"))
     if figure_id in ("fig4_rate_vs_Q", "fig7_rate_vs_PR"):
         ex.audit_run(run, trials=2000, seed=1, max_rows=2)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

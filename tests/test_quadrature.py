@@ -215,38 +215,44 @@ def test_phi_monotone_decreasing_in_z():
     assert np.all(np.diff(lp) < 0.0)
 
 
-def _mpmath_log_phi(mpmath, x, z, n):
-    """ln Phi at 20 digits, integrated in y = ln(1 + xv) on finite panels.
+def _mpmath_log_phi(mpmath, x, z, n, dps=20):
+    """ln Phi at `dps` digits, integrated in y = ln(1 + xv) on finite panels.
 
     The log-integrand is concave in y, so panels at the peak +- k curvature
     widths (k up to 60) hold all of the mass; the returned drops certify
     that the truncated tails are negligible.
     """
-    mp = mpmath.mp
-    x, z, b = mp.mpf(x), mp.mpf(z), mp.mpf(n) - 1
+    with mpmath.workdps(dps):
+        mp = mpmath.mp
+        x, z, b = mp.mpf(x), mp.mpf(z), mp.mpf(n) - 1
 
-    def expo(y):
-        return -b * y - z * mp.exp(-y) - mp.expm1(y) / x
+        def expo(y):
+            return -b * y - z * mp.exp(-y) - mp.expm1(y) / x
 
-    u = 2 * z / (b + mp.sqrt(b * b + 4 * z / x))
-    y0 = mp.log(max(u, mp.mpf(1)))
-    width = 1 / mp.sqrt(z * mp.exp(-y0) + mp.exp(y0) / x)
-    ks = (0, 1, 3, 10, 30, 60)
-    pts = sorted({max(y0 - k * width, mp.mpf(0)) for k in ks}
-                 | {y0 + k * width for k in ks})
-    peak = expo(y0)
-    drops = [expo(pts[-1]) - peak] + ([expo(pts[0]) - peak] if pts[0] > 0
-                                      else [])
-    val = peak + mp.log(mp.quad(lambda y: mp.exp(expo(y) - peak), pts))
-    return float(val - mp.log(x)), max(float(d) for d in drops)
+        u = 2 * z / (b + mp.sqrt(b * b + 4 * z / x))
+        y0 = mp.log(max(u, mp.mpf(1)))
+        width = 1 / mp.sqrt(z * mp.exp(-y0) + mp.exp(y0) / x)
+        ks = (0, 1, 3, 10, 30, 60)
+        pts = sorted({max(y0 - k * width, mp.mpf(0)) for k in ks}
+                     | {y0 + k * width for k in ks})
+        peak = expo(y0)
+        drops = [expo(pts[-1]) - peak] + ([expo(pts[0]) - peak] if pts[0] > 0
+                                          else [])
+        val = peak + mp.log(mp.quad(lambda y: mp.exp(expo(y) - peak), pts))
+        return float(val - mp.log(x)), max(float(d) for d in drops)
 
 
 def test_log_phi_exact_matches_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 20
     # z across the H0 bulk: Gamma(n) and Exp(1) quantiles of z = s (1 + xv);
     # the first case is where a Gauss-Laguerre ln Phi erred by 3.9e-8.
     cases = [(10.0, 13.515383037929151, 1.0)]
+    # The band (p, q, N_d) = (15810, 31620, 3000) fails its ln Psi table
+    # certificate, but not through ln Phi, which is exact here to about an
+    # ulp: Psi ~ 2e-7 is formed as 2 - e^D, D = ln Phi_p - ln Phi_q ~ ln 2,
+    # so one ulp of ln Phi ~ -2700 is about 4.5e-6 relative in Psi.
+    cases += [(x, float(z), 3000.0) for x in (15810.0, 31620.0)
+              for z in np.linspace(2600.0, 2800.0, 9)]
     for x, n in ((1e-3, 1.0), (1e-3, 500.0), (0.1, 10.0), (1.0, 1.0),
                  (1.0, 100.0), (10.0, 1.0), (10.0, 30.0), (50.0, 5.0),
                  (50.0, 500.0), (1e-8, 1.0), (1e-8, 5000.0), (1e-6, 1.0),
@@ -270,23 +276,6 @@ def test_log_phi_exact_matches_mpmath_oracle():
             assert abs(unit - 1.0) < 1e-12, (q, n, unit)
 
 
-def test_log_phi_exact_matches_mpmath_at_the_uncertified_band():
-    # The band (p, q, N_d) = (15810, 31620, 3000) fails its ln Psi table
-    # certificate. ln Phi is not at fault there: both sides agree with the
-    # 30-digit oracle to about an ulp. Psi ~ 2e-7 is formed as 2 - e^D,
-    # D = ln Phi_p - ln Phi_q ~ ln 2, so one ulp of ln Phi ~ -2700 is about
-    # 4.5e-6 relative in Psi.
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        for x in (15810.0, 31620.0):
-            for z in np.linspace(2600.0, 2800.0, 9):
-                ref, drop = _mpmath_log_phi(mpmath, x, z, 3000.0)
-                assert drop < -200.0, (x, z, drop)
-                got = float(log_phi_exact(x, np.array([z]), 3000.0)[0])
-                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), \
-                    (x, z, got, ref)
-
-
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND in CHANGES.md: log_phi_exact loses accuracy where the integrand "
     "is flat with a far cliff (x above about 1e6, n near 1, small z)"))
@@ -297,8 +286,7 @@ def test_log_phi_exact_matches_mpmath_on_a_flat_integrand_with_a_far_cliff(
     # Off by 2.7e-10 and 5.0e-9 relative today. The oracle needs 40 digits
     # here: at 20 or 30 it is itself off by 1.5e-12 at the second point.
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        ref, drop = _mpmath_log_phi(mpmath, x, z, n)
+    ref, drop = _mpmath_log_phi(mpmath, x, z, n, dps=40)
     assert drop < -200.0, (x, z, n, drop)
     got = float(log_phi_exact(x, np.array([z]), n)[0])
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, z, n, got, ref)
