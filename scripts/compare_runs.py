@@ -5,15 +5,25 @@ Usage: python3 scripts/compare_runs.py A B
 
 For each file under either tree, prints "identical", or for a CSV that
 differs only in numbers the largest relative difference of a float cell
-(with its column and row), or what else differs. Every audit.csv row
-whose `passed` or `sum_error` cell differs is listed with both values.
-Exits 0 when the trees differ at most in float cells and no audit
-verdict flips, and 1 otherwise.
+and of an element of a ';'-joined vector cell (such as chi or gamma),
+each with its column and row, or what else differs. Integer columns
+(counts, indices, seeds, N_t, ...) must match exactly, and each
+mismatch is listed. Every audit.csv row whose `passed` or `sum_error`
+cell differs is listed with both values. Exits 0 when the trees differ
+at most in float cells and vector elements, and 1 otherwise: on a
+changed integer or text cell, a flipped audit verdict, a changed vector
+length, or a file present on one side only.
 """
 
 import csv
+import math
 import sys
 from pathlib import Path
+
+# Columns whose cells are integers: compared as text, never as floats.
+INTEGER_COLUMNS = frozenset({
+    "point_index", "scenario_index", "scenario_seed", "iteration", "K",
+    "M", "N", "L", "N_d", "N_t", "trials", "n_ok", "n_failed"})
 
 
 def _files(root: Path) -> set:
@@ -26,48 +36,72 @@ def _read_csv(path: Path) -> list:
 
 
 def _rel_diff(a: str, b: str):
-    """|a - b| / max(|a|, |b|) of two float cells; None if either is not
-    a number."""
+    """|a - b| / max(|a|, |b|) of two finite float cells; None if either
+    is not a finite number."""
     try:
         x, y = float(a), float(b)
     except ValueError:
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
         return None
     if x == y:
         return 0.0
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _vector_rel_diff(a: str, b: str):
+    """Largest _rel_diff over the elements of two ';'-joined cells; None
+    if their lengths differ or an element is not a finite number."""
+    xs, ys = a.split(";"), b.split(";")
+    if len(xs) != len(ys):
+        return None
+    diffs = [_rel_diff(x, y) for x, y in zip(xs, ys)]
+    return None if None in diffs else max(diffs)
+
+
 def compare_csv(a: Path, b: Path) -> tuple:
-    """(summary line, audit lines, ok) for two CSV files that differ."""
+    """(summary line, detail lines, ok) for two CSV files that differ."""
     rows_a, rows_b = _read_csv(a), _read_csv(b)
     if (not rows_a or not rows_b or rows_a[0] != rows_b[0]
             or len(rows_a) != len(rows_b)
             or any(len(r) != len(s) for r, s in zip(rows_a, rows_b))):
         return "header or shape differs", [], False
     header = rows_a[0]
-    worst, where, text = 0.0, None, 0
+    worst = {"float": (0.0, None), "vector": (0.0, None)}
+    text, details, flips = 0, [], 0
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         for col, x, y in zip(header, ra, rb):
             if x == y:
                 continue
-            d = _rel_diff(x, y)
+            if col in INTEGER_COLUMNS:
+                details.append(f"    row {i}: {col} {x} -> {y}")
+                continue
+            kind = "vector" if ";" in x or ";" in y else "float"
+            d = (_vector_rel_diff if kind == "vector" else _rel_diff)(x, y)
             if d is None:
                 text += 1
-            elif d > worst:
-                worst, where = d, (col, i)
-    audit, flips = [], 0
+            elif d > worst[kind][0] or worst[kind][1] is None:
+                worst[kind] = (d, (col, i))
+    integer = len(details)
     if a.name == "audit.csv":
         for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
             cells = [(col, x, y) for col, x, y in zip(header, ra, rb)
                      if col in ("passed", "sum_error") and x != y]
             flips += any(col == "passed" for col, _, _ in cells)
-            audit += [f"    row {i}: {col} {x} -> {y}" for col, x, y in cells]
+            details += [f"    row {i}: {col} {x} -> {y}"
+                        for col, x, y in cells]
     parts = []
-    if where is not None:
-        parts.append(f"max rel diff {worst:.3g} ({where[0]}, row {where[1]})")
+    for kind, label in (("float", "max rel diff"),
+                        ("vector", "vector cells max rel diff")):
+        d, where = worst[kind]
+        if where is not None:
+            parts.append(f"{label} {d:.3g} ({where[0]}, row {where[1]})")
+    if integer:
+        parts.append(f"{integer} integer cells differ")
     if text:
         parts.append(f"{text} non-float cells differ")
-    return ", ".join(parts) or "identical cells", audit, not (text or flips)
+    return (", ".join(parts) or "identical cells", details,
+            not (integer or text or flips))
 
 
 def main(argv) -> int:
@@ -89,9 +123,9 @@ def main(argv) -> int:
             print(f"{rel}: differs")
             ok = False
             continue
-        summary, audit, same = compare_csv(a / rel, b / rel)
+        summary, details, same = compare_csv(a / rel, b / rel)
         print(f"{rel}: {summary}")
-        for line in audit:
+        for line in details:
             print(line)
         ok &= same
     return 0 if ok else 1

@@ -58,6 +58,8 @@ _AO_MAX_ITER = 50
 # solved objective times 1 - _ES_PRUNE_MARGIN (see es_solve).
 _ES_PRUNE_MARGIN = 1e-8
 
+_EPS = float(np.finfo(float).eps)  # the band roots' residual floor unit
+
 
 @dataclass
 class FvSolveResult:
@@ -107,6 +109,39 @@ def ergodic_sum_rate(chis, tau: float, params: FastVaryingParams) -> float:
     return (1.0 - tau) * float(np.sum(np.log1p(snr)))
 
 
+def _band_roots(c3, c2, c1, rhs):
+    """Roots of the band cubics c3 x^3 + c2 x^2 + c1 x = rhs, elementwise.
+
+    The coefficients are nonnegative with c2, c1 and rhs positive. At the
+    root each term is at most rhs and the largest at least rhs / 3, so
+    cap = min((rhs/c3)^(1/3), (rhs/c2)^(1/2), rhs/c1) puts the root in
+    [cap/3, cap]. From cap a fixed run of three Halley steps, which
+    converge cubically, reaches it: on 5.6e7 random cubics, coefficients
+    and rhs spread over 0.3 to 120 decades, the worst relative error was
+    3.9 eps, at the most balanced cubics, where cap is up to 1.83 times
+    the root.
+
+    The steps are checked, not trusted. The Horner value of P(x) - rhs
+    is off by at most gamma_6 S ~ 3 eps S, where S = P(x) + rhs sums the
+    absolute terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 5.3), and a root off by delta relative leaves an exact
+    residual of at most P'(x) x delta <= 3 P(x) delta ~ 1.5 S delta. So a
+    root within 6 eps reads within 12 eps S, the floor; the fuzz read at
+    most 3.4 eps S. Returns (x, P'(x), ok), ok False where the residual
+    exceeds the floor or is not a number.
+    """
+    with np.errstate(divide="ignore"):
+        x = np.minimum(np.minimum(np.cbrt(rhs / c3), np.sqrt(rhs / c2)),
+                       rhs / c1)
+    for _ in range(3):
+        f = ((c3 * x + c2) * x + c1) * x - rhs
+        d1 = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        x = x - f / (d1 - f * (3.0 * c3 * x + c2) / d1)
+    p = ((c3 * x + c2) * x + c1) * x
+    ok = np.abs(p - rhs) <= 12.0 * _EPS * (p + rhs)
+    return x, (3.0 * c3 * x + 2.0 * c2) * x + c1, ok
+
+
 def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
     """Optimal powers at fixed pilot fractions by a Newton solve of the dual.
 
@@ -119,13 +154,14 @@ def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
 
     Stationarity of each band is a cubic with positive coefficients,
     P(chi) = chi ((G+E) chi + F)(E chi + F) = G F / (lam zeta_k) = rhs,
-    convex and increasing, so Newton from an upper cap converges to its
-    root monotonically. The budget used, s, falls with lam and ln s is
-    nearly linear in ln lam, d ln s / d ln lam = -(1/s) sum_k zeta_k chi_k
-    rhs_k / P'(chi_k), so Newton on ln lam over [1e-12, 2^61] drives each
-    row's budget to activity; both solves are `roots.increasing_roots`.
-    The budget binds at any optimum (the rate increases in every chi_k).
-    Failures raise ArithmeticError naming the pilot fractions.
+    solved by `_band_roots`: three Halley steps from an upper cap, then a
+    check of the residual against its rounding floor. The budget used, s,
+    falls with lam and ln s is nearly linear in ln lam, d ln s / d ln lam
+    = -(1/s) sum_k zeta_k chi_k rhs_k / P'(chi_k), so Newton on ln lam over
+    [1e-12, 2^61] (`roots.increasing_roots`) drives each row's budget to
+    activity. The budget binds at any optimum (the rate increases in every
+    chi_k). Failures, a band residual above its floor among them, raise
+    ArithmeticError naming the pilot fractions.
     """
     z = np.asarray(zeta_values, float)
     if not np.all((z > 0.0) & (z < np.inf)):
@@ -151,22 +187,12 @@ def chi_given_tau(tau, params: FastVaryingParams, zeta_values, budget: float):
 
     def gap(y: np.ndarray, rows: np.ndarray):
         """ln budget - ln s at lam = 1e-12 e^y, its y-derivative, the chis."""
-        rhs = (g_t[rows] * f_t[rows] / (1e-12 * np.exp(y)[:, None]
-                                        * z[rows])).ravel()
-        c3, c2, c1 = (c[rows].ravel() for c in (a3, a2, a1))
-
-        def cubic(c, i):
-            return ((c3[i] * c + c2[i]) * c + c1[i]) * c - rhs[i], \
-                (3.0 * c3[i] * c + 2.0 * c2[i]) * c + c1[i], 1e-15 * rhs[i]
-
-        # Either the cubic or the linear term alone reaching rhs bounds the
-        # root, so the smaller of the two caps is a valid upper bracket.
-        with np.errstate(divide="ignore"):
-            cap = np.minimum(np.cbrt(rhs / np.where(c3 > 0, c3, np.inf)),
-                             rhs / c1)
-        chi = increasing_roots(cubic, cap, 0.0, cap)
-        pull = (chi * rhs / cubic(chi, slice(None))[1]).reshape(-1, params.K)
-        chi = chi.reshape(pull.shape)
+        rhs = g_t[rows] * f_t[rows] / (1e-12 * np.exp(y)[:, None] * z[rows])
+        chi, slope, ok = _band_roots(a3[rows], a2[rows], a1[rows], rhs)
+        if not np.all(ok):
+            fail("band cubic residual above its rounding floor",
+                 rows[~np.all(ok, axis=1)])
+        pull = chi * rhs / slope
         # A stacked matmul sums each row exactly as np.dot on that row.
         zr = z[rows][:, None, :]
         s = 0.5 * (zr @ (chi * chi)[:, :, None])[:, 0, 0]
@@ -311,7 +337,9 @@ def tau_given_chi(chis, params: FastVaryingParams) -> float:
 
     The rate is concave in tau with positive slope at 0+ and negative at
     1-, so the slope has a single root, found by `roots.increasing_root`
-    with the slope's derivative in closed form.
+    with the slope's derivative in closed form. Newton starts at tau =
+    0.05: from 0.5 its first step usually leaves the bracket, and a call
+    took about 16 slope evaluations instead of about 10.
     """
     chis = np.asarray(chis, float)
     if not np.all((chis >= 0.0) & (chis < np.inf)) or not np.any(chis > 0.0):
@@ -336,7 +364,7 @@ def tau_given_chi(chis, params: FastVaryingParams) -> float:
     lo, hi = 1e-15, 1.0 - 1e-15
     if minus_slope(lo)[0] >= 0.0 or minus_slope(hi)[0] <= 0.0:
         raise ArithmeticError("tau derivative lost its sign change")
-    tau = increasing_root(minus_slope, 0.5, lo, hi)
+    tau = increasing_root(minus_slope, 0.05, lo, hi)
     if abs(minus_slope(tau)[0]) > 1e-8 * max(1.0, float(np.sum(g_b / f_b))):
         raise ArithmeticError("tau root residual above tolerance")
     return tau

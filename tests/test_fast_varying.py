@@ -148,6 +148,38 @@ def test_batched_failure_names_the_pilot_fraction():
         chi_given_tau(np.array([0.2, 0.4, 0.6]), params, z, 1e-30)
 
 
+def test_band_cubic_residual_failure_names_the_pilot_fraction():
+    # A zeta of 1e-300 overflows one row's right-hand side G F / (lam
+    # zeta), so its band cubics read NaN after the Halley steps. The
+    # residual check fails that row alone and lists its tau, where the
+    # NaN would otherwise pass every later check and come back as chi.
+    params = _scenario_params(seed=11)
+    z = np.tile(zeta_vector(params, 70), (3, 1))
+    z[1, 2] = 1e-300
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ArithmeticError,
+                          match=r"rounding floor \(tau = \[0\.4\]\)"):
+        chi_given_tau(np.array([0.2, 0.4, 0.6]), params, z, params.budget)
+
+
+def test_chi_given_tau_without_the_cubic_term():
+    # E_k = mu_k = 0 leaves the band equation the quadratic
+    # chi (G chi + F) F = G F / (lam zeta), with G, F at tau: the cap must
+    # not read the missing cubic term as a zero bound on the root.
+    params = FastVaryingParams(
+        N=10, L=1, G_const=1.0, E_const=0.0, Gk=np.array([1.0, 2.0, 5.0]),
+        Ek=np.zeros(3), mu_tilde=np.zeros(3), F1=np.array([1.0, 0.5, 2.0]),
+        F2=np.array([1.0, 1.0, 0.1]), q_norm=np.ones(3), epsilon=0.05)
+    z = np.array([1.0, 2.0, 0.5])
+    tau = 0.3
+    chis, lam = chi_given_tau(tau, params, z, params.budget)
+    used = 0.5 * float(np.dot(z, chis * chis))
+    assert abs(used - params.budget) <= 1e-10 * params.budget
+    g, f = tau * params.Gk, tau * params.F1 + params.F2
+    closed = (np.sqrt(f * f + 4.0 * g * g / (lam * z)) - f) / (2.0 * g)
+    assert np.allclose(chis, closed, rtol=1e-13, atol=0.0)
+
+
 def test_budget_scales_quadratically_with_epsilon():
     inst = sample_scenario(ScenarioConfig(K=2), 0)
     full = derive_fast_varying(inst, 50, 1, 0.01)

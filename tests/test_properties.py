@@ -1,6 +1,7 @@
 """Property-based checks: eta shape, constraint activity, solver residuals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from covertjam.covertness import (
 )
 from covertjam.detection import _BAND_GATE, _BandLogPsi
 from covertjam.fast_varying import (
+    _band_roots,
     chi_given_tau,
     ergodic_sum_rate,
     es_solve,
@@ -101,6 +103,39 @@ def test_threshold_stationarity_residual(log_a, log_bm1, log_chi):
     for value, point in zip(batch, points):
         scalar = single_receiver_gamma(*point)
         assert abs(value - scalar) <= 1e-14 * scalar
+
+
+_DECADE = st.floats(min_value=-30.0, max_value=30.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(_DECADE, _DECADE, _DECADE,
+                          st.floats(min_value=-60.0, max_value=60.0),
+                          st.booleans()), min_size=1, max_size=8))
+@example([(0.0, 0.0, 0.0, 0.0, False), (0.0, 0.0, 0.0, 0.0, True)])
+@example([(30.0, -30.0, 30.0, -60.0, False),
+          (-30.0, 30.0, -30.0, 60.0, False),
+          (-30.0, -30.0, 30.0, -60.0, False),
+          (30.0, 30.0, -30.0, 60.0, True)])
+def test_band_roots_reach_the_root_in_three_halley_steps(cubics):
+    # Each row: log10 of the band cubic's coefficients c3, c2, c1 and of
+    # its right-hand side, coefficients over 60 decades and rhs over 120,
+    # and whether c3 is zero (E_k = mu_k = 0). The root lies within 6 eps
+    # relative of the returned x, exactly: P(x (1 - 6 eps)) <= rhs <=
+    # P(x (1 + 6 eps)) in rational arithmetic (three steps leave up to
+    # about 3.9 eps on the most balanced cubics). Each residual is within
+    # its rounding floor, and the slope is P' at x.
+    c3, c2, c1, rhs = (10.0 ** np.array(v) for v in list(zip(*cubics))[:4])
+    c3[[row[4] for row in cubics]] = 0.0
+    x, slope, ok = _band_roots(c3, c2, c1, rhs)
+    assert np.all(ok)
+    assert np.array_equal(slope, (3.0 * c3 * x + 2.0 * c2) * x + c1)
+    six_eps = Fraction(6, 2**52)
+    for a3, a2, a1, r, root in zip(c3, c2, c1, rhs, x):
+        def poly(v, a=(Fraction(a3), Fraction(a2), Fraction(a1))):
+            return ((a[0] * v + a[1]) * v + a[2]) * v
+        assert poly(Fraction(root) * (1 - six_eps)) <= Fraction(r) \
+            <= poly(Fraction(root) * (1 + six_eps))
 
 
 @settings(deadline=None, max_examples=25)

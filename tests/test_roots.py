@@ -34,7 +34,7 @@ _CUBIC = st.tuples(st.floats(min_value=-3.0, max_value=3.0),
 def test_scalar_and_batched_roots_are_bit_identical(cubics):
     # Each row: log10 of the positive coefficients and of the right-hand
     # side, and where the start lies between 0 and the cap that bounds
-    # the root (the cap fast_varying.chi_given_tau starts from).
+    # the root (the smaller of the cubic-only and linear-only roots).
     c3, c2, c1, rhs = (10.0 ** np.array(v) for v in list(zip(*cubics))[:4])
     cap = np.minimum(np.cbrt(rhs / c3), rhs / c1)
     start = np.array([row[4] for row in cubics]) * cap
