@@ -9,10 +9,13 @@ and of an element of a ';'-joined vector cell (such as chi or gamma),
 each with its column and row, or what else differs. Integer columns
 (counts, indices, seeds, N_t, ...) must match exactly, and each
 mismatch is listed. Every audit.csv row whose `passed` or `sum_error`
-cell differs is listed with both values. Exits 0 when the trees differ
-at most in float cells and vector elements, and 1 otherwise: on a
-changed integer or text cell, a flipped audit verdict, a changed vector
-length, or a file present on one side only.
+cell differs is listed with both values. When one CSV's header is the
+other's plus trailing columns, the shared columns are compared and the
+added or dropped ones are named. Exits 0 when the trees differ at most
+in float cells, vector elements and added trailing columns, and 1
+otherwise: on a changed integer or text cell, a flipped audit verdict, a
+changed vector length, a dropped or reordered column, a changed row
+count, or a file present on one side only.
 """
 
 import csv
@@ -62,11 +65,15 @@ def _vector_rel_diff(a: str, b: str):
 def compare_csv(a: Path, b: Path) -> tuple:
     """(summary line, detail lines, ok) for two CSV files that differ."""
     rows_a, rows_b = _read_csv(a), _read_csv(b)
-    if (not rows_a or not rows_b or rows_a[0] != rows_b[0]
-            or len(rows_a) != len(rows_b)
-            or any(len(r) != len(s) for r, s in zip(rows_a, rows_b))):
+    if not rows_a or not rows_b or len(rows_a) != len(rows_b):
         return "header or shape differs", [], False
-    header = rows_a[0]
+    # Columns past the shorter header are added (in b) or dropped (from a);
+    # zip below compares the shared ones.
+    extra = len(rows_b[0]) - len(rows_a[0])
+    header = rows_a[0][:len(rows_a[0]) + min(extra, 0)]
+    if (rows_b[0][:len(header)] != header
+            or any(len(s) - len(r) != extra for r, s in zip(rows_a, rows_b))):
+        return "header or shape differs", [], False
     worst = {"float": (0.0, None), "vector": (0.0, None)}
     text, details, flips = 0, [], 0
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
@@ -100,8 +107,12 @@ def compare_csv(a: Path, b: Path) -> tuple:
         parts.append(f"{integer} integer cells differ")
     if text:
         parts.append(f"{text} non-float cells differ")
-    return (", ".join(parts) or "identical cells", details,
-            not (integer or text or flips))
+    summary = ", ".join(parts) or "identical cells"
+    if extra:
+        change, longer = ("added", rows_b[0]) if extra > 0 else \
+            ("dropped", rows_a[0])
+        summary += f"; columns {change}: " + ", ".join(longer[len(header):])
+    return summary, details, not (integer or text or flips or extra < 0)
 
 
 def main(argv) -> int:

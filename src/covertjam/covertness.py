@@ -28,6 +28,7 @@ from .quadrature import (
     _LEG_NODES,
     _LEG_WEIGHTS,
     _h0_energy_window,
+    _panel_rule,
     _require_h0_law,
     _stirling_remainder,
     gamma_rules,
@@ -143,8 +144,7 @@ def tv_limit(chis) -> float:
     first = 2.0 ** -50 * min(x1, 1.0)
     edges = np.append(0.0, np.ldexp(
         first, np.arange(math.ceil(math.log2(60.0 / first)) + 1)))
-    half = 0.5 * np.diff(edges)
-    s = ((edges[:-1] + half)[:, None] + half[:, None] * _LEG_NODES).ravel()
+    s, weights = _panel_rule(edges, _LEG_NODES, _LEG_WEIGHTS)
     t = t0 + s
     with np.errstate(divide="ignore", invalid="ignore"):
         em = -np.expm1(-t / x1)
@@ -152,7 +152,7 @@ def tv_limit(chis) -> float:
         ln_u = np.where(q < 0.5, np.log1p(-q),
                         np.log(d * -np.expm1(-s / x1) / em))
         f = np.exp(-t + np.log(em) - math.log1p(-chi1) + ln_u / (1.0 - chi2))
-    return float(np.dot((half[:, None] * _LEG_WEIGHTS).ravel(), f))
+    return float(np.dot(weights, f))
 
 
 def _require_p_below_q(p: float, q: float) -> None:
@@ -200,7 +200,7 @@ def kl_divergence(p: float, q: float, n: float) -> float:
     """
     _require_h0_law(q, n)
     _require_p_below_q(p, q)
-    r = h0_energy_rule(q, n)
+    r = h0_energy_rule(float(q), float(n))
     delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
                                    r.log_phi_q)
     return r.expectation(delta - np.log1p(delta))

@@ -25,11 +25,13 @@ over [z_min, z_max]: the knots are a fixed grid's from a margin below
 z_min on, so a lower end drops the knots where no sample lands without
 changing the spacing or, from the margin on, the coefficients' bits.
 The spline fits its own not-a-knot coefficients, with one tridiagonal
-solve by Gaussian elimination with partial pivoting (`_tridiagonal_solve`),
-and evaluates them itself (one knot lookup, then the cubic). Its knot grid
-and trim (`_spline_knots`), fit and certificate (`_certificate_error`) also
-build the detection oracle's ln Psi tables.
-`h0_energy_rule` integrates against the H0 energy law; `gamma_rules`
+solve by Gaussian elimination (`_tridiagonal_solve`; these systems never
+need a row interchange, and it raises if one would), and evaluates them
+itself (one knot lookup, then the cubic). Its knot grid and trim
+(`_spline_knots`), fit and certificate (`_certificate_error`) also build
+the detection oracle's ln Psi tables.
+`h0_energy_rule` integrates against the H0 energy law on Gauss-Legendre
+panels (`_panel_rule`, which `covertness.tv_limit` shares); `gamma_rules`
 integrate against Gamma(n, 1), built in one batch per call from the Jacobi
 matrices' eigenvalues and the Christoffel weights of the three-term
 recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
@@ -101,14 +103,6 @@ _LN_2PI = math.log(2.0 * math.pi)
 # remainder is below 1e-19 from a = 10 on.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
              -691 / 360360, 1 / 156, -3617 / 122400)
-
-
-def gamma_rule(n: float, order: int = 128):
-    """Nodes/weights for expectations against the Gamma(n, 1) density.
-
-    The one-rule case of `gamma_rules`, and cached with it.
-    """
-    return gamma_rules([n], order)[0]
 
 
 def gamma_rules(ns, order: int = 128) -> list:
@@ -343,41 +337,31 @@ def _tridiagonal_solve(lower, main, upper, rhs) -> list:
     """x with A x = rhs for the tridiagonal A of the given diagonals.
 
     lower and upper hold the m - 1 entries below and above the main
-    diagonal's m. Gaussian elimination with partial pivoting, then back
-    substitution, step for step as LAPACK dgtsv with one right-hand side
-    (the routine `scipy.linalg.solve_banded` runs for one band on each
-    side), so x has dgtsv's bits. Each step depends on the one before, so
-    it runs on Python floats, which round as the Fortran does.
+    diagonal's m. Gaussian elimination, then back substitution, step for
+    step as LAPACK dgtsv with one right-hand side (the routine
+    `scipy.linalg.solve_banded` runs for one band on each side), so x has
+    dgtsv's bits. dgtsv interchanges rows where a pivot is smaller than
+    the entry below it; the not-a-knot systems on uniform knots never do
+    (row 0's pivot and the entry below are both the step h, later pivots
+    are 2h to 3.7h against entries of h to 2h), so a pivot that is zero
+    or smaller raises `ArithmeticError` naming its row instead. Each step
+    depends on the one before, so it runs on Python floats, which round
+    as the Fortran does.
     """
     dl, d, du, b = (v.tolist() for v in (lower, main, upper, rhs))
     m = len(d)
-    for i in range(m - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise ArithmeticError("singular tridiagonal system")
+    for i in range(m):
+        if d[i] == 0.0 or i < m - 1 and not abs(d[i]) >= abs(dl[i]):
+            raise ArithmeticError(
+                f"tridiagonal system is singular or needs a row "
+                f"interchange at row {i}")
+        if i < m - 1:
             fact = dl[i] / d[i]
             d[i + 1] -= fact * du[i]
             b[i + 1] -= fact * b[i]
-            dl[i] = 0.0
-        else:
-            # Row interchange: row i + 1 becomes the pivot row, whose
-            # second superdiagonal entry dl[i] then holds.
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < m - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[-1] == 0.0:
-        raise ArithmeticError("singular tridiagonal system")
     b[-1] /= d[-1]
-    if m > 1:
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(m - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    for i in range(m - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
     return b
 
 
@@ -510,12 +494,8 @@ class H0EnergyRule:
         return float(np.dot(self.w, values))
 
 
-def h0_energy_rule(q: float, n: float) -> H0EnergyRule:
-    return _h0_energy_rule_cached(float(q), float(n))
-
-
 @lru_cache(maxsize=128)
-def _h0_energy_rule_cached(q: float, n: float) -> H0EnergyRule:
+def h0_energy_rule(q: float, n: float) -> H0EnergyRule:
     z, panel_w = h0_energy_layout(q, n)
     return h0_energy_finish(q, n, z, panel_w, log_phi_exact(q, z, n))
 
@@ -555,12 +535,17 @@ def h0_energy_layout(q: float, n: float, breaks=()) -> tuple:
     bulk = list(n + np.arange(-12, 13) * rt)
     edges = sorted({e for e in edges + bulk + [z_hi] + list(breaks)
                     if z_lo <= e <= z_hi} | {z_lo})
-    edges = np.asarray(edges)
+    return _panel_rule(np.asarray(edges), _GL16_NODES, _GL16_WEIGHTS)
+
+
+def _panel_rule(edges: np.ndarray, nodes: np.ndarray,
+                weights: np.ndarray) -> tuple:
+    """The rule (nodes, weights) on [-1, 1] mapped onto each panel between
+    consecutive edges: all nodes and weights, panel by panel."""
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
-    z = (mid[:, None] + half[:, None] * _GL16_NODES[None, :]).ravel()
-    panel_w = (half[:, None] * _GL16_WEIGHTS[None, :]).ravel()
-    return z, panel_w
+    return ((mid[:, None] + half[:, None] * nodes).ravel(),
+            (half[:, None] * weights).ravel())
 
 
 def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,

@@ -323,8 +323,8 @@ class ScaState:
 def default_sca_state(params: QuasiStaticParams) -> ScaState:
     """Feasible starting point: uniform chis using half the covert budget."""
     k = params.K
-    chi0 = min(solve_chi_star(params.epsilon / (2 * k)),
-               params.epsilon / (2 * k))
+    # eta(x) <= x, so each band's eta stays within eps/(2K).
+    chi0 = params.epsilon / (2 * k)
     gamma = single_receiver_gamma(params.A, params.B, chi0)
     t = chi0 / gamma
     alpha = 1.0 - params.B * np.exp(-params.A * t)

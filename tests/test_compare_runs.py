@@ -69,3 +69,70 @@ def test_a_flipped_audit_verdict_fails(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, passed="False")
     assert code == 1
     assert "row 1: passed True -> False" in out
+
+
+def _edit_points(tmp_path, capsys, edit, **changes):
+    """main() on two trees whose b side's points.csv lines pass through
+    edit(lines) -> lines."""
+    base = _tree(tmp_path / "a")
+    new = _tree(tmp_path / "b", **changes)
+    path = new / "fig7" / "points.csv"
+    path.write_text("".join(edit(path.read_text().splitlines(True))))
+    code = compare_runs.main(["compare_runs.py", str(base), str(new)])
+    out = capsys.readouterr().out
+    return code, next(s for s in out.splitlines() if "points.csv" in s)
+
+
+def _append(lines):
+    """Two trailing columns, exact_lo and converged, on every line."""
+    return [lines[0].rstrip("\n") + ",exact_lo,converged\n"] + [
+        line.rstrip("\n") + ",1.5,True\n" for line in lines[1:]]
+
+
+def test_appended_columns_are_named_and_the_shared_ones_compared(
+        tmp_path, capsys):
+    code, line = _edit_points(tmp_path, capsys, _append)
+    assert code == 0
+    assert line.endswith(
+        ": identical cells; columns added: exact_lo, converged")
+    # A changed shared cell is still judged by the old rules.
+    moved = (_CHI[0], math.nextafter(_CHI[1], 1.0))
+    code, line = _edit_points(tmp_path / "ulp", capsys, _append,
+                              chi=moved)
+    assert code == 0
+    assert "vector cells max rel diff" in line
+    assert line.endswith("; columns added: exact_lo, converged")
+    code, line = _edit_points(tmp_path / "n_t", capsys, _append,
+                              n_t="11")
+    assert code == 1
+    assert "1 integer cells differ" in line
+
+
+def test_a_dropped_column_fails_and_is_named(tmp_path, capsys):
+    def drop_chi(lines):
+        return [line.rsplit(",", 1)[0] + "\n" for line in lines]
+    code, line = _edit_points(tmp_path, capsys, drop_chi)
+    assert code == 1
+    assert line.endswith(": identical cells; columns dropped: chi")
+
+
+def test_a_reordered_header_or_changed_row_count_fails(tmp_path, capsys):
+    def swap(lines):
+        return [lines[0].replace("N_t,chi", "chi,N_t")] + lines[1:]
+    code, line = _edit_points(tmp_path, capsys, swap)
+    assert code == 1
+    assert line.endswith(": header or shape differs")
+    code, line = _edit_points(tmp_path / "rows", capsys,
+                              lambda lines: lines[:-1])
+    assert code == 1
+    assert line.endswith(": header or shape differs")
+    # An added header cell needs its cell in every row.
+    code, line = _edit_points(tmp_path / "ragged", capsys,
+                              lambda lines: _append(lines)[:-1] + lines[-1:])
+    assert code == 1
+    assert line.endswith(": header or shape differs")
+    # Appended columns do not excuse a changed row count.
+    code, line = _edit_points(tmp_path / "both", capsys,
+                              lambda lines: _append(lines)[:-1])
+    assert code == 1
+    assert line.endswith(": header or shape differs")

@@ -27,7 +27,7 @@ from covertjam.fast_varying import (
     tau_given_chi,
     zeta_vector,
 )
-from covertjam.quadrature import gamma_rule, log_phi_exact
+from covertjam.quadrature import gamma_rules, log_phi_exact
 from covertjam.quasi_static import (
     _band_optimum,
     closed_form_solve,
@@ -351,6 +351,6 @@ def test_zeta_direct_route_equals_the_all_nodes_sum(log_q, n):
     # 2^-64; the value is the sum over every node, inlined here, bit for
     # bit.
     q = 10.0 ** log_q
-    s, w = gamma_rule(n)
+    s, w = gamma_rules([n])[0]
     full = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
     assert zeta_pairs([(q, n)])[0] == full

@@ -26,7 +26,6 @@ from covertjam.quadrature import (
     _spline_knots,
     _tridiagonal_solve,
     gamma_isf,
-    gamma_rule,
     gamma_rules,
     h0_energy_rule,
     log_phi_exact,
@@ -38,7 +37,7 @@ def test_gamma_rule_matches_gamma_moments():
     # Exact moments of Gamma(n, 1): E[1] = 1, E[s] = n, E[s^2] = n(n+1),
     # and the Laplace transform E[e^-s] = 2^-n.
     for n in (1.0, 10.0, 90.0, 300.0, 500.0):
-        s, w = gamma_rule(n)
+        s, w = gamma_rules([n])[0]
         assert abs(w.sum() - 1.0) < 1e-13
         assert abs(np.dot(w, s) / n - 1.0) < 1e-12
         assert abs(np.dot(w, s * s) / (n * (n + 1.0)) - 1.0) < 1e-12
@@ -46,22 +45,22 @@ def test_gamma_rule_matches_gamma_moments():
     # left tail of the node span as n grows; it certifies the rule only
     # at the orders where that region still carries resolvable weight.
     for n in (1.0, 10.0, 90.0):
-        s, w = gamma_rule(n)
+        s, w = gamma_rules([n])[0]
         assert abs(np.dot(w, np.exp(-s)) / 2.0 ** (-n) - 1.0) < 1e-10
 
 
 def test_gamma_rule_rejects_bad_shape():
     with pytest.raises(ValueError):
-        gamma_rule(0.5)
+        gamma_rules([0.5])
     # NaN and inf pass an `n < 1` check and once failed inside SciPy.
     for n in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="n must be finite and >= 1"):
-            gamma_rule(n, 8)
+            gamma_rules([n], 8)
     # A fractional order once built a rule of its ceiling's size, and
     # orders below 1 failed inside SciPy.
     for order in (2.5, 3.0, 0, -3):
         with pytest.raises(ValueError, match="order must be an integer >= 1"):
-            gamma_rule(5.0, order)
+            gamma_rules([5.0], order)
 
 
 def _laguerre_oracle(n, order, start):
@@ -91,7 +90,7 @@ def _laguerre_oracle(n, order, start):
 
 @pytest.mark.parametrize("n", [1.0, 7.5, 90.0])
 def test_gamma_rule_matches_laguerre_oracle(n):
-    s, w = gamma_rule(n, 32)
+    s, w = gamma_rules([n], 32)[0]
     nodes, weights = _laguerre_oracle(n, 32, s)
     for x, x_ref, v, v_ref in zip(s, nodes, w, weights):
         assert abs(x / float(x_ref) - 1.0) < 1e-13, (n, x, x_ref)
@@ -104,7 +103,7 @@ def test_gamma_rule_high_order_does_not_overflow(n, order):
     # The plain recurrence's p_k overflow at these orders; warnings are
     # errors under this suite's settings. At order 256 the farthest tail
     # weights lie below the smallest double and are 0.
-    s, w = gamma_rule(n, order)
+    s, w = gamma_rules([n], order)[0]
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     assert np.all(w[:order // 2] > 0.0)
     assert abs(w.sum() - 1.0) < 1e-13
@@ -118,7 +117,7 @@ def test_gamma_rule_bits_do_not_depend_on_batch_or_cache(monkeypatch):
     batch = gamma_rules(ns)
     for n, (s, w) in zip(ns, batch):
         monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
-        s1, w1 = gamma_rule(n)
+        s1, w1 = gamma_rules([n])[0]
         assert np.array_equal(s, s1) and np.array_equal(w, w1), n
 
 
@@ -159,7 +158,9 @@ def _dgtsv_port(ab, rhs):
 @pytest.mark.parametrize("knots", [_SPLINE_KNOTS, 4 * _SPLINE_KNOTS])
 def test_tridiagonal_solve_is_dgtsv_bits_on_spline_systems(knots):
     # The slope systems of the detection tables on both grid sizes,
-    # trimmed and untrimmed, with the right-hand side of ln Phi data.
+    # trimmed and untrimmed, with the right-hand side of ln Phi data; then
+    # random grids with z_max up to 1e12, half of them trimmed. None needs
+    # a row interchange, so each solve has dgtsv's bits.
     rng = np.random.default_rng(24)
     for z_max, z_min in ((2.9e3, 3.0), (1e9, _SPLINE_Z_LO), (5e5, 40.0)):
         t = _spline_knots(z_max, z_min, knots)
@@ -169,20 +170,42 @@ def test_tridiagonal_solve_is_dgtsv_bits_on_spline_systems(knots):
         assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes()
         y = log_phi_exact(0.3, np.exp(t), 90.0)
         assert np.array_equal(_not_a_knot_coeffs(t, y), CubicSpline(t, y).c)
+    lo = math.log(_SPLINE_Z_LO)
+    for trimmed in (False, True) * 6:
+        log_z_max = rng.uniform(lo, math.log(1e12))
+        log_z_min = rng.uniform(lo, log_z_max) if trimmed else lo
+        t = _spline_knots(math.exp(log_z_max), math.exp(log_z_min), knots)
+        ab = _slope_system(t)
+        rhs = rng.standard_normal(t.size) * np.exp(rng.uniform(-5, 5, t.size))
+        want = solve_banded((1, 1), ab, rhs)
+        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), \
+            (log_z_max, log_z_min)
 
 
-def test_tridiagonal_solve_is_dgtsv_bits_with_row_interchanges():
-    # Small diagonals force dgtsv's row interchange at most rows, the
-    # last one included; the singular system raises.
+def test_tridiagonal_solve_raises_where_dgtsv_would_interchange_rows():
+    # Diagonally dominant systems (pivots above 3.6, off-diagonal entries
+    # at most 1) keep their rows and have dgtsv's bits. A small diagonal
+    # entry at row r leaves a pivot below 0.3 there, below the entry
+    # of at least 0.5 under it, where dgtsv would interchange rows r and
+    # r + 1: the solve raises naming row r. A zero pivot raises as
+    # singular, at the last row too.
     rng = np.random.default_rng(25)
     for m in (2, 3, 4, 17, 200):
-        ab = rng.standard_normal((3, m))
-        ab[1] *= 1e-3
-        rhs = rng.standard_normal(m)
-        want = solve_banded((1, 1), ab, rhs)
-        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), m
-    with pytest.raises(ArithmeticError, match="singular"):
+        for r in sorted({0, m // 2 - 1, m - 2}):
+            ab = rng.uniform(0.5, 1.0, (3, m)) * rng.choice([-1.0, 1.0],
+                                                            (3, m))
+            ab[1] = 4.0
+            rhs = rng.standard_normal(m)
+            want = solve_banded((1, 1), ab, rhs)
+            assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), m
+            ab[1, r] = 1e-3 * rng.standard_normal()
+            with pytest.raises(ArithmeticError,
+                               match=f"row interchange at row {r}$"):
+                _dgtsv_port(ab, rhs)
+    with pytest.raises(ArithmeticError, match="singular.* at row 0$"):
         _tridiagonal_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(ArithmeticError, match="singular.* at row 1$"):
+        _tridiagonal_solve(np.ones(1), np.ones(2), np.ones(1), np.ones(2))
 
 
 @pytest.mark.parametrize("p", [1e-18, 1e-15, 1e-12, 1.0 - 1e-15, 1.0 - 1e-12])
