@@ -351,7 +351,7 @@ def _tridiagonal_solve(lower, main, upper, rhs) -> list:
     dl, d, du, b = (v.tolist() for v in (lower, main, upper, rhs))
     m = len(d)
     for i in range(m):
-        if d[i] == 0.0 or i < m - 1 and not abs(d[i]) >= abs(dl[i]):
+        if d[i] == 0.0 or (i < m - 1 and not abs(d[i]) >= abs(dl[i])):
             raise ArithmeticError(
                 f"tridiagonal system is singular or needs a row "
                 f"interchange at row {i}")

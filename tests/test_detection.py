@@ -202,8 +202,7 @@ def test_band_log_psi_table_at_n_d_1000_stays_within_its_gate():
     p, q, n = 3.16, 316.0, 1000.0
     psi = _BandLogPsi(p, q, n)
     t = psi.knots
-    first = max(np.searchsorted(t, np.log(max(psi.z_lo, np.exp(t[0]))),
-                                "right") - 1, 0)
+    first = max(np.searchsorted(t, np.log(psi._z_min), "right") - 1, 0)
     z = np.exp(np.linspace(t[first], t[-1], 20001))
     assert np.max(np.abs(psi(z) - log_psi(p, q, z, n))) <= _BAND_GATE
 

@@ -158,28 +158,28 @@ def _dgtsv_port(ab, rhs):
 @pytest.mark.parametrize("knots", [_SPLINE_KNOTS, 4 * _SPLINE_KNOTS])
 def test_tridiagonal_solve_is_dgtsv_bits_on_spline_systems(knots):
     # The slope systems of the detection tables on both grid sizes,
-    # trimmed and untrimmed, with the right-hand side of ln Phi data; then
-    # random grids with z_max up to 1e12, half of them trimmed. None needs
-    # a row interchange, so each solve has dgtsv's bits.
+    # trimmed and untrimmed, then random grids with z_max up to 1e12, half
+    # of them trimmed. None needs a row interchange, so each solve has
+    # dgtsv's bits; on the first three, so do the coefficients of ln Phi
+    # data against CubicSpline.
     rng = np.random.default_rng(24)
-    for z_max, z_min in ((2.9e3, 3.0), (1e9, _SPLINE_Z_LO), (5e5, 40.0)):
+    lo = math.log(_SPLINE_Z_LO)
+    grids = [(2.9e3, 3.0), (1e9, _SPLINE_Z_LO), (5e5, 40.0)]
+    for trimmed in (False, True) * 6:
+        log_z_max = rng.uniform(lo, math.log(1e12))
+        z_min = math.exp(rng.uniform(lo, log_z_max)) if trimmed \
+            else _SPLINE_Z_LO
+        grids.append((math.exp(log_z_max), z_min))
+    for k, (z_max, z_min) in enumerate(grids):
         t = _spline_knots(z_max, z_min, knots)
         ab = _slope_system(t)
         rhs = rng.standard_normal(t.size) * np.exp(rng.uniform(-5, 5, t.size))
         want = solve_banded((1, 1), ab, rhs)
-        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes()
-        y = log_phi_exact(0.3, np.exp(t), 90.0)
-        assert np.array_equal(_not_a_knot_coeffs(t, y), CubicSpline(t, y).c)
-    lo = math.log(_SPLINE_Z_LO)
-    for trimmed in (False, True) * 6:
-        log_z_max = rng.uniform(lo, math.log(1e12))
-        log_z_min = rng.uniform(lo, log_z_max) if trimmed else lo
-        t = _spline_knots(math.exp(log_z_max), math.exp(log_z_min), knots)
-        ab = _slope_system(t)
-        rhs = rng.standard_normal(t.size) * np.exp(rng.uniform(-5, 5, t.size))
-        want = solve_banded((1, 1), ab, rhs)
-        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), \
-            (log_z_max, log_z_min)
+        assert _dgtsv_port(ab, rhs).tobytes() == want.tobytes(), (z_max, z_min)
+        if k < 3:
+            y = log_phi_exact(0.3, np.exp(t), 90.0)
+            assert np.array_equal(_not_a_knot_coeffs(t, y),
+                                  CubicSpline(t, y).c)
 
 
 def test_tridiagonal_solve_raises_where_dgtsv_would_interchange_rows():
