@@ -6,16 +6,18 @@ Usage: python3 scripts/compare_runs.py A B
 For each file under either tree, prints "identical", or for a CSV that
 differs only in numbers the largest relative difference of a float cell
 and of an element of a ';'-joined vector cell (such as chi or gamma),
-each with its column and row, or what else differs. Integer columns
-(counts, indices, seeds, N_t, ...) must match exactly, and each
-mismatch is listed. Every audit.csv row whose `passed` or `sum_error`
-cell differs is listed with both values. When one CSV's header is the
-other's plus trailing columns, the shared columns are compared and the
-added or dropped ones are named. Exits 0 when the trees differ at most
-in float cells, vector elements and added trailing columns, and 1
-otherwise: on a changed integer or text cell, a flipped audit verdict, a
-changed vector length, a dropped or reordered column, a changed row
-count, or a file present on one side only.
+each with its column and row, or what else differs. Where the CSV has
+`method` or `sweep_value` columns, that row is also named by its cells
+there, since one column (fig2's `objective`) can hold several curves.
+Integer columns (counts, indices, seeds, N_t, ...) must match exactly,
+and each mismatch is listed. Every audit.csv row whose `passed` or
+`sum_error` cell differs is listed with both values. When one CSV's
+header is the other's plus trailing columns, the shared columns are
+compared and the added or dropped ones are named. Exits 0 when the
+trees differ at most in float cells, vector elements and added trailing
+columns, and 1 otherwise: on a changed integer or text cell, a flipped
+audit verdict, a changed vector length, a dropped or reordered column, a
+changed row count, or a file present on one side only.
 """
 
 import csv
@@ -27,6 +29,9 @@ from pathlib import Path
 INTEGER_COLUMNS = frozenset({
     "point_index", "scenario_index", "scenario_seed", "iteration", "K",
     "M", "N", "L", "N_d", "N_t", "trials", "n_ok", "n_failed"})
+
+# Columns whose cells name the row of a reported largest difference.
+LABEL_COLUMNS = ("method", "sweep_value")
 
 
 def _files(root: Path) -> set:
@@ -88,7 +93,7 @@ def compare_csv(a: Path, b: Path) -> tuple:
             if d is None:
                 text += 1
             elif d > worst[kind][0] or worst[kind][1] is None:
-                worst[kind] = (d, (col, i))
+                worst[kind] = (d, (col, i, ra))
     integer = len(details)
     if a.name == "audit.csv":
         for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
@@ -102,7 +107,11 @@ def compare_csv(a: Path, b: Path) -> tuple:
                         ("vector", "vector cells max rel diff")):
         d, where = worst[kind]
         if where is not None:
-            parts.append(f"{label} {d:.3g} ({where[0]}, row {where[1]})")
+            col, i, row = where
+            named = " ".join(f"{c}={row[header.index(c)]}"
+                             for c in LABEL_COLUMNS if c in header)
+            parts.append(f"{label} {d:.3g} ({col}, row {i})"
+                         + (f" at {named}" if named else ""))
     if integer:
         parts.append(f"{integer} integer cells differ")
     if text:

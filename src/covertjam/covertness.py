@@ -7,9 +7,10 @@ quadratic coefficient zeta, the Pinsker multi-block budget, and the KL
 divergence and Bhattacharyya affinity of the limiting band densities
 behind the Pinsker and Hellinger bounds.
 
-Everything here is numpy and the standard library: the few special
-functions the bounds need (the inverse of eta, digamma, the ln Gamma ratio
-of the Bhattacharyya affinity) are solved or summed in place.
+Everything here is numpy and the standard library. The inverse of eta is
+solved in place, and the limiting band law's TV, KL divergence and
+Bhattacharyya affinity are integrals of its one likelihood ratio on the
+same Gauss-Legendre panels (`_limit_panels`).
 
 Normalization convention: band quantities p = p_hat/sigma2_A and
 q = q_hat/sigma2_A are dimensionless; chi = p/q = p_hat/q_hat is the
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .quadrature import (
     _LEG_NODES,
@@ -30,7 +30,6 @@ from .quadrature import (
     _h0_energy_window,
     _panel_rule,
     _require_h0_law,
-    _stirling_remainder,
     gamma_rules,
     h0_energy_finish,
     h0_energy_layout,
@@ -72,21 +71,11 @@ _ZETA_CACHE: dict = {}
 
 # Largest chi solve_chi_star returns; eta(chi) -> 1/e as chi -> 1.
 _CHI_TOP = 1.0 - 1e-12
-# Gamma(3/2), band_affinity's constant factor.
-_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
-
-# zeta(m + 1) - 1/m, m = 1..16, correctly rounded: limit_kl's power series.
-_LIMIT_KL_SERIES = (
-    0.6449340668482264, 0.7020569031595942, 0.7489899003778049,
-    0.7869277551433699, 0.8173430619844492, 0.8416826107152562,
-    0.8612202133408015, 0.8770083928260822, 0.8898834640167069,
-    0.9004941886041194, 0.9093369956442171, 0.9167893800142451,
-    0.9231381712119818, 0.9286020168077356, 0.933348615592742,
-    0.9375076371976379)
-# B_2k / (2k), k = 1..7: the asymptotic series of digamma, whose remainder
-# is below 2e-18 from a = 12 on.
-_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
-                   -691 / 32760, 1 / 12)
+# Below this chi the limiting band law's functionals take their leading
+# terms, exact to rounding. Above it `_limit_panels` takes at most 123
+# panels; its count overflows near chi = 1e-300 and its first width is 0
+# at 5e-324.
+_LIMIT_TINY_CHI = 1e-20
 
 
 def eta(x):
@@ -122,29 +111,24 @@ def tv_limit(chis) -> float:
     over t2 is r1 u_+^{1/(1 - chi2)}, u = 1 - (1 - chi2)/r1, in closed form,
     and the integral over t is smooth past the kink t0 where u = 0. Band 1
     has the larger chi, so the value is symmetric. It runs in s = t - t0 on
-    20-point Gauss-Legendre panels doubling in width from 2^-50 min(x1, 1)
-    past s = 60. ln u is log1p(-q), q = 1 - u, where q < 1/2, and near the
-    kink ln(d (1 - e^{-s/x1})/(1 - e^{-t/x1})), d = chi1 + chi2 - chi1 chi2,
-    free of the cancellation in 1 - q. Below chi1 = 1e-20 the TV is
-    eta1 + eta2 to rounding.
+    the panels of `_limit_panels(x1)`. ln u is log1p(-q), q = 1 - u, where
+    q < 1/2, and near the kink ln(d (1 - e^{-s/x1})/(1 - e^{-t/x1})),
+    d = chi1 + chi2 - chi1 chi2, free of the cancellation in 1 - q. Below
+    chi1 = 1e-20 the TV is eta1 + eta2 to rounding.
     """
     chis = np.asarray(chis, dtype=float)
     if chis.shape != (2,):
         raise ValueError(f"tv_limit takes exactly two bands, got {chis}")
     _require_chi(chis)
     chi2, chi1 = (float(c) for c in np.sort(chis))
-    if chi1 < 1e-20:
-        # eta1 + eta2 - TV ~ chi1 chi2 ln(1/chi1) is below an ulp of the
-        # sum, and at subnormal chi the panel widths below underflow.
+    if chi1 < _LIMIT_TINY_CHI:
+        # eta1 + eta2 - TV ~ chi1 chi2 ln(1/chi1) is below an ulp of the sum.
         return float(eta(chi1) + eta(chi2))
     x1 = chi1 / (1.0 - chi1)
     c = (1.0 - chi1) * (1.0 - chi2)
     d = chi1 + chi2 - chi1 * chi2
     t0 = -x1 * (math.log1p(-c) if c < 0.5 else math.log(d))
-    first = 2.0 ** -50 * min(x1, 1.0)
-    edges = np.append(0.0, np.ldexp(
-        first, np.arange(math.ceil(math.log2(60.0 / first)) + 1)))
-    s, weights = _panel_rule(edges, _LEG_NODES, _LEG_WEIGHTS)
+    s, weights = _limit_panels(x1)
     t = t0 + s
     with np.errstate(divide="ignore", invalid="ignore"):
         em = -np.expm1(-t / x1)
@@ -153,6 +137,18 @@ def tv_limit(chis) -> float:
                         np.log(d * -np.expm1(-s / x1) / em))
         f = np.exp(-t + np.log(em) - math.log1p(-chi1) + ln_u / (1.0 - chi2))
     return float(np.dot(weights, f))
+
+
+def _limit_panels(x: float) -> tuple:
+    """Nodes and weights in t >= 0 for the limiting band law at x =
+    chi/(1 - chi): 20-point Gauss-Legendre panels doubling in width from
+    2^-50 min(x, 1) until they pass t = 60, where e^-t is below 1e-26. The
+    geometric widths resolve the likelihood ratio's ln t and sqrt t ends at
+    t = 0 and its bend at t ~ x."""
+    first = 2.0 ** -50 * min(x, 1.0)
+    edges = np.append(0.0, np.ldexp(
+        first, np.arange(math.ceil(math.log2(60.0 / first)) + 1)))
+    return _panel_rule(edges, _LEG_NODES, _LEG_WEIGHTS)
 
 
 def _require_p_below_q(p: float, q: float) -> None:
@@ -345,55 +341,40 @@ def pinsker_budget(kls, L: int) -> float:
 def limit_kl(chi: float) -> float:
     """KL(jamming-only || with-transmission) of the limiting band densities.
 
-    In the scale-free variable t the reference density is e^{-t} and the
-    transmission one is (e^{-t} - e^{-t/chi})/(1 - chi). Expanding
-    ln(1 - e^{-t/x}), x = chi/(1 - chi), termwise gives the closed form
-    D = ln(1 - chi) + psi(1/(1 - chi)) + gamma_E, with D(0) = 0. For
-    x < 0.05 that sum cancels to D ~ 0.64 x, so the power series
-    D = sum_m (-1)^(m+1) (zeta(m+1) - 1/m) x^m is used instead; both agree
-    to about 1e-15 relative at the switch.
+    D = E[-ln r(t)] for t ~ Exp(1), with r the band's likelihood ratio of
+    `tv_limit`, on `_limit_panels(x)`. ln r is ln(-expm1(-t/x)/(1 - chi))
+    below t/x = ln 2, one log of a product free of the cancellation of
+    ln(1 - chi) as chi -> 1, and log1p(-e^{-t/x}) - log1p(-chi) above it,
+    which keeps the small size of ln r as chi -> 0. Below chi = 1e-20,
+    D = (zeta(2) - 1) x to rounding.
     """
     _require_chi(chi)
     x = chi / (1.0 - chi)
-    if x < 0.05:
-        return x * float(polyval(-x, _LIMIT_KL_SERIES))
-    return math.log1p(-chi) + _digamma(1.0 / (1.0 - chi)) + np.euler_gamma
-
-
-def _digamma(a: float) -> float:
-    """psi(a) for a > 0: the recurrence psi(a) = psi(a + 1) - 1/a up to
-    a >= 12, then the asymptotic series ln a - 1/(2a) - sum_k B_2k/(2k a^2k)."""
-    shift = 0.0
-    while a < 12.0:
-        shift += 1.0 / a
-        a += 1.0
-    r = 1.0 / (a * a)
-    series = 0.0
-    for c in reversed(_DIGAMMA_SERIES):
-        series = series * r + c
-    return math.log(a) - 0.5 / a - r * series - shift
+    if chi < _LIMIT_TINY_CHI:
+        return (math.pi ** 2 / 6.0 - 1.0) * x
+    t, weights = _limit_panels(x)
+    u = t / x
+    with np.errstate(divide="ignore"):
+        ln_r = np.where(u < math.log(2.0),
+                        np.log(-np.expm1(-u) / (1.0 - chi)),
+                        np.log1p(-np.exp(-u)) - math.log1p(-chi))
+    return -float(np.dot(weights, np.exp(-t) * ln_r))
 
 
 def band_affinity(chi: float) -> float:
     """Bhattacharyya affinity of the limiting band densities, in (0, 1].
 
-    int_0^inf e^{-t} sqrt((1 - e^{-t/x})/(1 - chi)) dt with
-    x = chi/(1 - chi); substituting u = e^{-t/x} gives
-    x B(x, 3/2) / sqrt(1 - chi) = Gamma(3/2) Gamma(a) / (Gamma(a + 1/2)
-    sqrt(1 - chi)), a = x + 1, with rho(0) = 1. The ln Gamma ratio takes
-    Stirling's form of both terms, whose large parts cancel in closed form
-    to -ln(a)/2 + (1 - ln(1 + u)/u)/2, u = 1/(2a), plus the difference of
-    the Stirling remainders: differencing two ln Gammas of size a ln a
-    would lose about 1e-7 relative at x ~ 1e9.
+    rho = E[sqrt(r(t))] for t ~ Exp(1), with r the band's likelihood ratio
+    of `tv_limit`, on `_limit_panels(x)`. Below chi = 1e-20, 1 - rho ~
+    0.11 x is below an ulp of 1, so rho = 1.
     """
     _require_chi(chi)
-    if chi == 0.0:
+    if chi < _LIMIT_TINY_CHI:
         return 1.0
-    a = chi / (1.0 - chi) + 1.0
-    u = 0.5 / a
-    log_ratio = 0.5 * (1.0 - math.log1p(u) / u) - 0.5 * math.log(a) \
-        + _stirling_remainder(a) - _stirling_remainder(a + 0.5)
-    return _HALF_SQRT_PI * math.exp(log_ratio) / math.sqrt(1.0 - chi)
+    x = chi / (1.0 - chi)
+    t, weights = _limit_panels(x)
+    return float(np.dot(weights, np.exp(-t) * np.sqrt(-np.expm1(-t / x)))) \
+        / math.sqrt(1.0 - chi)
 
 
 def hellinger_bound(affinity: float) -> float:

@@ -31,13 +31,13 @@ itself (one knot lookup, then the cubic). Its knot grid and trim
 (`_spline_knots`), fit and certificate (`_certificate_error`) also build
 the detection oracle's ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law on Gauss-Legendre
-panels (`_panel_rule`, which `covertness.tv_limit` shares); `gamma_rules`
-integrate against Gamma(n, 1), built in one batch per call from the Jacobi
-matrices' eigenvalues and the Christoffel weights of the three-term
-recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
+panels (`_panel_rule`, which `covertness._limit_panels` shares);
+`gamma_rules` integrate against Gamma(n, 1), built in one batch per call
+from the Jacobi matrices' eigenvalues and the Christoffel weights of the
+three-term recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
 tail, for the support windows of the H0 energy rule and the detection
-tables, and `_stirling_remainder` is the one Stirling series of ln Gamma,
-shared by the tail and the Bhattacharyya affinity's ln Gamma ratio.
+tables, and `_stirling_remainder`, the Stirling series of ln Gamma, forms
+the density prefactor of that tail with no large logs cancelling.
 Everything here is numpy and the standard library.
 """
 

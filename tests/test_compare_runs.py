@@ -136,3 +136,36 @@ def test_a_reordered_header_or_changed_row_count_fails(tmp_path, capsys):
                               lambda lines: _append(lines)[:-1])
     assert code == 1
     assert line.endswith(": header or shape differs")
+
+
+def _fig2_points(hellinger: float) -> str:
+    """Three curves at two sweep values in one objective column; the last
+    row, the Hellinger bound at 0.1, reads `hellinger`."""
+    values = {"tv_numeric": 0.07, "pinsker_bound": 0.18,
+              "hellinger_bound": 0.15}
+    lines = ["figure,point_index,sweep_value,method,objective\n"]
+    for i, chi in enumerate(("0.05", "0.1")):
+        for method, value in values.items():
+            lines.append(f"fig2,{i},{chi},{method},{value!r}\n")
+    lines[-1] = lines[-1].replace("0.15", repr(hellinger))
+    return "".join(lines)
+
+
+def test_the_largest_difference_names_its_method_and_sweep_value(
+        tmp_path, capsys):
+    trees = []
+    for side, hellinger in (("a", 0.15), ("b", math.nextafter(0.15, 1.0))):
+        (tmp_path / side / "fig2").mkdir(parents=True)
+        (tmp_path / side / "fig2" / "points.csv").write_text(
+            _fig2_points(hellinger))
+        trees.append(str(tmp_path / side))
+    code = compare_runs.main(["compare_runs.py", *trees])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.rstrip().endswith(
+        "(objective, row 6) at method=hellinger_bound sweep_value=0.1")
+    # With a method column only, the row is named by its method.
+    code, out = _run(tmp_path / "fig7", capsys,
+                     chi=(_CHI[0], math.nextafter(_CHI[1], 1.0)))
+    line = next(s for s in out.splitlines() if "points.csv" in s)
+    assert line.endswith("(chi, row 1) at method=es")

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -384,15 +385,18 @@ def test_pinsker_budget_formula():
 def test_limit_density_closed_forms_match_mpmath_quadrature():
     # Independent oracle: 30-digit quadrature of the defining integrals in
     # the scale-free variable t, reference density e^-t, transmission
-    # density (e^-t - e^-(t/chi)) / (1 - chi).
+    # density (e^-t - e^-(t/chi)) / (1 - chi), against the double-precision
+    # panel rule of both functionals. The grid spans x = chi/(1 - chi) from
+    # 1e-12 to 1e9. 0.0516, x just above 0.05, is where D's digamma closed
+    # form, switched to its power series below x = 0.05, loses most to
+    # cancellation (1.4e-14 there); the last two put the log and
+    # square-root ends at t = 0 far below the bend at t ~ x.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     assert limit_kl(0.0) == 0.0
     assert band_affinity(0.0) == 1.0
-    # The last two reach the large-x branches: digamma's asymptotic series
-    # at 1/(1 - chi) up to 1e9 and the affinity's ln Gamma ratio there.
     for chi in np.append(np.geomspace(1e-12, 0.9999, 19),
-                         [1.0 - 1e-6, 1.0 - 1e-9]):
+                         [0.0516, 1.0 - 1e-6, 1.0 - 1e-9]):
         c = mpmath.mpf(float(chi))
         rate = (1 - c) / c
         breaks = [0, c, 1, 10, mpmath.inf]
@@ -400,9 +404,23 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
             mpmath.log(1 - c) - mpmath.log(-mpmath.expm1(-rate * t))), breaks)
         rho = mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.sqrt(
             -mpmath.expm1(-rate * t) / (1 - c)), breaks)
-        assert abs(limit_kl(float(chi)) - float(kl)) <= 1e-10 * float(kl)
+        assert abs(limit_kl(float(chi)) - float(kl)) <= 1e-14 * float(kl)
         assert abs(band_affinity(float(chi)) - float(rho)) <= \
-            1e-10 * float(rho)
+            1e-14 * float(rho)
+
+
+def test_limit_density_functionals_take_their_leading_terms_at_tiny_chi():
+    # Below chi = 1e-20, D = (zeta(2) - 1) x and rho = 1 to rounding: the
+    # panel rule's count would overflow at 1e-300 and its first width
+    # would be 0 at 5e-324.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chi, kl in ((0.0, 0.0), (5e-324, 5e-324),
+                        (1e-310, 6.4493406684823e-311),
+                        (1e-300, 6.449340668482264e-301),
+                        (1e-25, 0.6449340668482264 * 1e-25)):
+            assert limit_kl(chi) == kl, chi
+            assert band_affinity(chi) == 1.0, chi
 
 
 def test_single_band_tv_speed():

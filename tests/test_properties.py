@@ -10,10 +10,15 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
 from covertjam.covertness import (
+    band_affinity,
     eta,
+    hellinger_bound,
     kl_divergence,
+    limit_kl,
     log_psi,
+    pinsker_budget,
     solve_chi_star,
+    tv_limit,
     tv_upper_bound,
     zeta,
     zeta_pairs,
@@ -44,6 +49,8 @@ from covertjam.scenario import (
 from model_facts import beamforming_stats
 
 unit = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
+log_unit = st.floats(min_value=math.log(1e-9),
+                     max_value=math.log1p(-1e-9)).map(math.exp)
 
 
 @given(unit)
@@ -65,6 +72,21 @@ def test_eta_midpoint_concave(x, y):
     mid = float(eta(0.5 * (x + y)))
     chord = 0.5 * (float(eta(x)) + float(eta(y)))
     assert mid >= chord - 1e-13
+
+
+@given(log_unit, log_unit)
+def test_limiting_law_tv_lies_between_its_affinity_and_kl_bounds(c1, c2):
+    # One likelihood ratio, three functionals: Le Cam's 1 - rho below the
+    # exact TV, the Hellinger and Pinsker bounds above it, and a zero band
+    # leaves the other's eta.
+    rho = band_affinity(c1) * band_affinity(c2)
+    tv = tv_limit([c1, c2])
+    upper = min(hellinger_bound(rho),
+                pinsker_budget([limit_kl(c1), limit_kl(c2)], 1))
+    assert 1.0 - rho <= tv * (1.0 + 1e-13)
+    assert tv <= upper * (1.0 + 1e-13)
+    for c in (c1, c2):
+        assert abs(tv_limit([c, 0.0]) - eta(c)) <= 1e-14 * eta(c)
 
 
 @given(st.floats(min_value=1e-6, max_value=0.99))
