@@ -11,13 +11,13 @@ each with its column and row, or what else differs. Where the CSV has
 there, since one column (fig2's `objective`) can hold several curves.
 Integer columns (counts, indices, seeds, N_t, ...) must match exactly,
 and each mismatch is listed. Every audit.csv row whose `passed` or
-`sum_error` cell differs is listed with both values. When one CSV's
-header is the other's plus trailing columns, the shared columns are
-compared and the added or dropped ones are named. Exits 0 when the
-trees differ at most in float cells, vector elements and added trailing
-columns, and 1 otherwise: on a changed integer or text cell, a flipped
-audit verdict, a changed vector length, a dropped or reordered column, a
-changed row count, or a file present on one side only.
+`sum_error` cell differs is listed with both values. Columns are matched
+by name: the shared ones are compared wherever they sit, and the added
+and dropped ones are named. Exits 0 when the trees differ at most in
+float cells, vector elements and added columns, and 1 otherwise: on a
+changed integer or text cell, a flipped audit verdict, a changed vector
+length, a dropped column, shared columns in another order, a changed row
+count, or a file present on one side only.
 """
 
 import csv
@@ -72,13 +72,21 @@ def compare_csv(a: Path, b: Path) -> tuple:
     rows_a, rows_b = _read_csv(a), _read_csv(b)
     if not rows_a or not rows_b or len(rows_a) != len(rows_b):
         return "header or shape differs", [], False
-    # Columns past the shorter header are added (in b) or dropped (from a);
-    # zip below compares the shared ones.
-    extra = len(rows_b[0]) - len(rows_a[0])
-    header = rows_a[0][:len(rows_a[0]) + min(extra, 0)]
-    if (rows_b[0][:len(header)] != header
-            or any(len(s) - len(r) != extra for r, s in zip(rows_a, rows_b))):
+    head_a, head_b = rows_a[0], rows_b[0]
+    # Columns are matched by name, so an added or dropped one may sit
+    # anywhere; the shared ones must keep their order.
+    header = [c for c in head_a if c in head_b]
+    added = [c for c in head_b if c not in head_a]
+    dropped = [c for c in head_a if c not in head_b]
+    if (len(set(head_a)) < len(head_a) or len(set(head_b)) < len(head_b)
+            or [c for c in head_b if c in head_a] != header
+            or any(len(r) != len(head_a) for r in rows_a)
+            or any(len(r) != len(head_b) for r in rows_b)):
         return "header or shape differs", [], False
+    cols_a = [head_a.index(c) for c in header]
+    cols_b = [head_b.index(c) for c in header]
+    rows_a = [[r[j] for j in cols_a] for r in rows_a]
+    rows_b = [[r[j] for j in cols_b] for r in rows_b]
     worst = {"float": (0.0, None), "vector": (0.0, None)}
     text, details, flips = 0, [], 0
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
@@ -117,11 +125,10 @@ def compare_csv(a: Path, b: Path) -> tuple:
     if text:
         parts.append(f"{text} non-float cells differ")
     summary = ", ".join(parts) or "identical cells"
-    if extra:
-        change, longer = ("added", rows_b[0]) if extra > 0 else \
-            ("dropped", rows_a[0])
-        summary += f"; columns {change}: " + ", ".join(longer[len(header):])
-    return summary, details, not (integer or text or flips or extra < 0)
+    for change, names in (("added", added), ("dropped", dropped)):
+        if names:
+            summary += f"; columns {change}: " + ", ".join(names)
+    return summary, details, not (integer or text or flips or dropped)
 
 
 def main(argv) -> int:

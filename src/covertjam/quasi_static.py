@@ -54,6 +54,8 @@ _X_HI = 1.0 - 1e-12
 # SCA stops once the relative objective change is below _SCA_TOL.
 _SCA_TOL = 1e-6
 _SCA_MAX_ITER = 100
+# Bracket of the SCA subproblem's dual w = 1/lambda; w starts cold at _W_HI.
+_W_LO, _W_HI = 2.0**-61, 1e12
 
 
 @dataclass
@@ -105,12 +107,12 @@ def single_receiver_gamma(A1, B1, chi_cap):
     Vectorized over broadcast (A1, B1, chi_cap); scalar inputs give a
     float. The optimum gamma* = 1/kappa* where kappa* is the unique root of
     Xi(kappa) = B above ln(B)/(A chi). In m = A chi kappa the root solves
-    the convex F(m) = 0 of `residual` below on the bracket [ln B, ln B + 60]:
+    the convex F(m) = 0 of `_gamma_roots` on the bracket [ln B, ln B + 60]:
     F < 0 at the outage edge m = ln B, and F > 0 at the right end for every
     finite input, since phi < 711 there keeps ln(1 + m phi) below 14.
-    Newton from the right end (`roots.increasing_roots`) converges
-    monotonically and stops above the root, so the returned gamma keeps
-    the outage factor B e^{-m} below 1.
+    Newton starts cold at the right end here, converges monotonically and
+    stops above the root, so the returned gamma keeps the outage factor
+    B e^{-m} below 1.
     """
     a, b, chi = np.broadcast_arrays(*(np.asarray(v, float)
                                       for v in (A1, B1, chi_cap)))
@@ -119,7 +121,21 @@ def single_receiver_gamma(A1, B1, chi_cap):
     if not np.all((chi > 0.0) & (chi < 1.0)):
         raise ValueError("chi_cap must lie in (0, 1)")
     a_chi, ln_b = (a * chi).ravel(), np.log(b).ravel()
+    m = _gamma_roots(a_chi, ln_b)
+    gamma = (a_chi / m).reshape(chi.shape)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
+
+def _gamma_roots(a_chi, ln_b, start=None):
+    """Roots m of `single_receiver_gamma`'s F(m; A chi), flat, by Newton.
+
+    Each row starts at `start`, which must not lie below its root: the
+    root at a larger A chi of the same band (`poa_solve`), or by default
+    the cold start ln B + 60. phi(kappa) decreases in kappa = m / (A chi),
+    so F falls as A chi grows and the root m*(A chi) is nondecreasing in
+    it. Newton on the convex, increasing F then descends monotonically
+    from either start.
+    """
     def residual(m, rows):
         """F(m) = ln(e^m / (B (1 + m phi))), dF/dm and F's rounding floor.
 
@@ -138,9 +154,9 @@ def single_receiver_gamma(A1, B1, chi_cap):
         return m - ln_b[rows] - np.log1p(m * phi), \
             1.0 - dphi / (1.0 + m * phi), 1e-15 * m
 
-    m = increasing_roots(residual, ln_b + 60.0, ln_b, ln_b + 60.0)
-    gamma = (a_chi / m).reshape(chi.shape)
-    return float(gamma) if gamma.ndim == 0 else gamma
+    hi = ln_b + 60.0
+    return increasing_roots(residual, hi if start is None else start, ln_b,
+                            hi)
 
 
 def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
@@ -167,6 +183,18 @@ def _best_response(A, B, chi):
     live = chi > 0.0
     gamma[live] = single_receiver_gamma(a[live], b[live], chi[live])
     return gamma, effective_rate(chi, gamma, a, b)
+
+
+def _grid_rates(a, b, chi, start=None):
+    """Best-response rates and roots m of bands (a, b) (rows) at share grid
+    points chi > 0 (columns), each root found from `start` (see
+    `_gamma_roots`). Cold, they have the bits of `_best_response`."""
+    a_chi = a * chi
+    ln_b = np.log(np.broadcast_to(b, a_chi.shape).ravel())
+    m = _gamma_roots(a_chi.ravel(), ln_b,
+                     start if start is None else start.ravel())
+    m = m.reshape(a_chi.shape)
+    return effective_rate(chi, a_chi / m, a, b), m
 
 
 def _refine(coarse: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -251,7 +279,12 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
 
     The share grid depends on (epsilon, G) only and is cached across
     solves (`_share_grid`); each doubling solves only its new, odd grid
-    points and table columns, with the bits of a rebuilt table.
+    points and table columns. Next to the rate table it keeps each
+    entry's threshold root m, and a new column's roots start at those of
+    its right neighbour (a larger chi), which bound them from above
+    (`_gamma_roots`). Stopped by the same floor from nearer starts, they
+    put the table within a few ulps of a cold rebuild. The first round,
+    the warm start and the returned point start their roots cold.
 
     The name and the "poa" method label predate this search: they were
     kept for the polyblock outer approximation it replaced, because run
@@ -261,6 +294,10 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     incumbent, so the returned value never falls below it.
     """
     k = params.K
+    # QuasiStaticParams admits them, and the grid's root solves skip
+    # single_receiver_gamma's check.
+    if not np.all(np.isfinite(params.A) & np.isfinite(params.B)):
+        raise ValueError("A and B must be finite")
     best_point = np.zeros(k)
     best_value = 0.0
     if warm_start is not None:
@@ -276,10 +313,14 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     converged, grid = False, _GRID_START
     while not converged and grid <= _GRID_CAP:
         chi = _share_grid(params.epsilon, grid)
-        if grid == _GRID_START:
-            table = _best_response(a, b, chi)[1]
-        else:  # the previous round's table holds the even columns
-            table = _refine(table, _best_response(a, b, chi[1::2])[1])
+        if grid == _GRID_START:  # cold; chi = 0 has zero rate and no root
+            rates, m = _grid_rates(a, b, chi[1:])
+            table = np.concatenate((np.zeros((k, 1)), rates), axis=1)
+            roots = np.concatenate((np.full((k, 1), np.nan), m), axis=1)
+        else:  # the previous round's tables hold the even columns, and the
+            # root at each odd point's right neighbour bounds its own
+            rates, m = _grid_rates(a, b, chi[1::2], roots[:, 1:])
+            table, roots = _refine(table, rates), _refine(roots, m)
         (_, shares), (bound, _) = _split_dp(table, (grid, grid + k - 1))
         low = float(np.sum(table[np.arange(k), shares]))
         if low > best_value:
@@ -306,7 +347,12 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
 
 @dataclass
 class ScaState:
-    """One iterate of the successive convex approximation."""
+    """One iterate of the successive convex approximation.
+
+    `dual` is the w = 1/lambda of the subproblem that produced the iterate,
+    where the next subproblem's dual search starts; the default is the
+    search's cold start.
+    """
 
     t: np.ndarray
     gamma: np.ndarray
@@ -314,6 +360,7 @@ class ScaState:
     beta: np.ndarray
     iteration: int
     objective: float
+    dual: float = _W_HI
 
     def __post_init__(self):
         for name in ("t", "gamma", "alpha", "beta"):
@@ -454,8 +501,10 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     exactly by `_band_optimum` and checked for stationarity (a failed check
     raises ArithmeticError). The ellipsoid residual r falls with lam, so
     `roots.increasing_root` solves r = -floor (r's rounding floor) in
-    w = 1/lam on [2^-61, 1e12], where bisection halves ln lam; r is then
-    at most two floors below zero and never above it.
+    w = 1/lam on [2^-61, 1e12], where bisection halves ln lam, starting at
+    `state.dual` (clamped into the bracket), the last subproblem's w. r
+    is then never above zero, and at most two floors below it unless the
+    band solves' rounding closes the bracket first, a few ulps of w wide.
     """
     # A band whose power product has collapsed stays frozen at zero rate;
     # its coordinate would make the trust weights degenerate.
@@ -480,7 +529,8 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
             feasible[w] = sol
         return r + floor, pull / (w * w), floor
 
-    w = increasing_root(residual, 1e12, 2.0**-61, 1e12)
+    w = increasing_root(residual, min(max(state.dual, _W_LO), _W_HI),
+                        _W_LO, _W_HI)
     if w not in feasible:
         raise ArithmeticError("no dual multiplier up to 2^61 keeps the "
                               "SCA step inside its trust ellipsoid")
@@ -490,7 +540,7 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     alpha, beta, t, gamma = full
     return ScaState(t=t, gamma=gamma, alpha=alpha, beta=beta,
                     iteration=state.iteration + 1,
-                    objective=float(np.dot(alpha, beta)))
+                    objective=float(np.dot(alpha, beta)), dual=w)
 
 
 def sca_solve(params: QuasiStaticParams) -> QsSolveResult:

@@ -138,6 +138,49 @@ def test_a_reordered_header_or_changed_row_count_fails(tmp_path, capsys):
     assert line.endswith(": header or shape differs")
 
 
+def _columns(lines, drop=None, insert=None):
+    """Lines without column `drop`, or with a column `insert` (its cells
+    0.01) after `objective`."""
+    out = []
+    for i, line in enumerate(lines):
+        cells = line.rstrip("\n").split(",")
+        if insert:
+            if i == 0:
+                at = cells.index("objective") + 1
+            cells.insert(at, insert if i == 0 else "0.01")
+        if drop:
+            if i == 0:
+                gone = cells.index(drop)
+            del cells[gone]
+        out.append(",".join(cells) + "\n")
+    return out
+
+
+def test_columns_are_matched_by_name_wherever_they_sit(tmp_path, capsys):
+    # An inserted column shifts the shared ones, which are still compared.
+    code, line = _edit_points(tmp_path / "ci", capsys,
+                              lambda lines: _columns(lines, insert="ci"),
+                              n_t="11")
+    assert code == 1
+    assert "1 integer cells differ" in line
+    assert line.endswith("; columns added: ci")
+    moved = (_CHI[0], math.nextafter(_CHI[1], 1.0))
+    code, line = _edit_points(tmp_path / "ulp", capsys,
+                              lambda lines: _columns(lines, insert="ci"),
+                              chi=moved)
+    assert code == 0
+    assert "vector cells max rel diff" in line and "(chi, row 1)" in line
+    assert line.endswith("; columns added: ci")
+    # A dropped middle column fails but does not stop the comparison.
+    code, line = _edit_points(
+        tmp_path / "drop", capsys,
+        lambda lines: _columns(lines, drop="objective", insert="ci"),
+        chi=moved)
+    assert code == 1
+    assert "vector cells max rel diff" in line
+    assert line.endswith("; columns added: ci; columns dropped: objective")
+
+
 def _fig2_points(hellinger: float) -> str:
     """Three curves at two sweep values in one objective column; the last
     row, the Hellinger bound at 0.1, reads `hellinger`."""

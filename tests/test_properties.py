@@ -1,14 +1,17 @@
 """Property-based checks: eta shape, constraint activity, solver residuals."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
+from covertjam import quasi_static
 from covertjam.covertness import (
     band_affinity,
     eta,
@@ -35,10 +38,14 @@ from covertjam.fast_varying import (
 from covertjam.quadrature import gamma_rules, log_phi_exact
 from covertjam.quasi_static import (
     _band_optimum,
+    _gamma_roots,
     closed_form_solve,
+    default_sca_state,
     poa_solve,
+    sca_subproblem,
     single_receiver_gamma,
 )
+from covertjam.roots import increasing_root
 from covertjam.scenario import (
     ScenarioConfig,
     derive_fast_varying,
@@ -125,6 +132,28 @@ def test_threshold_stationarity_residual(log_a, log_bm1, log_chi):
     for value, point in zip(batch, points):
         scalar = single_receiver_gamma(*point)
         assert abs(value - scalar) <= 1e-14 * scalar
+
+
+_LOG_CHI = st.floats(min_value=-12.0, max_value=-1e-3)
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=-2.0, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=3.0), _LOG_CHI, _LOG_CHI)
+def test_gamma_root_rises_with_a_chi_and_starts_from_its_neighbour(
+        log_a, log_bm1, log_chi1, log_chi2):
+    # POA starts each new grid point's root at its right neighbour's. Below
+    # B - 1 = 1e-3, F flattens at its root, and the stop rule |F| <= 1e-15 m
+    # pins any root, cold or warm, only to about 1e-15 m / F'(m).
+    a, b = 10.0 ** log_a, 1.0 + 10.0 ** log_bm1
+    chi1, chi2 = sorted((10.0 ** log_chi1, 10.0 ** log_chi2))
+    assume(chi1 < chi2)
+    ln_b = np.log(np.full(2, b))
+    m = _gamma_roots(a * np.array([chi1, chi2]), ln_b)
+    assert m[0] <= m[1]
+    warm = _gamma_roots(a * np.array([chi1]), ln_b[:1], m[1:])[0]
+    assert abs(warm - m[0]) <= 1e-13 * m[0]
+    assert b * math.exp(-warm) < 1.0
 
 
 _DECADE = st.floats(min_value=-30.0, max_value=30.0)
@@ -329,6 +358,67 @@ def test_band_optimum_matches_nested_reference(log_rho, log_l1, log_l2,
         assert gx <= tol
     else:
         assert abs(gx) <= tol
+
+
+def _logged_subproblem(state, params):
+    """sca_subproblem(state, params) and the (w, f, df, floor) of each
+    evaluation of its dual search."""
+    seen = []
+
+    def search(fn, y, lo, hi):
+        if (lo, hi) != (quasi_static._W_LO, quasi_static._W_HI):
+            return increasing_root(fn, y, lo, hi)  # a band solve
+
+        def logged(w):
+            seen.append((w, *fn(w)))
+            return seen[-1][1:]
+        return increasing_root(logged, y, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasi_static, "increasing_root", search)
+        return sca_subproblem(state, params), seen
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.floats(min_value=-61.0 * math.log(2.0),
+                 max_value=math.log(1e12)).map(math.exp),
+       st.sampled_from((15.0, 20.0, 25.0, 30.0, 35.0)))
+# Two starts whose dual searches close their brackets 3.5 and 3.4 floors
+# below zero (the cold start does so in about 1 of 2000 random cases).
+@example(475859, 3, 3, 4.570217353398267e-09, 35.0)
+@example(25153, 2, 3, 0.07495547163100899, 35.0)
+def test_sca_subproblem_from_any_dual_start_matches_the_cold_start(
+        seed, k, steps, dual, q_dbm):
+    params = derive_quasi_static(
+        sample_scenario(ScenarioConfig(K=k, Q_dBm=q_dbm), seed), 0.005)
+    state = default_sca_state(params)
+    for _ in range(steps):
+        state = sca_subproblem(state, params)
+    cold = sca_subproblem(dataclasses.replace(state, dual=1e12), params)
+    warm, seen = _logged_subproblem(dataclasses.replace(state, dual=dual),
+                                    params)
+    for name in ("t", "gamma"):
+        ref, got = getattr(cold, name), getattr(warm, name)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), name
+    # The ellipsoid residual as sca_subproblem forms it: never above zero,
+    # and at most two rounding floors below it unless the search closed
+    # its bracket first, with an infeasible dual (or the bracket's top)
+    # within 1e-15 relative above the returned one.
+    active = (state.t > 0.0) & (state.gamma > 1e-200) \
+        & (state.alpha + state.beta > 0.0)
+    l1 = state.gamma[active] / state.t[active]
+    l2 = state.t[active] / state.gamma[active]
+    t, gamma = warm.t[active], warm.gamma[active]
+    r = 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
+        - params.epsilon
+    assert r <= 0.0
+    if r < -2e-14 * params.epsilon:
+        w = warm.dual
+        above = [v for v, f, _, _ in seen if f > 0.0] + [1e12]
+        assert min(v for v in above if v > w) - w <= 1e-15 * w
 
 
 @settings(deadline=None, max_examples=25)

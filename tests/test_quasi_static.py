@@ -1,6 +1,7 @@
 """Power/rate allocation under slow fading: closed form, budget split, SCA."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from covertjam.quasi_static import (
     sca_subproblem,
     single_receiver_gamma,
 )
+from covertjam.roots import increasing_roots
 from covertjam.scenario import QuasiStaticParams, ScenarioConfig, \
     derive_quasi_static, sample_scenario
 
@@ -164,16 +166,25 @@ def test_poa_unreachable_delta_is_flagged():
     assert res.objective >= 3.2496921493220308 - 1e-6
 
 
+def test_poa_rejects_non_finite_bands():
+    # QuasiStaticParams admits them; the grid's root solves must not.
+    for a, b in ((np.inf, 2.0), (np.nan, 2.0), (10.0, np.inf)):
+        params = QuasiStaticParams(A=np.array([a, 10.0]),
+                                   B=np.array([b, 2.0]), epsilon=0.005)
+        with pytest.raises(ValueError):
+            poa_solve(params)
+
+
 @pytest.mark.parametrize(
     "k, delta, warm, objective, chi, gamma, converged, rounds, trace_sha", [
         (2, 1e-4, False, 3.249692150634238,
          [0.002436987907738822, 0.0026397276012061245],
          [4.430557042502383, 6.977219334138967],
-         True, 9, "d380cd67678a46cf"),
+         True, 9, "b2afa4716ba0af5c"),
         (2, 1e-3, True, 3.2496920601041595,
          [0.0024379285585609724, 0.0026387852245480514],
          [4.432078355577889, 6.975031710915499],
-         True, 6, "4829d772acb3ce9f"),
+         True, 6, "e57bb0c29b3a1da7"),
         (3, 1e-3, False, 4.35458765119812,
          [0.0017254126096233505, 0.001570432937562518,
           0.0017584308723946084],
@@ -187,12 +198,14 @@ def test_poa_unreachable_delta_is_flagged():
         (2, 1e-9, False, 3.249692151047638,
          [0.00243690952053618, 0.0026398061329554264],
          [4.4304302642584545, 6.977401633254838],
-         False, 11, "d23a8a4734f0f6e3"),
+         False, 11, "82090c5b2e3b0fc7"),
     ], ids=["k2", "k2-warm-start", "k3", "k3-warm-start", "k2-grid-cap"])
 def test_poa_results_are_frozen(k, delta, warm, objective, chi, gamma,
                                 converged, rounds, trace_sha, monkeypatch):
-    # Recorded when every round rebuilt its share grid and rate table from
-    # scratch; the cached grid and the reused columns keep every bit.
+    # The results were recorded when every round rebuilt its share grid and
+    # rate table from scratch; the cached grid and the reused columns keep
+    # every bit. The trace is pinned with its table roots found from their
+    # right neighbours' (`_gamma_roots`), and checked against a cold rebuild.
     monkeypatch.setattr(quasi_static, "_SHARE_GRID", {})
     params = derive_quasi_static(sample_scenario(ScenarioConfig(K=k), 3),
                                  0.005)
@@ -207,6 +220,14 @@ def test_poa_results_are_frozen(k, delta, warm, objective, chi, gamma,
         assert hashlib.sha256(repr(res.trace).encode()).hexdigest()[:16] \
             == trace_sha
     assert list(quasi_static._SHARE_GRID) == [params.epsilon]
+    kernel = quasi_static._gamma_roots
+    monkeypatch.setattr(quasi_static, "_gamma_roots",
+                        lambda a_chi, ln_b, start=None: kernel(a_chi, ln_b))
+    cold = poa_solve(params, delta=delta, warm_start=start)
+    assert len(cold.trace) == rounds
+    for entry, ref in zip(res.trace, cold.trace):
+        for key in ("bound", "best_feasible"):
+            assert abs(entry[key] - ref[key]) <= 4.0 * math.ulp(ref[key])
 
 
 def test_poa_solves_only_new_grid_points(monkeypatch):
@@ -214,15 +235,15 @@ def test_poa_solves_only_new_grid_points(monkeypatch):
 
     def counted(fn, sizes):
         def wrapper(*args):
-            sizes.append(np.size(args[-1]))
+            sizes.append(np.size(args[0]))
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(quasi_static, "_SHARE_GRID", {})
     monkeypatch.setattr(quasi_static, "solve_chi_star",
                         counted(solve_chi_star, chi_sizes))
-    monkeypatch.setattr(quasi_static, "single_receiver_gamma",
-                        counted(single_receiver_gamma, gamma_sizes))
+    monkeypatch.setattr(quasi_static, "_gamma_roots",
+                        counted(quasi_static._gamma_roots, gamma_sizes))
     params = derive_quasi_static(
         sample_scenario(ScenarioConfig(K=3), 3), 0.005)
     res = poa_solve(params, delta=1e-3)
@@ -240,6 +261,39 @@ def test_poa_solves_only_new_grid_points(monkeypatch):
     # A new epsilon replaces the cached grid rather than adding to it.
     quasi_static._share_grid(0.004, 64)
     assert list(quasi_static._SHARE_GRID) == [0.004]
+
+
+def test_warm_started_root_solves_stay_within_their_counts(monkeypatch):
+    # On this instance: 3.05 gamma* residual evaluations per root in POA's
+    # refinement rounds and 4.31 dual evaluations per SCA subproblem, where
+    # cold starts took 6.01 and 5.46. Each ceiling is 10 % above its count.
+    params = derive_quasi_static(
+        sample_scenario(ScenarioConfig(K=3), 3), 0.005)
+    solves = []  # [roots, residual element evaluations] per gamma* solve
+
+    def roots(fn, y, lo, hi):
+        solve = [np.size(y), 0]
+        solves.append(solve)
+
+        def counted(m, rows):
+            solve[1] += rows.size
+            return fn(m, rows)
+        return increasing_roots(counted, y, lo, hi)
+
+    monkeypatch.setattr(quasi_static, "_SHARE_GRID", {})
+    monkeypatch.setattr(quasi_static, "increasing_roots", roots)
+    res = poa_solve(params, delta=1e-3)
+    # Round 1 and the returned point's call start cold.
+    assert len(solves) == len(res.trace) + 1
+    refined = np.sum(solves[1:-1], axis=0)
+    assert refined[1] <= 3.35 * refined[0]
+
+    duals = []
+    subproblem = quasi_static._subproblem_at_lambda
+    monkeypatch.setattr(quasi_static, "_subproblem_at_lambda",
+                        lambda *args: duals.append(args) or subproblem(*args))
+    sca = sca_solve(params)
+    assert len(duals) <= 4.75 * (len(sca.trace) - 1)
 
 
 @settings(deadline=None, max_examples=40)
