@@ -186,20 +186,37 @@ def kl_divergence(p: float, q: float, n: float) -> float:
     """KL divergence D(H0 || H1) of the n-sample normalized band energy.
 
     Since E_{H0}[Psi] = 1 exactly, D = -E_{H0}[ln Psi] equals
-    E_{H0}[Psi - 1 - ln Psi], whose integrand delta - log1p(delta) is
-    nonnegative and immune to the cancellation that kills the naive form
-    when Psi ~ 1. It is a reduction of the band's n-sample law: delta =
-    Psi - 1, from the exact ln Phi(p, ., n), at the nodes of the certified
-    H0 energy rule (density z^{n-1} Phi(q, z, n) / Gamma(n)), which is
-    cached per (q, n) and shared with zeta. q, n and p are checked before
-    any ln Phi or rule work.
+    E_{H0}[Psi - 1 - ln Psi], whose integrand delta - log1p(delta)
+    (`_delta_minus_log1p`) is nonnegative and immune to the cancellation
+    that kills the naive form when Psi ~ 1. It is a reduction of the
+    band's n-sample law: delta = Psi - 1, from the exact ln Phi(p, ., n),
+    at the nodes of the certified H0 energy rule (density z^{n-1}
+    Phi(q, z, n) / Gamma(n)), which is cached per (q, n) and shared with
+    zeta. q, n and p are checked before any ln Phi or rule work.
     """
     _require_h0_law(q, n)
     _require_p_below_q(p, q)
     r = h0_energy_rule(float(q), float(n))
     delta = likelihood_ratio_delta(p, q, r.z, log_phi_exact(p, r.z, n),
                                    r.log_phi_q)
-    return r.expectation(delta - np.log1p(delta))
+    return r.expectation(_delta_minus_log1p(delta))
+
+
+def _delta_minus_log1p(delta: np.ndarray) -> np.ndarray:
+    """delta - log1p(delta), without cancellation where |delta| is small.
+
+    There the difference is about delta^2 / 2, and log1p's rounding, an
+    ulp of delta, leaves 2e-16 / |delta| relative. Below |delta| = 0.05
+    (4e-15 there) it is the series sum_{k>=2} (-delta)^k / k to k = 16.
+    """
+    out = delta - np.log1p(delta)
+    small = np.abs(delta) < 0.05
+    d = -delta[small]
+    series = np.zeros_like(d)
+    for k in range(16, 1, -1):
+        series = series * d + 1.0 / k
+    out[small] = series * d * d
+    return out
 
 
 def zeta(q: float, n: float, rule=None) -> float:

@@ -36,9 +36,9 @@ from .quadrature import (
     _SPLINE_KNOTS,
     _WORK_BLOCK,
     _certificate_error,
+    _gamma_tail_bounds,
     _not_a_knot_coeffs,
     _spline_knots,
-    gamma_isf,
 )
 # LogPhiSpline and log_phi_exact stay importable from here: bench/tracing.py
 # traces them at this lookup site as well as in quadrature.
@@ -107,32 +107,33 @@ class _BandLogPsi:
     p and q are the band's normalized signal and jamming powers. Under
     both hypotheses the energy is z = s * scale with s ~ Gamma(n) and
     scale >= 1, which is 1 + p u + q v <= 1 + 120 q under H1 for u, v
-    <= 60. So the table covers [z_lo, z_hi] with z_lo the Gamma(n)
-    quantile at 1e-12 and z_hi = (1 + 120 q) times the one at 1 - 1e-12;
-    the rare draws outside (probability about 1e-12 below, exponential
-    draws beyond ~60 above) take the exact `log_psi`, so no sample is
-    ever clamped.
+    <= 60. So the table covers [z_lo, z_hi] with z_lo and z_hi / (1 + 120
+    q) the closed-form Gamma(n) tail bounds at 1e-12
+    (`_gamma_tail_bounds`); the rare draws outside (probability at most
+    1e-12 below, exponential draws beyond ~60 above) take the exact
+    `log_psi`, so no sample is ever clamped.
 
     The table is the not-a-knot cubic spline of exact ln Psi at the
-    knots of `LogPhiSpline`'s trimmed grid over [z_lo, z_hi], stored as
+    knots of `_spline_knots`' trimmed grid over [z_lo, z_hi], stored as
     one (intervals, 4) array of Horner coefficients in the interval
     fraction u = (ln z - t_i) / h. A call reads it in one fused pass: a
     clipped log, the interval index from the uniform step (a knot off
     the step by an ulp only moves the sample to the neighbouring cubic,
     which matches at the knot to rounding), one gather of the
-    coefficient rows, and Horner in u. It is certified against `log_psi`
-    like `LogPhiSpline`, on the knot intervals that samples reach and the
-    bends above 1/p and 1/q, at _BAND_GATE. A band whose table fails that
-    certificate tries once more on a grid four times finer, and if that
-    fails too, reads every sample from `log_psi` instead of raising.
+    coefficient rows, and Horner in u. Its certificate is the largest
+    error against `log_psi` at the middle of every knot interval that
+    samples reach (`_certificate_error`), a dense estimate, held to
+    _BAND_GATE. A band whose table fails that certificate tries once
+    more on a grid four times finer, and if that fails too, reads every
+    sample from `log_psi` instead of raising.
     """
 
     def __init__(self, p: float, q: float, n: float):
         self.p = p
         self.q = q
         self.n = n
-        self.z_lo = gamma_isf(n, 1.0 - 1e-12)
-        self.z_hi = (1.0 + 120.0 * q) * gamma_isf(n, 1e-12)
+        self.z_lo, hi = _gamma_tail_bounds(n, 1e-12)
+        self.z_hi = (1.0 + 120.0 * q) * hi
         # A grid four times finer is 256 times more accurate (a cubic
         # spline's error goes as h^4); bands from N_d of about 1000 on
         # need it.
@@ -161,7 +162,7 @@ class _BandLogPsi:
                         0):]
         self.max_abs_err = _certificate_error(
             lambda z: self._horner(np.clip(z, self._z_first, self.z_hi)),
-            self._exact, reached, (self.p, self.q))
+            self._exact, reached)
 
     def _exact(self, z) -> np.ndarray:
         return log_psi(self.p, self.q, z, self.n)

@@ -28,16 +28,16 @@ The spline fits its own not-a-knot coefficients, with one tridiagonal
 solve by Gaussian elimination (`_tridiagonal_solve`; these systems never
 need a row interchange, and it raises if one would), and evaluates them
 itself (one knot lookup, then the cubic). Its knot grid and trim
-(`_spline_knots`), fit and certificate (`_certificate_error`) also build
-the detection oracle's ln Psi tables.
+(`_spline_knots`), fit, and certificate (`_certificate_error`, the
+largest error at the middle of every knot interval: a dense estimate,
+not a proved bound) also build the detection oracle's ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law on Gauss-Legendre
 panels (`_panel_rule`, which `covertness._limit_panels` shares);
 `gamma_rules` integrate against Gamma(n, 1), built in one batch per call
 from the Jacobi matrices' eigenvalues and the Christoffel weights of the
-three-term recurrence, with no eigenvectors. `gamma_isf` inverts the Gamma(n, 1)
-tail, for the support windows of the H0 energy rule and the detection
-tables, and `_stirling_remainder`, the Stirling series of ln Gamma, forms
-the density prefactor of that tail with no large logs cancelling.
+three-term recurrence, with no eigenvectors. `_gamma_tail_bounds` gives
+closed-form Gamma(n, 1) tail bounds, which set the support windows of
+the H0 energy rule and of the detection tables.
 Everything here is numpy and the standard library.
 """
 
@@ -97,12 +97,6 @@ _RESCALE_TOTAL = 2.0 ** (2 * _RESCALE_BITS)
 # LAPACK call: 2 MiB at order 128, where a whole pilot grid's 99 rules at
 # once would take 13 MiB.
 _EIG_BATCH = 16
-
-_LN_2PI = math.log(2.0 * math.pi)
-# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma, whose
-# remainder is below 1e-19 from a = 10 on.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
-             -691 / 360360, 1 / 156, -3617 / 122400)
 
 
 def gamma_rules(ns, order: int = 128) -> list:
@@ -382,22 +376,14 @@ def _spline_knots(z_max: float, z_min: float = _SPLINE_Z_LO,
     return t[first:]
 
 
-def _certificate_error(table, exact, t: np.ndarray, bends) -> float:
-    """Largest |table(z) - exact(z)| over the held-out probes of knots t.
-
-    The probes are 256 points spread evenly over [t_0, t_-1], each half a
-    knot interval below a grid point so that none is a knot, plus the
-    middle of every knot interval on [1/x, 1.1/x] for each x > 0 in
-    `bends`: once x is small, ln Phi(x, ., n) bends sharply just above
-    z = 1/x, within a few knot intervals the even probes can miss.
-    """
-    probe = np.exp(np.linspace(t[0], t[-1], 257)[1:] - 0.5 * (t[1] - t[0]))
-    mid = t[:-1] + 0.5 * (t[1] - t[0])
-    for x in bends:
-        if x > 0.0:
-            bend = (mid >= -np.log(x)) & (mid <= np.log(1.1 / x))
-            probe = np.append(probe, np.exp(mid[bend]))
-    return float(np.max(np.abs(table(probe) - exact(probe))))
+def _certificate_error(table, exact, t: np.ndarray) -> float:
+    """Largest |table(z) - exact(z)| over the middles of the intervals of
+    knots t: a dense estimate of the table's error, not a proved bound.
+    A cubic spline's error on smooth data peaks near an interval's
+    middle, and every interval is read, so a sharp bend (ln Phi(x, ., n)
+    just above z = 1/x at small x) is read wherever it falls."""
+    mid = np.exp(0.5 * (t[:-1] + t[1:]))
+    return float(np.max(np.abs(table(mid) - exact(mid))))
 
 
 class LogPhiSpline:
@@ -409,8 +395,8 @@ class LogPhiSpline:
     -2 e^{t/2}/sqrt(x) on the right, with bounded low-order derivatives
     throughout, so a few thousand knots reach ~1e-6 absolute accuracy even
     when z_max is 1e9. Construction certifies itself against the exact
-    panel integrator (`_certificate_error`, with the bend above 1/x) and
-    refuses an error above 1e-4.
+    panel integrator at the middle of every knot interval
+    (`_certificate_error`) and refuses an error above 1e-4.
 
     A lower end z_min keeps the grid's knots from _SPLINE_TRIM intervals
     below ln z_min on (`_spline_knots`), so interval _SPLINE_TRIM holds
@@ -440,8 +426,7 @@ class LogPhiSpline:
         self._inv_step = (t.size - 1) / (t[-1] - t[0])
         # Right end of each interval; the last one also holds t = t[-1].
         self._upper = np.append(t[1:-1], np.inf)
-        err = _certificate_error(self, lambda z: log_phi_exact(x, z, n), t,
-                                (x,))
+        err = _certificate_error(self, lambda z: log_phi_exact(x, z, n), t)
         self.max_abs_err = err
         if err > 1e-4:
             raise ArithmeticError(
@@ -511,13 +496,35 @@ def _require_h0_law(q: float, n: float) -> None:
 def _h0_energy_window(q: float, n: float) -> tuple:
     """Support window (z_lo, z_hi) of the H0 energy rule.
 
-    z >= s ~ Gamma(n, 1) stochastically, so the lower Gamma quantile
-    bounds the left tail; on the right P(z > (1 + 200q) S) <= e^-200 +
-    P(s > S).
+    z >= s ~ Gamma(n, 1) stochastically, so P(z <= z_lo) <= 1e-15; on the
+    right P(z > (1 + 200q) S) <= e^-200 + P(s > S), and P(s > S) <= 1e-18.
     """
     _require_h0_law(q, n)
-    return (max(gamma_isf(n, 1.0 - 1e-15), 1e-300),
-            (1.0 + 200.0 * q) * gamma_isf(n, 1e-18))
+    return (_gamma_tail_bounds(n, 1e-15)[0],
+            (1.0 + 200.0 * q) * _gamma_tail_bounds(n, 1e-18)[1])
+
+
+def _gamma_tail_bounds(n: float, p: float) -> tuple:
+    """(lo, hi) with P(S <= lo) <= p and P(S > hi) <= p, S ~ Gamma(n, 1).
+
+    With t = -ln p, lo is the larger of the sub-Gaussian left-tail bound
+    n - sqrt(2 n t) and the root of P(S <= x) <= x^n / Gamma(n + 1), and
+    hi is the sub-gamma right-tail bound n + t + sqrt(2 n t) (Boucheron,
+    Lugosi and Massart, "Concentration Inequalities", 2013, section 2.4).
+    For n in [1, 1e4] and p in [1e-18, 1e-12] they are within 0.6 and
+    1.35 of the exact quantiles.
+    """
+    if not 1.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    t = -math.log(p)
+    spread = math.sqrt(2.0 * n * t)
+    # At n near 1 the power bound is tight to within p; its exponent gives
+    # up 1e-12, more than its rounding error.
+    return (max(n - spread,
+                math.exp((math.lgamma(n + 1.0) - t) / n - 1e-12)),
+            n + t + spread)
 
 
 def h0_energy_layout(q: float, n: float, breaks=()) -> tuple:
@@ -558,109 +565,3 @@ def h0_energy_finish(q: float, n: float, z: np.ndarray, panel_w: np.ndarray,
         raise ArithmeticError(
             f"H0 energy rule mass certificate failed: {mass!r} (q={q}, n={n})")
     return H0EnergyRule(z=z, w=w, log_phi_q=log_phi_q, mass=mass)
-
-
-def gamma_isf(n: float, p: float) -> float:
-    """x with Q(n, x) = p: the Gamma(n, 1) upper-tail quantile, n >= 1.
-
-    Q is the regularized upper incomplete gamma function. For n in
-    [1, 1e4] and both tails the result agrees with an independent inverse
-    (SciPy's `gammainccinv`, in the tests) to about 1e-14 relative. The smaller tail is solved in logs:
-    ln Q(n, x) = ln p for p <= 1/2, else ln P(n, x) = ln(1 - p), 1 - p
-    being exact there. For n >= 1 the Gamma density is log-concave, so
-    both ln P and ln Q are concave in x, and Newton converges monotonically
-    from a start on the far side of the root (DiDonato and Morris, ACM
-    TOMS 1986, start from closer guesses): above it, at the Chernoff
-    bound of the upper tail, or below it, at the bound of the lower tail
-    P(n, x) <= x^n / Gamma(n + 1). It stops once a step no longer shrinks
-    or is within an ulp.
-    """
-    if not 1.0 <= n < math.inf:
-        raise ValueError("n must be finite and >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    upper = p <= 0.5
-    if upper:
-        target = math.log(p)
-        x = n - target + math.sqrt(target * (target - 2.0 * n))
-    else:
-        target = math.log(1.0 - p)
-        x = math.exp((target + math.lgamma(n + 1.0)) / n)
-    last = math.inf
-    for _ in range(100):
-        log_tail, log_density = _log_gamma_tail(n, x, upper)
-        step = (log_tail - target) / math.exp(log_density - log_tail)
-        if upper:
-            step = -step
-        if not abs(step) < last:
-            return x
-        x -= step
-        last = abs(step)
-        if last <= 2.0 ** -52 * x:
-            return x
-    raise ArithmeticError(f"gamma_isf({n}, {p}) did not converge")
-
-
-def _log_gamma_tail(n: float, x: float, upper: bool) -> tuple:
-    """ln Q(n, x) (upper) or ln P(n, x), and ln of the density at x.
-
-    The density x^(n-1) e^-x / Gamma(n) is formed around its mode scale
-    with the Stirling remainder of ln Gamma, so no large logs cancel; P
-    takes the power series and Q the continued fraction (modified
-    Lentz), each where it converges fast, and the other tail is 1 minus
-    it.
-    """
-    d = (x - n) / n
-    if abs(d) < 0.5:
-        core = n * (math.log1p(d) - d)
-    else:
-        core = n * math.log(x / n) - (x - n)
-    log_prefix = core + 0.5 * (math.log(n) - _LN_2PI) - _stirling_remainder(n)
-    if x < n + 1.0:
-        total = term = 1.0
-        k = n
-        while term > 2.0 ** -56 * total:
-            k += 1.0
-            term *= x / k
-            total += term
-        log_lower = log_prefix + math.log(total / n)
-        log_tail = math.log(-math.expm1(log_lower)) if upper else log_lower
-    else:
-        log_upper = log_prefix + math.log(_gamma_q_fraction(n, x))
-        log_tail = log_upper if upper else math.log(-math.expm1(log_upper))
-    return log_tail, log_prefix - math.log(x)
-
-
-def _gamma_q_fraction(n: float, x: float) -> float:
-    """Q(n, x) x^-n e^x Gamma(n), by the modified Lentz method, x >= n + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - n
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        a = -i * (i - n)
-        b += 2.0
-        d = a * d + b
-        d = 1.0 / (d if abs(d) >= tiny else tiny)
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        h *= d * c
-        if abs(d * c - 1.0) <= 2.0 ** -53:
-            return h
-    raise ArithmeticError(f"Q({n}, {x}) continued fraction did not converge")
-
-
-def _stirling_remainder(a: float) -> float:
-    """ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi)/2), for a > 0.
-
-    From a = 10 on the Stirling series, below it by `math.lgamma`.
-    """
-    if a < 10.0:
-        return math.lgamma(a) - ((a - 0.5) * math.log(a) - a + 0.5 * _LN_2PI)
-    r = 1.0 / (a * a)
-    remainder = 0.0
-    for c in reversed(_STIRLING):
-        remainder = remainder * r + c
-    return remainder / a

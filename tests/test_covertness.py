@@ -215,11 +215,11 @@ def test_kl_divergence_frozen_value():
 
 _BAND_LAWS = [
     (0.0, 20.0, 7.5, "0.0", "0.0"),
-    (5e-07, 0.5, 1.0, "5.126219090789496e-14", "1.2949534663816266e-07"),
-    (32.0, 32000.0, 90.0, "0.0006352188236201816", "0.0009928465682145279"),
-    (3200.0, 32000.0, 7.5, "0.057292158409894545", "0.07409850750960167"),
-    (158.0, 316.0, 90.0, "0.30363100218588845", "0.24865247907551022"),
-    (18.0, 20.0, 500.0, "0.5229428465108921", "0.3482923646459852"),
+    (5e-07, 0.5, 1.0, "5.1262190908493174e-14", "1.2949534663816272e-07"),
+    (32.0, 32000.0, 90.0, "0.000635218823620173", "0.000992846568214514"),
+    (3200.0, 32000.0, 7.5, "0.057292158409894295", "0.07409850750960167"),
+    (158.0, 316.0, 90.0, "0.30363100218589606", "0.24865247907551555"),
+    (18.0, 20.0, 500.0, "0.5229428465102315", "0.34829236464599833"),
 ]
 
 
@@ -231,6 +231,67 @@ def test_band_law_values_are_frozen(p, q, n, kl, tv):
     # the crossover; their bits are pinned by repr.
     assert repr(kl_divergence(p, q, n)) == kl
     assert repr(tv_exact_n(p, q, n)) == tv
+
+
+def _mpmath_band_law(mpmath, p, q, n):
+    """KL and TV of the band's n-sample law, summed at 30 digits.
+
+    An outer integral over the H0 energy z, laid out apart from the H0
+    energy rule: between SciPy's exact Gamma(n) quantiles at 1e-20 (the
+    upper one times 1 + 300 q), on panels that break at every third of a
+    decade, across the Gamma bulk n +- 15 sqrt(n) and at the crossover z*
+    (Psi = 1, by brentq), with 24 Gauss-Legendre points each. At every
+    node the H0 density z^(n-1) Phi(q, z, n) / Gamma(n), delta = Psi - 1,
+    and the integrands delta - log1p(delta) and |delta| / 2 are formed in
+    mpmath from `log_phi_exact`'s ln Phi, which the quadrature tests check
+    against mpmath.
+    """
+    from numpy.polynomial.legendre import leggauss
+    from scipy.optimize import brentq
+    from scipy.special import gammainccinv, gammaincinv
+
+    z_lo = gammaincinv(n, 1e-20)
+    z_hi = (1.0 + 300.0 * q) * gammainccinv(n, 1e-20)
+    z_star = brentq(lambda z: float(np.subtract(*log_phi_exact([p, q], z, n))),
+                    z_lo, z_hi, xtol=1e-300, rtol=1e-15)
+    thirds = np.arange(math.ceil(3.0 * math.log10(z_lo)),
+                       math.floor(3.0 * math.log10(z_hi)) + 1) / 3.0
+    edges = np.unique(np.concatenate([[z_lo, z_hi, z_star], 10.0 ** thirds,
+                                      n + np.arange(-15, 16) * math.sqrt(n)]))
+    edges = edges[(edges >= z_lo) & (edges <= z_hi)]
+    x, w = leggauss(24)
+    half = 0.5 * np.diff(edges)
+    z = (edges[:-1, None] + half[:, None] * (1.0 + x)).ravel()
+    w = (half[:, None] * w).ravel()
+    log_phi_p, log_phi_q = log_phi_exact(np.array([[p], [q]]), z, n)
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        ratio = mp.mpf(p) / (mp.mpf(q) - mp.mpf(p))
+        log_gamma_n = mp.loggamma(n)
+        kl, tv = [], []
+        for zi, wi, lp, lq in zip(z, w, log_phi_p, log_phi_q):
+            density = wi * mp.exp((n - 1) * mp.log(zi) - log_gamma_n + lq)
+            delta = -ratio * mp.expm1(mp.mpf(lp) - lq)
+            kl.append(density * (delta - mp.log1p(delta)))
+            tv.append(density * abs(delta))
+        return float(mp.fsum(kl)), float(mp.fsum(tv) / 2)
+
+
+@pytest.mark.parametrize("p, q, n", [b[:3] for b in _BAND_LAWS if b[0] > 0],
+                         ids=[f"{p!r}-{q!r}-{n!r}"
+                              for p, q, n, _, _ in _BAND_LAWS if p > 0])
+def test_band_law_matches_an_mpmath_outer_integral(p, q, n):
+    # Both sides carry ln Phi's rounding, about 1e-16 |ln Phi| with
+    # |ln Phi| growing like n, and amplified where Psi is small: at n = 500
+    # the reference itself moves by 1e-12 between panel layouts. At
+    # (5e-7, 0.5, 1), where |delta| <= 1e-6, the KL integrand formed as
+    # delta - log1p(delta) carried 2e-16 / |delta| relative rounding, and
+    # the KL was off by 1.2e-11.
+    mpmath = pytest.importorskip("mpmath")
+    kl, tv = _mpmath_band_law(mpmath, p, q, n)
+    tol = 1e-13 + 5e-15 * n
+    assert abs(kl_divergence(p, q, n) / kl - 1.0) <= tol
+    assert abs(tv_exact_n(p, q, n) / tv - 1.0) <= tol
 
 
 @pytest.mark.parametrize("p, q, n, match", [
