@@ -226,6 +226,26 @@ def test_gamma_tail_bounds_hold_and_stay_near_the_quantiles(p):
         assert hi <= 1.35 * gammainccinv(n, p), (n, p, hi)
 
 
+@pytest.mark.parametrize("p", [1e-18, 1e-15, 1e-12, 1.0 - 1e-15, 1.0 - 1e-12])
+def test_gamma_isf_matches_gammainccinv(p):
+    # The Gamma inverse survival function at p, read from SciPy's
+    # gammainccinv, against the window bound on its side: p < 1/2 asks
+    # for the right tail, which hi must cover by at most 1.35x; p near 1
+    # for the left tail at 1 - p, which lo must stay under by at most
+    # 0.6x. 1 - p is exact in floating point there.
+    rng = np.random.default_rng(26)
+    ns = np.concatenate([np.arange(1.0, 201.0), np.geomspace(1.0, 1e4, 200),
+                         np.exp(rng.uniform(0.0, math.log(1e4), 200))])
+    for n in ns:
+        x = float(gammainccinv(n, p))
+        if p < 0.5:
+            hi = _gamma_tail_bounds(float(n), p)[1]
+            assert x <= hi <= 1.35 * x, (n, p, x, hi)
+        else:
+            lo = _gamma_tail_bounds(float(n), 1.0 - p)[0]
+            assert 0.6 * x <= lo <= x, (n, p, x, lo)
+
+
 def test_gamma_tail_bounds_validate():
     for n, p in ((0.5, 0.1), (math.nan, 0.1), (math.inf, 0.1), (2.0, 0.0),
                  (2.0, 1.0), (2.0, math.nan)):
