@@ -42,6 +42,7 @@ from covertjam.quasi_static import (
     closed_form_solve,
     default_sca_state,
     poa_solve,
+    sca_solve,
     sca_subproblem,
     single_receiver_gamma,
 )
@@ -154,6 +155,36 @@ def test_gamma_root_rises_with_a_chi_and_starts_from_its_neighbour(
     warm = _gamma_roots(a * np.array([chi1]), ln_b[:1], m[1:])[0]
     assert abs(warm - m[0]) <= 1e-13 * m[0]
     assert b * math.exp(-warm) < 1.0
+
+
+def _exhaustive_reach(table, budget):
+    """A `quasi_static._reach` that lets every new grid column be solved."""
+    return np.full((table.shape[0], table.shape[1] // 2), np.inf)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from((15.0, 20.0, 25.0, 30.0, 35.0)),
+       st.floats(min_value=-4.0, max_value=-3.0),
+       st.sampled_from((1e-3, 1e-4)), st.booleans())
+def test_poa_pruning_keeps_the_exhaustive_refinement_bits(
+        seed, k, q_dbm, log_eps, delta, warm):
+    # Above epsilon = 1e-3, K = 3 at delta = 1e-4 spends seconds in the
+    # split search; test_poa_results_are_frozen pins the stock epsilon.
+    params = derive_quasi_static(
+        sample_scenario(ScenarioConfig(K=k, Q_dBm=q_dbm), seed),
+        10.0**log_eps)
+    start = sca_solve(params).chi if warm else None
+    pruned = poa_solve(params, delta=delta, warm_start=start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasi_static, "_reach", _exhaustive_reach)
+        full = poa_solve(params, delta=delta, warm_start=start)
+    assert pruned.chi.tobytes() == full.chi.tobytes()
+    assert pruned.gamma.tobytes() == full.gamma.tobytes()
+    assert pruned.objective == full.objective
+    assert pruned.converged is full.converged
+    assert repr(pruned.trace) == repr(full.trace)
 
 
 _DECADE = st.floats(min_value=-30.0, max_value=30.0)

@@ -248,16 +248,26 @@ def test_poa_solves_only_new_grid_points(monkeypatch):
         sample_scenario(ScenarioConfig(K=3), 3), 0.005)
     res = poa_solve(params, delta=1e-3)
     grids = [64 * 2**i for i in range(len(res.trace))]
-    # Round 1 solves the 64 nonzero shares, round 2G only the G odd ones;
-    # the last call is the returned point's.
+    # Round 1 solves the 64 nonzero shares, round 2G at most the G odd
+    # ones, here 19,719 thresholds in all (24,579 without pruning); the
+    # last call is the returned point's.
     assert chi_sizes == [64] + [g // 2 for g in grids[1:]]
-    assert gamma_sizes == [3 * 64] + [3 * g // 2 for g in grids[1:]] + [3]
+    assert len(gamma_sizes) == len(grids) + 1
+    assert gamma_sizes[0] == 3 * 64 and gamma_sizes[-1] == 3
+    assert all(size <= 3 * g // 2
+               for size, g in zip(gamma_sizes[1:], grids[1:]))
+    assert sum(gamma_sizes) <= 20_500
+    solved = list(gamma_sizes)
     chi_sizes.clear()
     gamma_sizes.clear()
     again = poa_solve(params, delta=1e-3)
     assert chi_sizes == []
-    assert gamma_sizes == [3 * 64] + [3 * g // 2 for g in grids[1:]] + [3]
+    assert gamma_sizes == solved
     assert again.objective == res.objective
+    # At K = 2 the reach of a split is exact: 418 thresholds (4098).
+    gamma_sizes.clear()
+    poa_solve(_params_k2(), delta=1e-3)
+    assert sum(gamma_sizes) <= 450
     # A new epsilon replaces the cached grid rather than adding to it.
     quasi_static._share_grid(0.004, 64)
     assert list(quasi_static._SHARE_GRID) == [0.004]
