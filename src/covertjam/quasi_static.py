@@ -113,9 +113,9 @@ def single_receiver_gamma(A1, B1, chi_cap):
     the convex F(m) = 0 of `_gamma_roots` on the bracket [ln B, ln B + 60]:
     F < 0 at the outage edge m = ln B, and F > 0 at the right end for every
     finite input, since phi < 711 there keeps ln(1 + m phi) below 14.
-    Newton starts cold at the right end here, converges monotonically and
-    stops above the root, so the returned gamma keeps the outage factor
-    B e^{-m} below 1.
+    Newton starts cold here, at `_gamma_roots`' closed-form upper bound on
+    the root, converges monotonically and stops above the root, so the
+    returned gamma keeps the outage factor B e^{-m} below 1.
     """
     a, b, chi = np.broadcast_arrays(*(np.asarray(v, float)
                                       for v in (A1, B1, chi_cap)))
@@ -134,10 +134,19 @@ def _gamma_roots(a_chi, ln_b, start=None):
 
     Each row starts at `start`, which must not lie below its root: the
     root at a larger A chi of the same band (`poa_solve`), or by default
-    the cold start ln B + 60. phi(kappa) decreases in kappa = m / (A chi),
-    so F falls as A chi grows and the root m*(A chi) is nondecreasing in
-    it. Newton on the convex, increasing F then descends monotonically
-    from either start.
+    the cold start below. phi(kappa) decreases in kappa = m / (A chi), so
+    F falls as A chi grows and the root m*(A chi) is nondecreasing in it.
+    Newton on the convex, increasing F then descends monotonically from
+    either start.
+
+    The cold start: ln(1 + x) <= x (2 + x) / (2 (1 + x)) gives
+    phi <= 1 + 1/(2 kappa), so F(m) >= m - T(m) with
+    T(m) = ln B + ln(1 + A chi/2 + m). T is an increasing contraction, and
+    m* <= T(m*) puts the root at or below T's fixed point. T maps points
+    above that fixed point to points above it, and points below it upward.
+    So min(ln B + 60, T(T(ln B + 60))) bounds the root from above, as
+    ln B + 60 does, and saves Newton one of the six evaluations it took
+    from there.
     """
     def residual(m, rows):
         """F(m) = ln(e^m / (B (1 + m phi))), dF/dm and F's rounding floor.
@@ -148,18 +157,24 @@ def _gamma_roots(a_chi, ln_b, start=None):
         rounding floor of F's three terms.
         """
         kappa = m / a_chi[rows]
-        big = kappa > 1e10
         with np.errstate(divide="ignore", invalid="ignore"):
             log_term = np.log1p(1.0 / kappa)
-            phi = np.where(big, 1.0 + 0.5 / kappa, (1.0 + kappa) * log_term)
-            # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1, 1 for big kappa
-            dphi = np.where(big, 1.0, (1.0 + 2.0 * kappa) * log_term - 1.0)
+            phi = (1.0 + kappa) * log_term
+            # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1
+            dphi = (1.0 + 2.0 * kappa) * log_term - 1.0
+        big = kappa > 1e10
+        if big.any():  # ln(1 + 1/kappa) rounds there: 1 + 1/(2 kappa) and 1
+            phi[big] = 1.0 + 0.5 / kappa[big]
+            dphi[big] = 1.0
         return m - ln_b[rows] - np.log1p(m * phi), \
             1.0 - dphi / (1.0 + m * phi), 1e-15 * m
 
     hi = ln_b + 60.0
-    return increasing_roots(residual, hi if start is None else start, ln_b,
-                            hi)
+    if start is None:
+        half = 0.5 * a_chi
+        start = np.minimum(hi, ln_b + np.log1p(half + ln_b
+                                               + np.log1p(half + hi)))
+    return increasing_roots(residual, start, ln_b, hi)
 
 
 def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
@@ -340,14 +355,14 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
             raise ValueError("warm_start violates the covertness budget")
         best_point = ws
         best_value = float(np.sum(_best_response(params.A, params.B, ws)[1]))
-    a, b = params.A[:, None], params.B[:, None]
+    a, b = params.A, params.B
     trace = []
     converged, grid = False, _GRID_START
     while not converged and grid <= _GRID_CAP:
         chi = _share_grid(params.epsilon, grid)
         if grid == _GRID_START:  # cold; chi = 0 has zero rate and no root
-            points = np.broadcast_arrays(a, b, chi[1:])
-            rates, m = _grid_rates(*(v.ravel() for v in points))
+            rates, m = _grid_rates(np.repeat(a, grid), np.repeat(b, grid),
+                                   np.tile(chi[1:], k))
             table = np.concatenate(
                 (np.zeros((k, 1)), rates.reshape(k, -1)), axis=1)
             roots = np.concatenate(
@@ -357,9 +372,9 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
             rates, m = table[:, 1:].copy(), roots[:, 1:].copy()
             live = _reach(_refine(table, rates), grid + k - 1) \
                 >= best_value * (1.0 - _PRUNE_MARGIN)
-            points = np.broadcast_arrays(a, b, chi[1::2])
-            rates[live], m[live] = _grid_rates(*(v[live] for v in points),
-                                               m[live])
+            band, col = np.nonzero(live)
+            rates[live], m[live] = _grid_rates(a[band], b[band],
+                                               chi[2 * col + 1], m[live])
             table, roots = _refine(table, rates), _refine(roots, m)
         (_, shares), (bound, _) = _split_dp(table, (grid, grid + k - 1))
         low = float(np.sum(table[np.arange(k), shares]))
@@ -485,7 +500,7 @@ def _band_optimum(rho, lam_l1, lam_l2, a, ln_b, y_start):
 
 
 def _subproblem_at_lambda(lam, bands, warm):
-    """Per-band (alpha, beta, t, gamma) at multiplier lam, and dr/dlam.
+    """Per-band tuples (alpha, beta, t, gamma) at multiplier lam, and dr/dlam.
 
     `bands` holds (index, rho, l1, l2, A, ln B) per active band as floats;
     `warm` holds each band's y from the previous call and is overwritten
@@ -495,7 +510,7 @@ def _subproblem_at_lambda(lam, bands, warm):
     H_k the band's Hessian and v_k = (l1 t t', l2 g e^y) the lam-derivative
     of its gradient; the term is v_y^2 / H_yy with x at 0 or at its cap.
     """
-    out = np.empty((4, len(bands)))
+    out = []
     pull = 0.0
     for i, (band, rho, l1, l2, a, ln_b) in enumerate(bands):
         x, y = _band_optimum(rho, lam * l1, lam * l2, a, ln_b, warm[i])
@@ -525,7 +540,7 @@ def _subproblem_at_lambda(lam, bands, warm):
         else:
             pull += (h_yy * v_x * v_x + 4.0 * v_x * v_y + h_xx * v_y * v_y) \
                 / (h_xx * h_yy - 4.0)
-        out[:, i] = x, y, t, g
+        out.append((x, y, t, g))
         warm[i] = y
     return out, pull
 
@@ -548,22 +563,20 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     """
     # A band whose power product has collapsed stays frozen at zero rate;
     # its coordinate would make the trust weights degenerate.
-    active = (state.t > 0.0) & (state.gamma > 1e-200) \
-        & (state.alpha + state.beta > 0.0)
-    l1 = state.gamma[active] / state.t[active]
-    l2 = state.t[active] / state.gamma[active]
-    rho = state.alpha[active] + state.beta[active]
-    bands = list(zip(np.flatnonzero(active).tolist(), rho.tolist(),
-                     l1.tolist(), l2.tolist(), params.A[active].tolist(),
-                     np.log(params.B[active]).tolist()))
-    warm = state.beta[active].tolist()
+    bands = [(k, alpha + beta, gamma / t, t / gamma, a, ln_b)
+             for k, (t, gamma, alpha, beta, a, ln_b) in enumerate(zip(
+                 state.t.tolist(), state.gamma.tolist(),
+                 state.alpha.tolist(), state.beta.tolist(),
+                 params.A.tolist(), np.log(params.B).tolist()))
+             if t > 0.0 and gamma > 1e-200 and alpha + beta > 0.0]
+    warm = [float(state.beta[band[0]]) for band in bands]
     floor = 1e-14 * params.epsilon
     feasible = {}
 
     def residual(w):
         sol, pull = _subproblem_at_lambda(1.0 / w, bands, warm)
-        t, gamma = sol[2:]
-        r = 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
+        r = 0.5 * sum(band[2] * t * t + band[3] * g * g
+                      for band, (_, _, t, g) in zip(bands, sol)) \
             - params.epsilon
         if r <= 0.0:
             feasible[w] = sol
@@ -574,10 +587,10 @@ def sca_subproblem(state: ScaState, params: QuasiStaticParams) -> ScaState:
     if w not in feasible:
         raise ArithmeticError("no dual multiplier up to 2^61 keeps the "
                               "SCA step inside its trust ellipsoid")
-    full = np.zeros((4, params.K))
-    full[2] = state.t  # frozen bands keep their t, at zero rate
-    full[:, active] = feasible[w]
-    alpha, beta, t, gamma = full
+    alpha, beta, t, gamma = full = np.zeros((4, params.K))
+    t[:] = state.t  # frozen bands keep their t, at zero rate
+    for band, sol in zip(bands, feasible[w]):
+        full[:, band[0]] = sol
     return ScaState(t=t, gamma=gamma, alpha=alpha, beta=beta,
                     iteration=state.iteration + 1,
                     objective=float(np.dot(alpha, beta)), dual=w)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,7 +47,7 @@ from covertjam.quasi_static import (
     sca_subproblem,
     single_receiver_gamma,
 )
-from covertjam.roots import increasing_root
+from covertjam.roots import increasing_root, increasing_roots
 from covertjam.scenario import (
     ScenarioConfig,
     derive_fast_varying,
@@ -138,20 +139,36 @@ def test_threshold_stationarity_residual(log_a, log_bm1, log_chi):
 _LOG_CHI = st.floats(min_value=-12.0, max_value=-1e-3)
 
 
+def _gamma_residual(m, a_chi, b):
+    """F(m) of `single_receiver_gamma` and its slope, at 30 digits."""
+    with mpmath.workdps(30):
+        m, a_chi = mpmath.mpf(m), mpmath.mpf(a_chi)
+        kappa = m / a_chi
+        log_term = mpmath.log1p(1 / kappa)
+        m_phi = m * (1 + kappa) * log_term
+        slope = 1 - ((1 + 2 * kappa) * log_term - 1) / (1 + m_phi)
+        return m - mpmath.log(b) - mpmath.log1p(m_phi), slope
+
+
 @settings(max_examples=300)
 @given(st.floats(min_value=-2.0, max_value=6.0),
        st.floats(min_value=-3.0, max_value=3.0), _LOG_CHI, _LOG_CHI)
+# Here the roots came out 2.6e-16 relative the wrong way round.
+@example(4.0, 0.0, -12.0, -11.999999999999998)
 def test_gamma_root_rises_with_a_chi_and_starts_from_its_neighbour(
         log_a, log_bm1, log_chi1, log_chi2):
-    # POA starts each new grid point's root at its right neighbour's. Below
-    # B - 1 = 1e-3, F flattens at its root, and the stop rule |F| <= 1e-15 m
-    # pins any root, cold or warm, only to about 1e-15 m / F'(m).
+    # POA starts each new grid point's root at its right neighbour's. The
+    # stop rule |F| <= 1e-15 m pins any root, cold or warm, only to about
+    # 1e-15 m / F'(m), so the roots rise with A chi to that resolution;
+    # below B - 1 = 1e-3, F flattens at its root and that grows past 1e-13.
     a, b = 10.0 ** log_a, 1.0 + 10.0 ** log_bm1
     chi1, chi2 = sorted((10.0 ** log_chi1, 10.0 ** log_chi2))
     assume(chi1 < chi2)
     ln_b = np.log(np.full(2, b))
     m = _gamma_roots(a * np.array([chi1, chi2]), ln_b)
-    assert m[0] <= m[1]
+    pinned = sum(1e-15 * float(root / _gamma_residual(root, a * chi, b)[1])
+                 for root, chi in zip(m, (chi1, chi2)))
+    assert m[0] <= m[1] + pinned
     warm = _gamma_roots(a * np.array([chi1]), ln_b[:1], m[1:])[0]
     assert abs(warm - m[0]) <= 1e-13 * m[0]
     assert b * math.exp(-warm) < 1.0
@@ -185,6 +202,33 @@ def test_poa_pruning_keeps_the_exhaustive_refinement_bits(
     assert pruned.objective == full.objective
     assert pruned.converged is full.converged
     assert repr(pruned.trace) == repr(full.trace)
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=-2.0, max_value=6.0),
+       st.floats(min_value=-6.0, max_value=3.0), _LOG_CHI)
+def test_cold_gamma_root_starts_above_its_root(log_a, log_bm1, log_chi):
+    # The closed-form start lies at or above the root (F >= 0 there) and
+    # at or below the bracket's top, ln B + 60. Where B - 1 >= 1e-3 its
+    # root is the one Newton finds from ln B + 60 to within 1e-13; below,
+    # both are pinned only to 1e-15 m / F'(m).
+    a, b, chi = 10.0 ** log_a, 1.0 + 10.0 ** log_bm1, 10.0 ** log_chi
+    a_chi, ln_b = np.array([a * chi]), np.log(np.array([b]))
+    starts = []
+
+    def roots(fn, y, lo, hi):
+        starts.append(float(y[0]))
+        return increasing_roots(fn, y, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasi_static, "increasing_roots", roots)
+        m = float(_gamma_roots(a_chi, ln_b)[0])
+    assert starts[0] <= ln_b[0] + 60.0
+    assert _gamma_residual(starts[0], a_chi[0], b)[0] >= 0.0
+    assert b * math.exp(-m) < 1.0
+    if log_bm1 >= -3.0:
+        old = float(_gamma_roots(a_chi, ln_b, ln_b + 60.0)[0])
+        assert abs(m - old) <= 1e-13 * old
 
 
 _DECADE = st.floats(min_value=-30.0, max_value=30.0)
@@ -443,8 +487,8 @@ def test_sca_subproblem_from_any_dual_start_matches_the_cold_start(
     l1 = state.gamma[active] / state.t[active]
     l2 = state.t[active] / state.gamma[active]
     t, gamma = warm.t[active], warm.gamma[active]
-    r = 0.5 * float(np.dot(l1, t * t) + np.dot(l2, gamma * gamma)) \
-        - params.epsilon
+    r = 0.5 * sum(float(u * x * x + v * g * g)
+                  for u, v, x, g in zip(l1, l2, t, gamma)) - params.epsilon
     assert r <= 0.0
     if r < -2e-14 * params.epsilon:
         w = warm.dual
