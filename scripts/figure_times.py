@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Median start-up and wall time of each stock figure spec, for two checkouts.
 
-Usage: python3 scripts/figure_times.py [--runs R] [--figures ID,...] BASE NEW
+Usage: python3 scripts/figure_times.py [--runs R] [--figures ID,...]
+                                      [--audit-rows N] BASE NEW
 
 BASE and NEW are repository roots whose `src` holds covertjam (say a
 `git archive` of the parent and this one). Every run is one stock figure
@@ -18,6 +19,11 @@ Before the figures, the start-up rows: R fresh interpreters per checkout,
 alternating the same way, each timing `import covertjam.experiments`
 (what every CLI run, audit and bench repetition pays before its work)
 and reading its peak resident set size after the import.
+
+With --audit-rows N, each run of a figure with solver rows then audits
+its first N rows, `audit_run(run_dir, max_rows=N, jobs=1)` at the default
+1e5 trials, in the same interpreter, and a second row per figure gives
+the audit's throughput in trials per second.
 """
 
 import argparse
@@ -27,9 +33,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-# One run in a fresh interpreter: argv is (src, figure_id, output_dir).
+# One run in a fresh interpreter: argv is (src, figure_id, output_dir,
+# audit_rows). Prints the run's seconds, then the audit's trials per second
+# when it audits.
 _CHILD = """
-import sys, time
+import csv, sys, time
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path.insert(0, str(src))
@@ -42,8 +50,16 @@ if sys.argv[2] == "--list":
     raise SystemExit
 spec = experiments.default_spec(sys.argv[2], output_dir=sys.argv[3])
 start = time.perf_counter()
-experiments.run_experiment(spec)
+run_dir = experiments.run_experiment(spec)
 print(time.perf_counter() - start)
+rows = int(sys.argv[4])
+if rows and set(experiments.FIGURES[sys.argv[2]].methods) \\
+        & set(experiments._SOLVERS):
+    start = time.perf_counter()
+    audit = experiments.audit_run(run_dir, max_rows=rows, jobs=1)
+    seconds = time.perf_counter() - start
+    with open(audit, newline="") as fh:
+        print(sum(int(row["trials"]) for row in csv.DictReader(fh)) / seconds)
 """
 
 
@@ -74,9 +90,15 @@ def main(argv=None) -> int:
                              "(default 5)")
     parser.add_argument("--figures", default=None,
                         help="comma-separated figure ids (default: all)")
+    parser.add_argument("--audit-rows", type=int, default=0, metavar="N",
+                        help="also audit each run's first N solver rows "
+                             "and report trials per second (default 0: "
+                             "no audit)")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
+    if args.audit_rows < 0:
+        parser.error("--audit-rows must be at least 0")
     srcs = [c.resolve() / "src" for c in args.checkouts]
     figures = (args.figures.split(",") if args.figures
                else _child(srcs[0], "--list").split())
@@ -93,13 +115,17 @@ def main(argv=None) -> int:
     _row("import peak RSS [MB]", startup[1], digits=1)
     with tempfile.TemporaryDirectory() as tmp:
         for figure_id in figures:
-            times = [[] for _ in srcs]
+            times, rates = [[] for _ in srcs], [[] for _ in srcs]
             for r in range(args.runs):
                 for i in ((0, 1) if r % 2 == 0 else (1, 0)):
                     out = Path(tmp) / f"{i}-{r}"
-                    times[i].append(float(_child(srcs[i], figure_id,
-                                                 str(out))))
+                    seconds, *rate = _child(srcs[i], figure_id, str(out),
+                                            str(args.audit_rows)).split()
+                    times[i].append(float(seconds))
+                    rates[i] += map(float, rate)
             _row(f"{figure_id} [s]", times)
+            if rates[0]:
+                _row("  audit [trials/s]", rates, digits=0)
     return 0
 
 

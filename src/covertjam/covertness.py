@@ -4,12 +4,13 @@ Single-band total variation in closed form, the sum-of-eta upper bound for
 products, the exact TV of the two-band limiting product law, the KL
 divergence of the adversary's multi-sample energy test, its small-signal
 quadratic coefficient zeta, the Pinsker multi-block budget, and the KL
-divergence and Bhattacharyya affinity of the limiting band densities
-behind the Pinsker and Hellinger bounds.
+divergence and squared Hellinger distance (one minus the Bhattacharyya
+affinity) of the limiting band densities behind the Pinsker and Hellinger
+bounds.
 
 Everything here is numpy and the standard library. The inverse of eta is
 solved in place, and the limiting band law's TV, KL divergence and
-Bhattacharyya affinity are integrals of its one likelihood ratio on the
+Hellinger distance are integrals of its one likelihood ratio on the
 same Gauss-Legendre panels (`_limit_panels`).
 
 Normalization convention: band quantities p = p_hat/sigma2_A and
@@ -50,7 +51,7 @@ __all__ = [
     "tv_exact_n",
     "pinsker_budget",
     "limit_kl",
-    "band_affinity",
+    "band_hellinger",
     "hellinger_bound",
     "solve_chi_star",
 ]
@@ -378,25 +379,36 @@ def limit_kl(chi: float) -> float:
     return -float(np.dot(weights, np.exp(-t) * ln_r))
 
 
-def band_affinity(chi: float) -> float:
-    """Bhattacharyya affinity of the limiting band densities, in (0, 1].
+def band_hellinger(chi: float) -> float:
+    """1 - rho for the limiting band densities, rho their Bhattacharyya
+    affinity E[sqrt(r(t))] (the squared Hellinger distance), in [0, 1).
 
-    rho = E[sqrt(r(t))] for t ~ Exp(1), with r the band's likelihood ratio
-    of `tv_limit`, on `_limit_panels(x)`. Below chi = 1e-20, 1 - rho ~
-    0.11 x is below an ulp of 1, so rho = 1.
+    r is the band's likelihood ratio of `tv_limit` and t ~ Exp(1). Since
+    E[r] = 1, 1 - rho = E[(1 - sqrt r)^2] / 2, whose integrand is positive,
+    on `_limit_panels(x)`. With e = expm1(-t/x) (so r = -e/(1 - chi)),
+    1 - sqrt r = (e + 1 - chi) / ((1 - chi)(1 + sqrt r)) cancels only
+    where r ~ 1, where its square is negligible. Below chi = 1e-20 it is
+    (3/2 - 2 ln 2) x to rounding.
     """
     _require_chi(chi)
-    if chi < _LIMIT_TINY_CHI:
-        return 1.0
     x = chi / (1.0 - chi)
+    if chi < _LIMIT_TINY_CHI:
+        return (1.5 - 2.0 * math.log(2.0)) * x
     t, weights = _limit_panels(x)
-    return float(np.dot(weights, np.exp(-t) * np.sqrt(-np.expm1(-t / x)))) \
-        / math.sqrt(1.0 - chi)
+    e = np.expm1(-t / x)
+    gap = (e + (1.0 - chi)) \
+        / ((1.0 - chi) * (1.0 + np.sqrt(-e / (1.0 - chi))))
+    return 0.5 * float(np.dot(weights, np.exp(-t) * gap * gap))
 
 
-def hellinger_bound(affinity: float) -> float:
-    """TV bound sqrt(1 - rho^2) from a product law's Bhattacharyya affinity."""
-    return math.sqrt(max(0.0, 1.0 - affinity * affinity))
+def hellinger_bound(gaps) -> float:
+    """TV bound sqrt(1 - rho^2) of a product law, from its bands' 1 - rho_k
+    (`band_hellinger`). 1 - rho = 1 - prod_k (1 - h_k) accumulates as
+    g + h - g h, and 1 - rho^2 = g (2 - g): neither cancels as rho -> 1."""
+    g = 0.0
+    for h in gaps:
+        g += h - g * h
+    return math.sqrt(g * (2.0 - g))
 
 
 def solve_chi_star(epsilon):

@@ -115,14 +115,17 @@ class _BandLogPsi:
 
     The table is the not-a-knot cubic spline of exact ln Psi at the
     knots of `_spline_knots`' trimmed grid over [z_lo, z_hi], stored as
-    one (intervals, 4) array of Horner coefficients in the interval
-    fraction u = (ln z - t_i) / h. A call reads it in one fused pass: a
-    clipped log, the interval index from the uniform step (a knot off
-    the step by an ulp only moves the sample to the neighbouring cubic,
-    which matches at the knot to rounding), one gather of the
-    coefficient rows, and Horner in u. Its certificate is the largest
-    error against `log_psi` at the middle of every knot interval that
-    samples reach (`_certificate_error`), a dense estimate, held to
+    a (4, intervals) array of Horner coefficients c0..c3 in the interval
+    fraction u = (ln z - t_i) / h. Where an interval's u-terms cannot
+    reach the last bit of its c0 they are zeroed: that keeps every read's
+    bits, and spares the reads in the tails, where those terms decay to
+    subnormals, slow subnormal products. A call reads the table in one
+    fused pass: a clipped log, the interval index from the uniform step (a
+    knot off the step by an ulp only moves the sample to the neighbouring
+    cubic, which matches at the knot to rounding), a gather from each
+    contiguous coefficient row, and Horner in u. Its certificate is the
+    largest error against `log_psi` at the middle of every knot interval
+    that samples reach (`_certificate_error`), a dense estimate, held to
     _BAND_GATE. A band whose table fails that certificate tries once
     more on a grid four times finer, and if that fails too, reads every
     sample from `log_psi` instead of raising.
@@ -155,7 +158,13 @@ class _BandLogPsi:
         self._inv_step = (t.size - 1) / (t[-1] - t[0])
         self._last = t.size - 2
         powers = (1.0 / self._inv_step) ** np.arange(4.0)
-        self.table = np.ascontiguousarray((c[::-1] * powers[:, None]).T)
+        self.table = c[::-1] * powers[:, None]
+        # Where the u-terms stay below a quarter ulp of c0 (|u| <= 1 up to
+        # rounding), Horner returns c0 to the bit. Zeroing them there keeps
+        # every read's bits and spares it subnormal products.
+        flat = np.abs(self.table[1:]).sum(axis=0) * (1.0 + 1e-9) \
+            < 0.25 * np.spacing(np.abs(self.table[0]))
+        self.table[1:, flat] = 0.0
         # Certify the knot intervals that samples reach: from the one
         # holding z_min on.
         reached = t[max(np.searchsorted(t, np.log(self._z_min), "right") - 1,
@@ -175,13 +184,15 @@ class _BandLogPsi:
         i = u.astype(np.intp)
         np.minimum(i, self._last, out=i)
         u -= i
-        c = self.table.take(i, axis=0)
-        out = c[..., 3] * u
-        out += c[..., 2]
+        c0, c1, c2, c3 = self.table
+        out = c3.take(i, mode="clip")
         out *= u
-        out += c[..., 1]
+        term = c2.take(i, mode="clip")
+        out += term
         out *= u
-        out += c[..., 0]
+        out += c1.take(i, mode="clip", out=term)
+        out *= u
+        out += c0.take(i, mode="clip", out=term)
         return out
 
     def __call__(self, z) -> np.ndarray:

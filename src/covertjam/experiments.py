@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covertness import _require_chi, band_affinity, hellinger_bound, \
+from .covertness import _require_chi, band_hellinger, hellinger_bound, \
     limit_kl, pinsker_budget, tv_limit, tv_upper_bound
 from .detection import _MIN_TRIALS, covertness_audit
 from .fast_varying import ao_solve, ergodic_sum_rate, es_solve
@@ -338,7 +338,7 @@ _BOUNDS = {
     "pinsker_bound": lambda chis: pinsker_budget(
         [limit_kl(float(c)) for c in chis], 1),
     "hellinger_bound": lambda chis: hellinger_bound(
-        float(np.prod([band_affinity(float(c)) for c in chis]))),
+        [band_hellinger(float(c)) for c in chis]),
 }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from covertjam.covertness import (
-    band_affinity,
+    band_hellinger,
     eta,
     hellinger_bound,
     kl_divergence,
@@ -110,7 +110,8 @@ def test_criterion_02_exact_tv_within_the_bounds():
             tv = tv_limit([c1, c2])
             e1, e2 = eta(c1), eta(c2)
             pinsker = pinsker_budget([limit_kl(c1), limit_kl(c2)], 1)
-            hellinger = hellinger_bound(band_affinity(c1) * band_affinity(c2))
+            hellinger = hellinger_bound([band_hellinger(c1),
+                                         band_hellinger(c2)])
             assert max(e1, e2) <= tv <= e1 + e2, (c1, c2, tv)
             assert tv <= pinsker and tv <= hellinger, (c1, c2, tv)
 

@@ -9,8 +9,9 @@ import pytest
 
 from covertjam import covertness
 from covertjam.covertness import (
-    band_affinity,
+    band_hellinger,
     eta,
+    hellinger_bound,
     kl_divergence,
     limit_kl,
     log_psi,
@@ -69,7 +70,7 @@ def test_eta_rejects_chi_outside_unit_interval(chi):
         eta(chi)
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
         tv_upper_bound([0.1, chi])
-    for fn in (limit_kl, band_affinity):
+    for fn in (limit_kl, band_hellinger):
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
             fn(chi)
 
@@ -451,13 +452,16 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
     # 1e-12 to 1e9. 0.0516, x just above 0.05, is where D's digamma closed
     # form, switched to its power series below x = 0.05, loses most to
     # cancellation (1.4e-14 there); the last two put the log and
-    # square-root ends at t = 0 far below the bend at t ~ x.
+    # square-root ends at t = 0 far below the bend at t ~ x. 1 - rho and
+    # the two-band Hellinger bound sqrt(1 - rho^4) hold a relative bound
+    # down to chi = 1e-12: forming 1 - rho^4 from rho put the bound off by
+    # 8.1e-7 at chi = 1e-9.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     assert limit_kl(0.0) == 0.0
-    assert band_affinity(0.0) == 1.0
+    assert band_hellinger(0.0) == 0.0
     for chi in np.append(np.geomspace(1e-12, 0.9999, 19),
-                         [0.0516, 1.0 - 1e-6, 1.0 - 1e-9]):
+                         [0.0516, 1.0 - 1e-6, 1.0 - 1e-9, 1e-9]):
         c = mpmath.mpf(float(chi))
         rate = (1 - c) / c
         breaks = [0, c, 1, 10, mpmath.inf]
@@ -466,14 +470,17 @@ def test_limit_density_closed_forms_match_mpmath_quadrature():
         rho = mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.sqrt(
             -mpmath.expm1(-rate * t) / (1 - c)), breaks)
         assert abs(limit_kl(float(chi)) - float(kl)) <= 1e-14 * float(kl)
-        assert abs(band_affinity(float(chi)) - float(rho)) <= \
-            1e-14 * float(rho)
+        gap = band_hellinger(float(chi))
+        assert abs(gap - float(1 - rho)) <= 1e-14 * float(1 - rho)
+        bound = float(mpmath.sqrt(1 - rho ** 4))
+        assert abs(hellinger_bound([gap, gap]) - bound) <= 1e-14 * bound
 
 
 def test_limit_density_functionals_take_their_leading_terms_at_tiny_chi():
-    # Below chi = 1e-20, D = (zeta(2) - 1) x and rho = 1 to rounding: the
-    # panel rule's count would overflow at 1e-300 and its first width
-    # would be 0 at 5e-324.
+    # Below chi = 1e-20, D = (zeta(2) - 1) x and 1 - rho = (3/2 - 2 ln 2) x
+    # to rounding: the panel rule's count would overflow at 1e-300 and its
+    # first width would be 0 at 5e-324. Just above 1e-20 the panel rule
+    # meets the leading term.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for chi, kl in ((0.0, 0.0), (5e-324, 5e-324),
@@ -481,7 +488,10 @@ def test_limit_density_functionals_take_their_leading_terms_at_tiny_chi():
                         (1e-300, 6.449340668482264e-301),
                         (1e-25, 0.6449340668482264 * 1e-25)):
             assert limit_kl(chi) == kl, chi
-            assert band_affinity(chi) == 1.0, chi
+            assert band_hellinger(chi) == (1.5 - 2.0 * math.log(2.0)) * chi
+    chi = 1e-20 * (1.0 + 1e-6)
+    assert abs(band_hellinger(chi) / chi - (1.5 - 2.0 * math.log(2.0))) \
+        <= 1e-14
 
 
 def test_single_band_tv_speed():

@@ -19,6 +19,7 @@ from covertjam.detection import (
 from covertjam.quadrature import (
     _SPLINE_KNOTS,
     _SPLINE_Z_LO,
+    _not_a_knot_coeffs,
     _spline_knots,
     log_phi_exact,
 )
@@ -117,7 +118,7 @@ def test_band_log_psi_table_matches_cubic_spline_of_exact_log_psi():
     psi = _BandLogPsi(p, q, n)
     t = psi.knots
     assert t[0] < np.log(psi.z_lo) and t[-1] == np.log(psi.z_hi)
-    assert psi.table.shape == (t.size - 1, 4)
+    assert psi.table.shape == (4, t.size - 1)
     reference = CubicSpline(t, log_psi(p, q, np.exp(t), n))
     rng = np.random.default_rng(6)
     scale = 1.0 + p * rng.exponential(size=(4000, 3)) \
@@ -140,6 +141,33 @@ def test_band_log_psi_table_matches_cubic_spline_of_exact_log_psi():
     want = reference(np.log(np.clip(z, psi.z_lo, psi.z_hi)))
     assert np.max(np.abs(got - want)[~outside]) <= 1e-12
     assert np.array_equal(got[outside], log_psi(p, q, z[outside], n))
+
+
+def test_band_log_psi_flat_rows_keep_the_unflushed_bits():
+    # audit_replay's fig4-like band: many rows' u-terms decay into
+    # subnormals below a quarter ulp of c0, and the table zeroes them. A
+    # dense read must equal Horner on the unflushed coefficients.
+    p, q, n = 0.0824, 316.2, 90.0
+    psi = _BandLogPsi(p, q, n)
+    t = psi.knots
+    powers = (1.0 / psi._inv_step) ** np.arange(4.0)
+    full = _not_a_knot_coeffs(t, log_psi(p, q, np.exp(t), n))[::-1] \
+        * powers[:, None]
+    flushed = np.all(psi.table[1:] == 0.0, axis=0) \
+        & np.any(full[1:] != 0.0, axis=0)
+    assert flushed.sum() > 500  # 531 of 1745 rows
+    assert np.array_equal(psi.table[0], full[0])
+    assert np.array_equal(psi.table[1:, ~flushed], full[1:, ~flushed])
+    rng = np.random.default_rng(8)
+    z = np.concatenate([
+        np.exp(np.linspace(np.log(psi.z_lo), t[-1], 200_001)),
+        rng.gamma(n, 1.0 + q * rng.exponential(size=100_000))])
+    z = np.clip(z, psi.z_lo, psi.z_hi)
+    u = (np.log(z) - t[0]) * psi._inv_step
+    i = np.minimum(u.astype(np.intp), t.size - 2)
+    u -= i
+    c0, c1, c2, c3 = full[:, i]
+    assert np.array_equal(psi(z), ((c3 * u + c2) * u + c1) * u + c0)
 
 
 def test_band_log_psi_below_z_lo_is_exact():

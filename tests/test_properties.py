@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from covertjam import quasi_static
 from covertjam.covertness import (
-    band_affinity,
+    band_hellinger,
     eta,
     hellinger_bound,
     kl_divergence,
@@ -88,11 +88,11 @@ def test_limiting_law_tv_lies_between_its_affinity_and_kl_bounds(c1, c2):
     # One likelihood ratio, three functionals: Le Cam's 1 - rho below the
     # exact TV, the Hellinger and Pinsker bounds above it, and a zero band
     # leaves the other's eta.
-    rho = band_affinity(c1) * band_affinity(c2)
+    gaps = [band_hellinger(c1), band_hellinger(c2)]
     tv = tv_limit([c1, c2])
-    upper = min(hellinger_bound(rho),
+    upper = min(hellinger_bound(gaps),
                 pinsker_budget([limit_kl(c1), limit_kl(c2)], 1))
-    assert 1.0 - rho <= tv * (1.0 + 1e-13)
+    assert 1.0 - (1.0 - gaps[0]) * (1.0 - gaps[1]) <= tv * (1.0 + 1e-13)
     assert tv <= upper * (1.0 + 1e-13)
     for c in (c1, c2):
         assert abs(tv_limit([c, 0.0]) - eta(c)) <= 1e-14 * eta(c)
