@@ -315,23 +315,21 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     put the table within a few ulps of a cold rebuild. The first round,
     the warm start and the returned point start their roots cold.
 
-    A doubling solves only the new columns that can still matter, the
-    bounding step of monotonic optimization (Tuy, SIAM J. Optim. 2000). A
-    new column's right neighbour bounds its rate, and `_reach` bounds every
-    split through it at the bound's budget G + K - 1 by that table's prefix
-    maxima. A column whose reach is below the incumbent less
-    `_PRUNE_MARGIN` of it keeps its neighbour's rate and root. Reach never
-    rises and the incumbent never falls from one round to the next, so a
-    pruned column's later left neighbours are pruned too: every solved
-    root starts from a solved neighbour, as without pruning, and no split
-    through a pruned column can be a round's incumbent or bound. So
-    results and traces keep the bits of the exhaustive refinement. The
-    margin, thousands of ulps, covers the rounding of reach's K-term sums
-    against the split search's and any ulp-level dip of a table row (none
-    showed in the rows of 150 random bands refined to 2^16 columns). The
-    one exception is a warm start above the grid's own bound, which the
-    budget check's 1e-12 tolerance admits: the search then stops in that
-    round, and its last traced bound may read from upper estimates.
+    A doubling solves only the new columns through which a split could
+    still beat the incumbent, the bounding step of monotonic optimization
+    (Tuy, SIAM J. Optim. 2000). A new column's right neighbour bounds its
+    rate, and `_reach` bounds every split through it at budget G + K - 1.
+    A column whose reach is below the incumbent less `_PRUNE_MARGIN` of it
+    keeps its neighbour's rate and root. Reach never rises and the
+    incumbent never falls, so a pruned column's later left neighbours are
+    pruned too: each solved root starts from a solved one, and no split
+    through a pruned column can be a round's incumbent or bound, so results
+    and traces keep the exhaustive refinement's bits. The margin, thousands
+    of ulps, covers the rounding of reach's sums and any ulp-level dip of a
+    table row (none showed in 150 random bands refined to 2^16 columns).
+    Only a warm start above the grid's own bound, which the budget check's
+    1e-12 tolerance admits, can end a search whose last traced bound then
+    reads from upper estimates.
 
     The name and the "poa" method label predate this search: they were
     kept for the polyblock outer approximation it replaced, because run
