@@ -182,8 +182,8 @@ def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
     if params.K != 1:
         raise ValueError("closed form applies to exactly one receiver")
     chi = np.array([solve_chi_star(params.epsilon)])
-    gamma, rates = _best_response(params.A, params.B, chi)
-    obj = float(rates[0])
+    gamma = single_receiver_gamma(params.A, params.B, chi)
+    obj = float(effective_rate(chi, gamma, params.A, params.B)[0])
     return QsSolveResult(
         chi=chi,
         gamma=gamma,
@@ -194,20 +194,11 @@ def closed_form_solve(params: QuasiStaticParams) -> QsSolveResult:
     )
 
 
-def _best_response(A, B, chi):
-    """Best SINR thresholds and their rates, broadcast; zero where chi = 0."""
-    a, b, chi = np.broadcast_arrays(A, B, np.asarray(chi, float))
-    gamma = np.zeros(chi.shape)
-    live = chi > 0.0
-    gamma[live] = single_receiver_gamma(a[live], b[live], chi[live])
-    return gamma, effective_rate(chi, gamma, a, b)
-
-
 def _grid_rates(a, b, chi, start=None):
     """Best-response rates and roots m at flat points (a, b, chi), chi > 0,
     each root found from `start` (see `_gamma_roots`). Cold, they have the
-    bits of `_best_response`: this is `effective_rate`'s arithmetic without
-    its checks, which gamma = A chi / m > 0 passes."""
+    bits of `single_receiver_gamma` and `effective_rate`, whose arithmetic
+    this is without the checks, which gamma = A chi / m > 0 passes."""
     a_chi = a * chi
     m = _gamma_roots(a_chi, np.log(b), start)
     gamma = a_chi / m
@@ -312,8 +303,9 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     entry's threshold root m, and a new column's roots start at those of
     its right neighbour (a larger chi), which bound them from above
     (`_gamma_roots`). Stopped by the same floor from nearer starts, they
-    put the table within a few ulps of a cold rebuild. The first round,
-    the warm start and the returned point start their roots cold.
+    put the table within a few ulps of a cold rebuild. The first round
+    and the warm start solve their roots cold, in one kernel call, and the
+    returned thresholds are read off the incumbent's roots.
 
     A doubling solves only the new columns through which a split could
     still beat the incumbent, the bounding step of monotonic optimization
@@ -343,54 +335,68 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     # single_receiver_gamma's check.
     if not np.all(np.isfinite(params.A) & np.isfinite(params.B)):
         raise ValueError("A and B must be finite")
-    best_point = np.zeros(k)
-    best_value = 0.0
+    a, b = params.A, params.B
+    grid = _GRID_START
+    chi = _share_grid(params.epsilon, grid)
+    # Round 1 and the warm start take their roots cold, in one kernel call;
+    # chi = 0 has zero rate and no root.
+    band, points = np.repeat(np.arange(k), grid), np.tile(chi[1:], k)
+    best_point, best_value = np.zeros(k), 0.0
     if warm_start is not None:
         ws = np.asarray(warm_start, float)
         if ws.shape != (k,) or np.any(ws < 0.0):
             raise ValueError("warm_start must be a nonnegative K-vector")
         if tv_upper_bound(ws) > params.epsilon + 1e-12:
             raise ValueError("warm_start violates the covertness budget")
-        best_point = ws
-        best_value = float(np.sum(_best_response(params.A, params.B, ws)[1]))
-    a, b = params.A, params.B
+        lit = np.flatnonzero(ws > 0.0)
+        band, points = np.append(band, lit), np.append(points, ws[lit])
+    rates, m = _grid_rates(a[band], b[band], points)
+    best_root = np.full(k, np.nan)
+    if warm_start is not None:
+        best_point, best_root[lit] = ws, m[k * grid:]
+        ws_rates = np.zeros(k)
+        ws_rates[lit] = rates[k * grid:]
+        best_value = float(np.sum(ws_rates))
+    table = np.zeros((k, grid + 1))
+    roots = np.full((k, grid + 1), np.nan)
+    table[:, 1:] = rates[:k * grid].reshape(k, grid)
+    roots[:, 1:] = m[:k * grid].reshape(k, grid)
     trace = []
-    converged, grid = False, _GRID_START
-    while not converged and grid <= _GRID_CAP:
-        chi = _share_grid(params.epsilon, grid)
-        if grid == _GRID_START:  # cold; chi = 0 has zero rate and no root
-            rates, m = _grid_rates(np.repeat(a, grid), np.repeat(b, grid),
-                                   np.tile(chi[1:], k))
-            table = np.concatenate(
-                (np.zeros((k, 1)), rates.reshape(k, -1)), axis=1)
-            roots = np.concatenate(
-                (np.full((k, 1), np.nan), m.reshape(k, -1)), axis=1)
-        else:  # the previous round's tables hold the even columns, and each
-            # odd point's right neighbour bounds its rate and its root
-            rates, m = table[:, 1:].copy(), roots[:, 1:].copy()
-            live = _reach(_refine(table, rates), grid + k - 1) \
-                >= best_value * (1.0 - _PRUNE_MARGIN)
-            band, col = np.nonzero(live)
-            rates[live], m[live] = _grid_rates(a[band], b[band],
-                                               chi[2 * col + 1], m[live])
-            table, roots = _refine(table, rates), _refine(roots, m)
+    while True:
         (_, shares), (bound, _) = _split_dp(table, (grid, grid + k - 1))
         low = float(np.sum(table[np.arange(k), shares]))
         if low > best_value:
             best_value, best_point = low, chi[shares]
+            best_root = roots[np.arange(k), shares]
             # Shares summed in floating point may exceed epsilon by an ulp.
             while tv_upper_bound(best_point) > params.epsilon:
                 best_point = np.nextafter(best_point, 0.0)
         trace.append({"iteration": len(trace) + 1, "bound": bound,
                       "best_feasible": best_value})
         converged = bound - best_value <= delta
+        if converged or grid == _GRID_CAP:
+            break
+        # The previous round's tables hold the even columns, and each odd
+        # point's right neighbour bounds its rate and its root.
         grid *= 2
+        chi = _share_grid(params.epsilon, grid)
+        rates, m = table[:, 1:].copy(), roots[:, 1:].copy()
+        live = _reach(_refine(table, rates), grid + k - 1) \
+            >= best_value * (1.0 - _PRUNE_MARGIN)
+        band, col = np.nonzero(live)
+        rates[live], m[live] = _grid_rates(a[band], b[band],
+                                           chi[2 * col + 1], m[live])
+        table, roots = _refine(table, rates), _refine(roots, m)
 
-    gammas, rates = _best_response(params.A, params.B, best_point)
+    # The incumbent's roots were solved with its rates; after a step down
+    # by an ulp they still bound the roots at its chi from above.
+    lit = best_point > 0.0
+    gammas = np.zeros(k)
+    gammas[lit] = a[lit] * best_point[lit] / best_root[lit]
     return QsSolveResult(
         chi=best_point,
         gamma=gammas,
-        objective=float(np.sum(rates)),
+        objective=float(np.sum(effective_rate(best_point, gammas, a, b))),
         method="poa",
         trace=trace,
         constraint_slack=params.epsilon - tv_upper_bound(best_point),
