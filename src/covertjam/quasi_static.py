@@ -166,8 +166,9 @@ def _gamma_roots(a_chi, ln_b, start=None):
         if big.any():  # ln(1 + 1/kappa) rounds there: 1 + 1/(2 kappa) and 1
             phi[big] = 1.0 + 0.5 / kappa[big]
             dphi[big] = 1.0
-        return m - ln_b[rows] - np.log1p(m * phi), \
-            1.0 - dphi / (1.0 + m * phi), 1e-15 * m
+        m_phi = m * phi
+        return m - ln_b[rows] - np.log1p(m_phi), 1.0 - dphi / (1.0 + m_phi), \
+            1e-15 * m
 
     hi = ln_b + 60.0
     if start is None:
