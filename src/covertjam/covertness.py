@@ -192,8 +192,10 @@ def kl_divergence(p: float, q: float, n: float) -> float:
     that kills the naive form when Psi ~ 1. It is a reduction of the
     band's n-sample law: delta = Psi - 1, from the exact ln Phi(p, ., n),
     at the nodes of the certified H0 energy rule (density z^{n-1}
-    Phi(q, z, n) / Gamma(n)), which is cached per (q, n) and shared with
-    zeta. q, n and p are checked before any ln Phi or rule work.
+    Phi(q, z, n) / Gamma(n)), which `h0_energy_rule` caches per (q, n).
+    zeta builds the same rule from `h0_energy_layout` and
+    `h0_energy_finish`, and caches its values, not the rule. q, n and p
+    are checked before any ln Phi or rule work.
     """
     _require_h0_law(q, n)
     _require_p_below_q(p, q)

@@ -33,18 +33,18 @@ largest error at the middle of every knot interval: a dense estimate,
 not a proved bound) also build the detection oracle's ln Psi tables.
 `h0_energy_rule` integrates against the H0 energy law on Gauss-Legendre
 panels (`_panel_rule`, which `covertness._limit_panels` shares);
-`gamma_rules` integrate against Gamma(n, 1), built in one batch per call
-from the Jacobi matrices' eigenvalues and the Christoffel weights of the
-three-term recurrence, with no eigenvectors. `_gamma_tail_bounds` gives
-closed-form Gamma(n, 1) tail bounds, which set the support windows of
-the H0 energy rule and of the detection tables.
+`gamma_rules` integrate against Gamma(n, 1) with 128 nodes, built afresh
+in one batch per call, uncached, from the Jacobi matrices' eigenvalues and
+the Christoffel weights of the three-term recurrence, with no
+eigenvectors. `_gamma_tail_bounds` gives closed-form Gamma(n, 1) tail
+bounds, which set the support windows of the H0 energy rule and of the
+detection tables.
 Everything here is numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,23 +84,20 @@ _SPLINE_Z_LO = 1e-6
 _SPLINE_KNOTS = 4000
 _SPLINE_TRIM = 48
 
-# gamma_rules keeps at most this many rules, dropping the oldest first.
-_GAMMA_RULE_CACHE_SIZE = 512
-_GAMMA_RULES: dict = {}
-# The Christoffel recurrence scales a node down by 2^-_RESCALE_BITS once
-# its sum of squares passes 2^(2 _RESCALE_BITS); one more step then grows
-# it by far less than the 2^(1024 - 2 _RESCALE_BITS) left to overflow.
-_RESCALE_BITS = 256
-_RESCALE_DOWN = 2.0 ** -_RESCALE_BITS
-_RESCALE_TOTAL = 2.0 ** (2 * _RESCALE_BITS)
+# The order of every Gamma(n) rule: 128 nodes. At this order the
+# Christoffel recurrence's sum of squares peaks at about 1e209 (n = 1), far
+# below double's overflow, and the smallest weight (about 1e-209) stays
+# normal, so the recurrence needs no rescaling.
+_GAMMA_ORDER = 128
 # gamma_rules takes the eigenvalues of this many dense Jacobi matrices per
 # LAPACK call: 2 MiB at order 128, where a whole pilot grid's 99 rules at
 # once would take 13 MiB.
 _EIG_BATCH = 16
 
 
-def gamma_rules(ns, order: int = 128) -> list:
-    """Gamma(n, 1) rules of one order, one (nodes, weights) pair per n.
+def gamma_rules(ns) -> list:
+    """Gamma(n, 1) rules of _GAMMA_ORDER nodes, one (nodes, weights) pair
+    per n.
 
     Generalized Gauss-Laguerre on the known Jacobi recurrence: diagonal
     a_k = 2k + n, off-diagonal sqrt(b_k) = sqrt(k(k + n - 1)). The nodes
@@ -111,39 +108,32 @@ def gamma_rules(ns, order: int = 128) -> list:
     w_i = 1 / sum_k p_k(x_i)^2, with the orthonormal p_k from the
     three-term recurrence (Golub and Welsch, Math. Comp. 1969; Gautschi,
     "Orthogonal Polynomials", 2004), normalized to sum 1. The recurrence
-    runs over every node of every missing rule at once, and each step acts
-    per node, so a rule has the same bits whatever batch builds it. Unlike
-    the scipy polynomial-root route this stays finite for large shapes (n
-    of several hundred), and tail weights keep their relative accuracy
-    down to double's range.
-    Rules are cached per (n, order), at most _GAMMA_RULE_CACHE_SIZE of
-    them, dropping the oldest first.
+    runs over every node of every distinct n of the call at once, and each
+    step acts per node, so a rule has the same bits whatever batch builds
+    it. Unlike the scipy polynomial-root route this stays finite for large
+    shapes (n of several hundred), and tail weights keep their relative
+    accuracy down to double's range.
+    Nothing is cached here: `covertness.zeta_pairs`, the one caller,
+    caches the zeta values, so it asks only for the rules of its misses.
     """
-    if not isinstance(order, numbers.Integral) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, not {order!r}")
-    keys = [(float(n), int(order)) for n in ns]
-    for n, _ in keys:
+    ns = [float(n) for n in ns]
+    for n in ns:
         if not 1.0 <= n < np.inf:
             raise ValueError("n must be finite and >= 1")
-    rules = {k: _GAMMA_RULES[k] for k in keys if k in _GAMMA_RULES}
-    todo = [k for k in dict.fromkeys(keys) if k not in rules]
-    if todo:
-        n_col = np.array([[n] for n, _ in todo])
-        k = np.arange(order, dtype=float)
-        diag = 2.0 * k + n_col
-        off = np.sqrt(k[1:] * (k[1:] + (n_col - 1.0)))
-        nodes = np.concatenate([
-            _tridiagonal_eigenvalues(diag[lo:lo + _EIG_BATCH],
-                                     off[lo:lo + _EIG_BATCH])
-            for lo in range(0, len(todo), _EIG_BATCH)])
-        weights = _christoffel_weights(nodes, diag, off)
-        # Each cached rule owns its rows, so no batch outlives its rules.
-        rules.update((key, (x.copy(), w.copy()))
-                     for key, x, w in zip(todo, nodes, weights))
-        _GAMMA_RULES.update((key, rules[key]) for key in todo)
-        while len(_GAMMA_RULES) > _GAMMA_RULE_CACHE_SIZE:
-            del _GAMMA_RULES[next(iter(_GAMMA_RULES))]
-    return [rules[k] for k in keys]
+    distinct = list(dict.fromkeys(ns))
+    if not distinct:
+        return []
+    n_col = np.array([[n] for n in distinct])
+    k = np.arange(_GAMMA_ORDER, dtype=float)
+    diag = 2.0 * k + n_col
+    off = np.sqrt(k[1:] * (k[1:] + (n_col - 1.0)))
+    nodes = np.concatenate([
+        _tridiagonal_eigenvalues(diag[lo:lo + _EIG_BATCH],
+                                 off[lo:lo + _EIG_BATCH])
+        for lo in range(0, len(distinct), _EIG_BATCH)])
+    weights = _christoffel_weights(nodes, diag, off)
+    rules = dict(zip(distinct, zip(nodes, weights)))
+    return [rules[n] for n in ns]
 
 
 def _tridiagonal_eigenvalues(diag, off) -> np.ndarray:
@@ -160,29 +150,18 @@ def _tridiagonal_eigenvalues(diag, off) -> np.ndarray:
 
 def _christoffel_weights(x, diag, off) -> np.ndarray:
     """Normalized Christoffel weights at the nodes x, shape (rules, nodes),
-    of the Jacobi matrices with rows diag and off.
-
-    Once a node's running sum of p_k^2 passes 2^(2 _RESCALE_BITS), its
-    (p_k, p_{k-1}) pair and sum are scaled down by a power of two, which
-    is exact, and the exponent is carried to the end.
-    """
+    of the Jacobi matrices with rows diag and off. The running sum of p_k^2
+    is not rescaled (see _GAMMA_ORDER)."""
     p_prev = np.zeros_like(x)
     p = np.ones_like(x)
     total = np.ones_like(x)
-    exponent = np.zeros(x.shape, dtype=int)
     for k in range(x.shape[1] - 1):
         step = (x - diag[:, k:k + 1]) * p
         if k:
             step -= off[:, k - 1:k] * p_prev
         p, p_prev = step / off[:, k:k + 1], p
         total += p * p
-        big = total > _RESCALE_TOTAL
-        if big.any():
-            p[big] *= _RESCALE_DOWN
-            p_prev[big] *= _RESCALE_DOWN
-            total[big] *= _RESCALE_DOWN * _RESCALE_DOWN
-            exponent[big] += 2 * _RESCALE_BITS
-    w = np.ldexp(1.0 / total, -exponent)
+    w = 1.0 / total
     return w / w.sum(axis=1, keepdims=True)
 
 

@@ -156,8 +156,10 @@ def _gamma_roots(a_chi, ln_b, start=None):
         keeps kappa from overflowing near 1e154. |F| <= 1e-15 m is the
         rounding floor of F's three terms.
         """
-        kappa = m / a_chi[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A chi that underflows to 0, or to a subnormal, sends kappa to
+        # +inf; the big-kappa branch below then reads phi = 1.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            kappa = m / a_chi[rows]
             log_term = np.log1p(1.0 / kappa)
             phi = (1.0 + kappa) * log_term
             # d(m phi)/dm = (1 + 2 kappa) ln(1 + 1/kappa) - 1
@@ -203,7 +205,10 @@ def _grid_rates(a, b, chi, start=None):
     a_chi = a * chi
     m = _gamma_roots(a_chi, np.log(b), start)
     gamma = a_chi / m
-    outage = b * np.exp(-a * (chi / gamma))
+    # gamma is 0 or subnormal where A chi underflows: chi / gamma is inf
+    # or huge, so the outage factor is 0 and the rate log1p(gamma) ~ 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        outage = b * np.exp(-a * (chi / gamma))
     return np.where(outage <= 1.0, (1.0 - outage) * np.log1p(gamma), 0.0), m
 
 
@@ -332,10 +337,6 @@ def poa_solve(params: QuasiStaticParams, delta: float = 1e-4,
     incumbent, so the returned value never falls below it.
     """
     k = params.K
-    # QuasiStaticParams admits them, and the grid's root solves skip
-    # single_receiver_gamma's check.
-    if not np.all(np.isfinite(params.A) & np.isfinite(params.B)):
-        raise ValueError("A and B must be finite")
     a, b = params.A, params.B
     grid = _GRID_START
     chi = _share_grid(params.epsilon, grid)

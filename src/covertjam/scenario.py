@@ -213,10 +213,10 @@ class QuasiStaticParams:
         self.B = np.asarray(self.B, float)
         if self.A.size < 1 or self.A.shape != self.B.shape:
             raise ValueError("A and B must be equal-length nonempty vectors")
-        if np.any(self.A <= 0.0):
-            raise ValueError("A_k must be positive")
-        if np.any(self.B <= 1.0):
-            raise ValueError("B_k must exceed 1")
+        if not np.all((self.A > 0.0) & (self.A < np.inf)):
+            raise ValueError("A_k must be positive and finite")
+        if not np.all((self.B > 1.0) & (self.B < np.inf)):
+            raise ValueError("B_k must be finite and exceed 1")
         _require_problem(self.epsilon)
 
     @property
@@ -248,8 +248,6 @@ class FastVaryingParams:
 
     N: int
     L: int
-    G_const: float
-    E_const: float
     Gk: np.ndarray
     Ek: np.ndarray
     mu_tilde: np.ndarray
@@ -260,13 +258,13 @@ class FastVaryingParams:
 
     def __post_init__(self):
         _require_problem(self.epsilon, self.N, self.L)
-        if not 0.0 < self.G_const < 1e300 or self.E_const < 0.0:
-            raise ValueError("invalid beamforming constants")
         for name in ("Gk", "Ek", "mu_tilde", "F1", "F2", "q_norm"):
             v = np.asarray(getattr(self, name), float)
             setattr(self, name, v)
-            if np.any(v < 0.0) or v.shape != self.Gk.shape:
-                raise ValueError(f"{name} must be a nonnegative vector")
+            if (not np.all((v >= 0.0) & (v < np.inf))
+                    or v.shape != self.Gk.shape):
+                raise ValueError(f"{name} must be a finite nonnegative "
+                                 f"vector")
         if np.any(self.Gk <= 0.0) or np.any(self.F1 <= 0.0) or np.any(self.q_norm <= 0.0):
             raise ValueError("Gk, F1 and q_norm must be strictly positive")
 
@@ -291,8 +289,6 @@ def derive_fast_varying(instance: ScenarioInstance, N: int, L: int,
     return FastVaryingParams(
         N=N,
         L=L,
-        G_const=g,
-        E_const=e,
         Gk=ratio * N * g,
         Ek=ratio * N * e,
         mu_tilde=ratio * instance.mu,

@@ -381,10 +381,11 @@ def test_criterion_10_property_suites(report, tmp_path):
 
     worst_split = 0.0
     for m in (1, 2, 5, 20, 40, 400):
-        fp = derive_fast_varying(
-            sample_scenario(ScenarioConfig(K=1, M=m), 1), 20, 10, 0.05)
-        worst_split = max(worst_split,
-                          abs(fp.G_const + fp.E_const - m) / m)
+        inst = sample_scenario(ScenarioConfig(K=1, M=m), 1)
+        fp = derive_fast_varying(inst, 20, 10, 0.05)
+        scale = 20 * inst.Q_mw * inst.S_AJ / inst.S_AT
+        worst_split = max(worst_split, float(np.max(
+            np.abs((fp.Gk + fp.Ek) / scale - m))) / m)
     ok_split = worst_split <= 1e-12
 
     ok = ok_eta and ok_resid and ok_bytes and ok_split

@@ -363,7 +363,7 @@ def test_zeta_two_route_agreement():
     for q in (5.0, 30.0, 50.0):
         for n in (10.0, 90.0):
             routed = zeta(q, n)
-            s, w = gamma_rules([n], 192)[0]
+            s, w = gamma_rules([n])[0]
             direct = float(np.dot(w, np.exp(-s - log_phi_exact(q, s, n)))) - 1.0
             assert abs(routed - direct) <= 1e-8 * max(1.0, abs(direct)), \
                 (q, n, routed, direct)

@@ -3,7 +3,9 @@
 import ast
 import csv
 import dataclasses
+import importlib
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covertjam
 from covertjam import cli, experiments
 from covertjam.experiments import (
     FIGURE_IDS,
@@ -584,3 +587,67 @@ def test_package_sources_import_no_scipy():
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+# The package's process-wide state: every cache a run may fill. A warm
+# start kept here instead of in an argument or a state field made reruns
+# differ (ROADMAP item 3's pitfall), so a new cache or hint must be named
+# here, where a reviewer sees it.
+_PROCESS_STATE = {
+    "covertjam.covertness._ZETA_CACHE",
+    "covertjam.quasi_static._SHARE_GRID",
+    "covertjam.quadrature.h0_energy_rule",
+    "covertjam.detection._band",
+}
+
+
+def _fingerprint(value):
+    """A comparable image of a container's contents, arrays by their bits
+    and other objects by identity."""
+    if hasattr(value, "cache_info"):
+        return tuple(value.cache_info())
+    if isinstance(value, dict):
+        return tuple((repr(k), _fingerprint(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_fingerprint(v) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(map(repr, value)))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return id(value)
+
+
+def _module_state() -> dict:
+    """Every module-level dict, list, set and lru_cache of the package,
+    keyed by object, with each name it has in any covertjam module."""
+    names, images = {}, {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] != "covertjam":
+            continue
+        for name, value in vars(module).items():
+            if (isinstance(value, (dict, list, set))
+                    or hasattr(value, "cache_info")):
+                names.setdefault(id(value), set()).add(
+                    f"{module_name}.{name}")
+                images[id(value)] = _fingerprint(value)
+    return {key: (names[key], images[key]) for key in images}
+
+
+def test_runs_change_only_the_named_process_state(tmp_path):
+    # A reduced fig4 sweep (SCA, POA), a reduced fig7 sweep (ES, AO, the
+    # zeta routes) and a 1e3-trial audit of each may fill the named
+    # caches, and no other module-level container of the package.
+    for module in pkgutil.iter_modules(covertjam.__path__):
+        importlib.import_module(f"covertjam.{module.name}")
+    before = _module_state()
+    for figure_id, sweep in (("fig4_rate_vs_Q", (25.0,)),
+                             ("fig7_rate_vs_PR", (5.0,))):
+        run_dir = run_experiment(default_spec(
+            figure_id, sweep=sweep, scenarios_per_point=1, seed=3,
+            output_dir=str(tmp_path / figure_id)))
+        audit_run(run_dir, trials=10**3, seed=3, max_rows=2)
+    changed = [names for key, (names, image) in _module_state().items()
+               if key not in before or before[key][1] != image]
+    assert changed, "the runs changed no process state"
+    stray = [sorted(names) for names in changed if not names & _PROCESS_STATE]
+    assert not stray, stray

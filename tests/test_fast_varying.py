@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covertjam import covertness, experiments, fast_varying, quadrature
+from covertjam import covertness, experiments, fast_varying
 from covertjam.fast_varying import (
     _ES_PRUNE_MARGIN,
     FvSolveResult,
@@ -24,7 +24,7 @@ from covertjam.scenario import FastVaryingParams, ScenarioConfig, \
 def _unit_params():
     # Hand-sized instance where every constant is 1: at tau = 1/2 and
     # chi = 1 the average SNR is (0.5)/(1.5 + 1.5) = 1/6.
-    return FastVaryingParams(N=2, L=1, G_const=1.0, E_const=1.0,
+    return FastVaryingParams(N=2, L=1,
                              Gk=np.array([1.0]), Ek=np.array([1.0]),
                              mu_tilde=np.array([1.0]), F1=np.array([1.0]),
                              F2=np.array([1.0]), q_norm=np.array([1.0]),
@@ -167,7 +167,7 @@ def test_chi_given_tau_without_the_cubic_term():
     # chi (G chi + F) F = G F / (lam zeta), with G, F at tau: the cap must
     # not read the missing cubic term as a zero bound on the root.
     params = FastVaryingParams(
-        N=10, L=1, G_const=1.0, E_const=0.0, Gk=np.array([1.0, 2.0, 5.0]),
+        N=10, L=1, Gk=np.array([1.0, 2.0, 5.0]),
         Ek=np.zeros(3), mu_tilde=np.zeros(3), F1=np.array([1.0, 0.5, 2.0]),
         F2=np.array([1.0, 1.0, 0.1]), q_norm=np.ones(3), epsilon=0.05)
     z = np.array([1.0, 2.0, 0.5])
@@ -350,7 +350,7 @@ def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
     # stock 25 dBm (q ~ 316) the Gamma rule route, and the mixed bands
     # take both in one call. ES's (N - 1, K) pilot-grid matrix is one
     # ln Phi call, and each value has the bits of a single-pair zeta
-    # evaluated on its own cold zeta and Gamma rule caches.
+    # evaluated on its own cold zeta cache.
     inst = sample_scenario(ScenarioConfig(K=4, Q_dBm=q_dbm), 5)
     params = derive_fast_varying(inst, 100, 1, 0.05)
     n_d = np.arange(99, 0, -1)
@@ -361,7 +361,6 @@ def test_zeta_grid_equals_single_pairs_on_a_cold_cache(monkeypatch, q_dbm):
     for n in n_d:
         for q in params.q_norm:
             monkeypatch.setattr(covertness, "_ZETA_CACHE", {})
-            monkeypatch.setattr(quadrature, "_GAMMA_RULES", {})
             single.append(covertness.zeta(q, n))
     assert np.array_equal(grid, np.reshape(single, grid.shape))
     assert len(calls) == 1 + grid.size

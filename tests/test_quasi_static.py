@@ -166,13 +166,30 @@ def test_poa_unreachable_delta_is_flagged():
     assert res.objective >= 3.2496921493220308 - 1e-6
 
 
+def test_underflowing_a_chi_takes_its_limit_without_warnings():
+    # Warnings are errors under this suite's settings. A chi = 1e-600
+    # underflows to 0: the root's kappa = m / (A chi) is +inf, and gamma
+    # takes the A chi -> 0 limit 0.
+    assert single_receiver_gamma(1e-300, 2.0, 1e-300) == 0.0
+    # In POA's grid A chi underflows to 0 or a subnormal, so the grid's
+    # chi / gamma divides by zero or overflows; the band's rate is 0 and
+    # the budget goes to the other band.
+    for a in (1e-320, 5e-324):
+        res = poa_solve(QuasiStaticParams(A=np.array([a, 1.0]),
+                                          B=np.array([2.0, 2.0]),
+                                          epsilon=0.005))
+        assert res.chi[0] == 0.0 and res.gamma[0] == 0.0
+        assert res.chi[1] > 0.0 and 0.0 < res.objective < np.inf
+
+
 def test_poa_rejects_non_finite_bands():
-    # QuasiStaticParams admits them; the grid's root solves must not.
-    for a, b in ((np.inf, 2.0), (np.nan, 2.0), (10.0, np.inf)):
-        params = QuasiStaticParams(A=np.array([a, 10.0]),
-                                   B=np.array([b, 2.0]), epsilon=0.005)
-        with pytest.raises(ValueError):
-            poa_solve(params)
+    # POA's grid root solves skip single_receiver_gamma's check, so the
+    # parameters must not admit a band that check would refuse.
+    for a, b in ((np.inf, 2.0), (np.nan, 2.0), (10.0, np.inf),
+                 (10.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            QuasiStaticParams(A=np.array([a, 10.0]), B=np.array([b, 2.0]),
+                              epsilon=0.005)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from covertjam.scenario import (
     dbm_to_mw,
     derive_fast_varying,
     derive_quasi_static,
+    gamma_constant,
     path_loss,
     rng_stream,
     sample_scenario,
@@ -90,12 +91,26 @@ def test_fast_varying_reduction_formulas():
     assert params.K == 4
     assert abs(params.budget - 2.0 * eps * eps / blocks) < 1e-18
     ratio = inst.Q_mw * inst.S_AJ / inst.S_AT
-    assert np.allclose(params.Gk, ratio * n * params.G_const, rtol=1e-14)
-    assert np.allclose(params.Ek, ratio * n * params.E_const, rtol=1e-14)
+    g = gamma_constant(inst.config.M)
+    assert np.allclose(params.Gk, ratio * n * g, rtol=1e-14)
+    assert np.allclose(params.Ek, ratio * n * (inst.config.M - g),
+                       rtol=1e-14)
     assert np.allclose(params.mu_tilde, ratio * inst.mu, rtol=1e-14)
     recv = (inst.Q_mw * inst.S_RJ + inst.sigma2_R) / inst.S_RT
     assert np.allclose(params.F1, n * recv, rtol=1e-14)
     assert np.allclose(params.F2, inst.mu * recv, rtol=1e-14)
+
+
+def test_fast_varying_params_reject_non_finite_vectors():
+    # A NaN gain once built and surfaced later as a solver's residual error.
+    good = dict(Gk=[1.0, 2.0], Ek=[1.0, 0.0], mu_tilde=[0.1, 0.1],
+                F1=[1.0, 1.0], F2=[0.5, 0.5], q_norm=[1.0, 3.0])
+    FastVaryingParams(N=10, L=1, epsilon=0.05, **good)
+    for name in good:
+        for bad in (np.nan, np.inf):
+            vectors = dict(good, **{name: [bad, 1.0]})
+            with pytest.raises(ValueError, match="finite"):
+                FastVaryingParams(N=10, L=1, epsilon=0.05, **vectors)
 
 
 def test_beamforming_gain_splits_antenna_count():
@@ -104,10 +119,13 @@ def test_beamforming_gain_splits_antenna_count():
     for m in (1, 2, 5, 20, 40, 400):
         inst = sample_scenario(ScenarioConfig(K=1, M=m), 3)
         params = derive_fast_varying(inst, 10, 1, 0.05)
-        assert abs((params.G_const + params.E_const) / m - 1.0) < 1e-12
+        scale = 10 * inst.Q_mw * inst.S_AJ / inst.S_AT
+        assert np.all(np.abs((params.Gk + params.Ek) / (scale * m) - 1.0)
+                      < 1e-12)
+        g = gamma_constant(m)
         mean_sq, var = beamforming_stats(m, 10.0, 0.0)
-        assert abs(mean_sq - params.G_const) < 1e-12 * m
-        assert abs(var - params.E_const) < 1e-12 * m
+        assert abs(mean_sq - g) < 1e-12 * m
+        assert abs(var - (m - g)) < 1e-12 * m
 
 
 def test_beamforming_noise_floor_term():
